@@ -1,14 +1,14 @@
 //! Scheduler shoot-out on the simulation-shaped hold pattern: the same
 //! population-64 "pop the minimum, reschedule it at `now + Exp`" drive
 //! across every scheduler in the workspace, so one report ranks the
-//! calendar wheel, the binary heap, the eager tournament board and the
-//! slot-keyed lazy board side by side (the decision record behind the
-//! fused loop's departure path — `hotprof`'s `hold(64)` cells give the
-//! same numbers as flat ns/op).
+//! calendar wheel, the binary heap and the slot-keyed lazy board side
+//! by side (the decision record behind the fused loop's departure path
+//! — `perfbench`'s `sched.*.ns_per_pair` cells sweep the same pattern
+//! over the population).
 
 use bnb_distributions::{ExponentialBlock, Xoshiro256PlusPlus};
 use bnb_queueing::events::EventScheduler;
-use bnb_queueing::{CalendarQueue, EventQueue, LazyBoard, SlotBoard};
+use bnb_queueing::{CalendarQueue, EventQueue, LazyBoard};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -48,21 +48,6 @@ fn hold_pattern(c: &mut Criterion) {
             for _ in 0..PAIRS {
                 let (t, s) = q.pop().unwrap();
                 q.schedule(t + exp.next(), s);
-            }
-            black_box(q.len())
-        });
-    });
-    group.bench_function(BenchmarkId::new("hold64", "board"), |b| {
-        b.iter(|| {
-            let mut exp =
-                ExponentialBlock::new(Xoshiro256PlusPlus::from_u64_seed(bnb_bench::BENCH_SEED));
-            let mut q = SlotBoard::new(POPULATION as usize);
-            for i in 0..POPULATION {
-                q.schedule(i, exp.next());
-            }
-            for _ in 0..PAIRS {
-                let (t, s) = q.pop().unwrap();
-                q.schedule(s, t + exp.next());
             }
             black_box(q.len())
         });

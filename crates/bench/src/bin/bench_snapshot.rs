@@ -1,5 +1,5 @@
 //! `bench-snapshot` — tracked balls/sec measurements for the throw
-//! kernel, and requests/sec for the cluster simulator.
+//! kernel, and routed placements/sec for the router data plane.
 //!
 //! Criterion benches are great for interactive A/B work but their output
 //! is ephemeral; this runner writes machine-readable snapshots so the
@@ -9,31 +9,26 @@
 //!   `n ∈ {1e3, 1e5, 1e6} × d ∈ {1, 2, 4} × {uniform, two-class, Zipf}`
 //!   capacities, balls/sec per cell next to the recorded pre-kernel
 //!   baseline;
-//! * `BENCH_cluster.json` — end-to-end requests/sec of the `bnb-cluster`
-//!   discrete-event simulator over the registered scenario workloads,
-//!   next to the baseline recorded when the subsystem landed, plus the
-//!   sharded-scale cell (the 131072-server `giant` scenario on the
-//!   space-sharded engine, 1 vs 4 workers, host core count recorded);
 //! * `BENCH_router.json` — routed placements/sec of the embeddable
 //!   `bnb-router` data plane under contention: 1–32 cloned
 //!   `RouterHandle`s routing d-choice d = 2 against one shared
 //!   epoch-published `FleetView`, next to the bare in-simulator
 //!   placement path measured in the same run.
 //!
+//! The cluster simulator's end-to-end and per-layer benchmark is
+//! `perfbench/` (see `perfbench/README.md`), not this runner.
+//!
 //! ```text
 //! bench-snapshot                       # full grids -> ./BENCH_throw.json
-//!                                      #             + ./BENCH_cluster.json
 //!                                      #             + ./BENCH_router.json
-//! bench-snapshot --out t.json --cluster-out c.json --router-out r.json
+//! bench-snapshot --out t.json --router-out r.json
 //! bench-snapshot --check               # tiny grids, CI smoke (fails if a
 //!                                      # file cannot be produced)
 //! ```
 
-use bnb_cluster::{find_scenario, SimBuilder};
 use bnb_core::prelude::*;
 use bnb_distributions::Xoshiro256PlusPlus;
 use bnb_router::{LoadView, Membership, PlacementSpec, Router, RouterBuilder};
-use bnb_telemetry::Registry;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -91,277 +86,6 @@ fn baseline_for(scenario: &str, n: usize, d: usize) -> Option<f64> {
         .map(|&(_, _, _, bps)| bps)
 }
 
-/// Requests/sec of one cluster-simulator scenario.
-struct ClusterCell {
-    scenario: &'static str,
-    requests_per_iter: u64,
-    total_requests: u64,
-    elapsed: Duration,
-    req_per_sec: f64,
-    baseline_req_per_sec: Option<f64>,
-}
-
-/// End-to-end cluster baseline, in requests/sec: the PR-3 cluster
-/// subsystem (commit `40c5325` — binary heap, per-event RNG draws,
-/// inverse-CDF exponentials) **rebuilt and re-measured on the current
-/// bench host**, interleaved with HEAD runs in the same windows, under
-/// the same best-single-run estimator. `(scenario, req_per_sec)`.
-///
-/// Re-recorded (again) at the fused-hot-loop PR, this time for
-/// machine comparability: the previous baselines were carried over
-/// from snapshots taken on a *different, ~2× faster host*, so every
-/// `speedup_vs_baseline` mixed machines and the shared-runner noise
-/// swung the apparent ratio by 2× between runs of identical code.
-/// Same-host, same-window, best-run measurement is the only ratio that
-/// tracks the code rather than the hardware du jour; the measured
-/// history of both protocols is kept in the README's cluster
-/// trajectory table. `diurnal` landed with PR 4, so its baseline is
-/// commit `3d05046` re-measured the same way.
-const CLUSTER_BASELINE: &[(&str, f64)] = &[
-    ("uniform", 5.839e6),
-    ("two_class", 6.091e6),
-    ("zipf", 5.706e6),
-    ("flash_crowd", 5.283e6),
-    ("diurnal", 6.249e6),
-    ("churny_p2p", 4.533e6),
-];
-
-/// One-line provenance note embedded in the cluster snapshot (see
-/// [`CLUSTER_BASELINE`]).
-const CLUSTER_BASELINE_NOTE: &str = "baselines are the PR-3 subsystem (40c5325; diurnal: \
-     3d05046 where it landed) rebuilt and re-measured on this bench host, interleaved \
-     with HEAD under the best-single-run estimator -- same-host ratios, not the old \
-     cross-machine ones";
-
-/// Why the diurnal cell trails the stationary d-choice cells (embedded
-/// in the snapshot so the number ships with its explanation). The
-/// diurnal sampler now thins under a **piecewise-constant 32-segment
-/// majorisation**: each period segment carries its tight local
-/// envelope (crest-aware) and a per-segment squeeze floor, so
-/// candidates propose at the local ceiling instead of the global peak
-/// — off-crest segments no longer pay crest-rate rejection, and the
-/// squeeze floor sits at `segment_min / segment_env` (near 1 for flat
-/// segments), skipping the `sin` on most accepts. That took the cell
-/// from ~1.2x to ~1.4x. The residual gap is structural: the cell's
-/// baseline is global-peak thinning whose rejection step the
-/// stationary baselines never had, and an accepted candidate near a
-/// crest boundary still costs an extra gap draw when it overshoots its
-/// segment.
-const DIURNAL_NOTE: &str = "diurnal trails the stationary cells by construction: its baseline \
-     does global-peak thinning (a rejection step the stationary baselines never had), so the \
-     ratio starts handicapped. The 32-segment piecewise-constant majorisation (local crest-aware \
-     envelopes + per-segment squeeze floors that skip sin on most accepts) lifted it ~1.2x -> \
-     ~1.4x; what remains is boundary-overshoot redraws near crests, inherent to exact \
-     segment-wise thinning";
-
-/// Per-cell ratchets over the generic `--floor` ratio: the four
-/// d-choice cells hold a multiple of their PR-3 baselines since the
-/// fused-hot-loop work landed — raised to **0.6×** when the slot-keyed
-/// lazy board took them past 1.8× (losing a third of a 2×-class win is
-/// a structural regression, not noise) — while the generic-loop and
-/// non-stationary cells keep the caller's ratio. The effective floor
-/// for a cell is `max(--floor, ratchet)`.
-const CELL_FLOOR: &[(&str, f64)] = &[
-    ("uniform", 0.6),
-    ("two_class", 0.6),
-    ("zipf", 0.6),
-    ("flash_crowd", 0.6),
-];
-
-fn cluster_baseline_for(scenario: &str) -> Option<f64> {
-    CLUSTER_BASELINE
-        .iter()
-        .find(|&&(s, _)| s == scenario)
-        .map(|&(_, rps)| rps)
-}
-
-/// JSON cell names use underscores; the scenario registry uses dashes.
-fn cluster_scenario_id(cell_name: &str) -> String {
-    cell_name.replace('_', "-")
-}
-
-/// Times one cluster scenario: repeated full runs of `requests` offered
-/// requests (fresh simulator each iteration, construction included — the
-/// figure tracks serving throughput end to end) until the budget
-/// elapses.
-///
-/// The reported `req_per_sec` is the **best single run** within the
-/// budget, not the mean — the `timeit` convention. These snapshots are
-/// taken on shared hosts whose effective speed swings by 2× with
-/// neighbour load on a sub-second scale; the mean of a 0.4 s window
-/// measures the neighbours as much as the code, while the fastest run
-/// is a stable estimate of the code's intrinsic speed (interference
-/// only ever slows a run down). The committed baselines were re-taken
-/// under this same estimator, on this same host class, so
-/// `speedup_vs_baseline` compares like with like.
-fn measure_cluster(cell_name: &'static str, requests: u64, budget: Duration) -> ClusterCell {
-    let scenario = find_scenario(&cluster_scenario_id(cell_name))
-        .unwrap_or_else(|| unreachable!("unknown cluster scenario {cell_name}"));
-    let run = || {
-        let metrics = SimBuilder::scenario(scenario, requests)
-            .seed(bnb_bench::BENCH_SEED)
-            .build()
-            .run();
-        assert_eq!(
-            metrics.completed + metrics.dropped + metrics.orphaned,
-            requests,
-            "{cell_name}: lost requests during benching"
-        );
-    };
-    // Warm-up run: page-faults, allocator growth, branch history.
-    run();
-    let mut total = 0u64;
-    let mut best = 0.0f64;
-    let start = Instant::now();
-    loop {
-        let run_start = Instant::now();
-        run();
-        let run_elapsed = run_start.elapsed();
-        best = best.max(requests as f64 / run_elapsed.as_secs_f64());
-        total += requests;
-        if start.elapsed() >= budget {
-            break;
-        }
-    }
-    let elapsed = start.elapsed();
-    ClusterCell {
-        scenario: cell_name,
-        requests_per_iter: requests,
-        total_requests: total,
-        elapsed,
-        req_per_sec: best,
-        baseline_req_per_sec: cluster_baseline_for(cell_name),
-    }
-}
-
-/// Telemetry overhead and scheduler internals of the `two_class` cell,
-/// measured in one invocation.
-struct TelemetryBlock {
-    /// Best telemetry-off run (same estimator as the grid cells).
-    off_req_per_sec: f64,
-    /// Best telemetry-on run (spans + scheduler counters + traces).
-    on_req_per_sec: f64,
-    /// Scheduler-internals counters from the telemetry-on run — these
-    /// are deterministic in `(scenario, seed)`, unlike the timings.
-    /// The fused loop drives the slot-keyed `LazyBoard` since the
-    /// lazy-deletion PR, so the fingerprint is its `lazy.*` counter
-    /// family (the calendar counters read zero there).
-    lazy_inserts: u64,
-    lazy_stale_pops: u64,
-    lazy_overwrites: u64,
-    lazy_rebuilds: u64,
-    bypasses: u64,
-}
-
-/// Times the `two_class` scenario with telemetry off and fully on,
-/// strictly interleaved (off, on, off, on, …) inside one budget so
-/// both sides sample the same neighbour-load weather, best run each —
-/// the overhead ratio then tracks the instrumentation, not the host.
-/// Also harvests the scheduler-internals counters from the final
-/// telemetry-on run.
-fn measure_telemetry(requests: u64, budget: Duration) -> TelemetryBlock {
-    let scenario = find_scenario("two-class")
-        .unwrap_or_else(|| unreachable!("two-class scenario missing from registry"));
-    let registry = Registry::enabled();
-    let run = |enable: bool| {
-        let mut builder = SimBuilder::scenario(scenario, requests).seed(bnb_bench::BENCH_SEED);
-        if enable {
-            builder = builder.telemetry(&registry);
-        }
-        let mut sim = builder.build();
-        let start = Instant::now();
-        let metrics = sim.run();
-        let elapsed = start.elapsed();
-        assert_eq!(
-            metrics.completed + metrics.dropped + metrics.orphaned,
-            requests,
-            "telemetry bench lost requests"
-        );
-        (requests as f64 / elapsed.as_secs_f64(), sim)
-    };
-    run(false);
-    run(true);
-    let start = Instant::now();
-    let (mut best_off, _) = run(false);
-    let (mut best_on, mut last_on) = run(true);
-    while start.elapsed() < budget {
-        let (off, _) = run(false);
-        best_off = best_off.max(off);
-        let (on, sim) = run(true);
-        best_on = best_on.max(on);
-        last_on = sim;
-    }
-    let snap = last_on.telemetry_snapshot();
-    TelemetryBlock {
-        off_req_per_sec: best_off,
-        on_req_per_sec: best_on,
-        lazy_inserts: snap.counter("lazy.ring_inserts").unwrap_or(0),
-        lazy_stale_pops: snap.counter("lazy.stale_pops").unwrap_or(0),
-        lazy_overwrites: snap.counter("lazy.overwrites").unwrap_or(0),
-        lazy_rebuilds: snap.counter("lazy.rebuild_scans").unwrap_or(0),
-        bypasses: snap.counter("sim.next_free_bypass").unwrap_or(0),
-    }
-}
-
-/// The sharded-scale cell: the `giant` scenario (131072 servers) on
-/// the space-sharded engine at 1 and 4 workers, interleaved.
-struct ShardedBlock {
-    /// Cores the bench host exposes (`available_parallelism`), recorded
-    /// so the speedup figure ships with its hardware context.
-    cores: usize,
-    requests_per_iter: u64,
-    w1_req_per_sec: f64,
-    w4_req_per_sec: f64,
-}
-
-/// Context for the sharded cell's speedup figure (embedded in the
-/// snapshot). Mirrors the router grid's single-core caveat.
-const SHARDED_NOTE: &str = "the giant cell runs the 131072-server scenario on the space-sharded \
-     engine at 1 and 4 workers, interleaved, best run each. On hosts with < 4 cores the ratio \
-     is not parallel scaling (same single-core caveat as the router contention grid) — any \
-     speedup measured there comes from space partitioning alone: four shards each walk a \
-     quarter of the slot state, so the per-shard working set drops into cache. The >= 2x \
-     gate arms only at cores >= 4, where real parallelism stacks on top of that locality win";
-
-/// Times the `giant` scenario on the sharded engine at 1 and then 4
-/// workers, strictly interleaved inside one budget (same
-/// weather-sharing rationale as [`measure_telemetry`]), best single
-/// run each. Fleet construction is included, as in every cluster cell.
-fn measure_sharded(requests: u64, budget: Duration) -> ShardedBlock {
-    let scenario = find_scenario("giant")
-        .unwrap_or_else(|| unreachable!("giant scenario missing from registry"));
-    let run = |workers: usize| {
-        let start = Instant::now();
-        let metrics = SimBuilder::scenario(scenario, requests)
-            .seed(bnb_bench::BENCH_SEED)
-            .workers(workers)
-            .build()
-            .run();
-        let elapsed = start.elapsed();
-        assert_eq!(
-            metrics.completed + metrics.dropped + metrics.orphaned,
-            requests,
-            "sharded bench lost requests"
-        );
-        requests as f64 / elapsed.as_secs_f64()
-    };
-    run(1);
-    run(4);
-    let start = Instant::now();
-    let mut best_w1 = run(1);
-    let mut best_w4 = run(4);
-    while start.elapsed() < budget {
-        best_w1 = best_w1.max(run(1));
-        best_w4 = best_w4.max(run(4));
-    }
-    ShardedBlock {
-        cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-        requests_per_iter: requests,
-        w1_req_per_sec: best_w1,
-        w4_req_per_sec: best_w4,
-    }
-}
-
 /// Routed placements/sec of one router-contention cell.
 struct RouterCell {
     threads: usize,
@@ -381,8 +105,8 @@ const ROUTER_BASELINE_NOTE: &str = "sim_path is the bare PlacementEngine placing
      gated at --floor x sim_path. The bench host exposes a single core, so multi-thread \
      cells measure contention overhead under oversubscription, not parallel scaling";
 
-/// The standard router-bench fleet: the two-class 64-server shape used
-/// by the cluster grids (32 x speed 1, 32 x speed 8).
+/// The standard router-bench fleet: the two-class 64-server shape of
+/// the `two-class` cluster scenario (32 x speed 1, 32 x speed 8).
 fn router_fleet_speeds() -> Vec<u64> {
     (0..64).map(|i| if i < 32 { 1 } else { 8 }).collect()
 }
@@ -438,7 +162,7 @@ fn measure_sim_path(routes: u64, budget: Duration) -> f64 {
 /// concurrently against one shared `FleetView`, each route followed by
 /// the join/depart pair an embedder records (so the atomic queue
 /// counters are exercised, not just read). Best single iteration within
-/// the budget, same estimator as the cluster grid.
+/// the budget, same estimator as [`measure_sim_path`].
 fn measure_router(threads: usize, routes_per_thread: u64, budget: Duration) -> RouterCell {
     let speeds = router_fleet_speeds();
     let (_view, handle) = RouterBuilder::new(PlacementSpec::DChoice { d: 2 })
@@ -583,92 +307,6 @@ fn render_json(cells: &[Cell], mode: &str) -> String {
     out
 }
 
-fn render_cluster_json(
-    cells: &[ClusterCell],
-    telemetry: &TelemetryBlock,
-    sharded: &ShardedBlock,
-    mode: &str,
-) -> String {
-    let generated = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema_version\": 4,\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
-    out.push_str(&format!("  \"generated_unix_secs\": {generated},\n"));
-    out.push_str(&format!("  \"seed\": {},\n", bnb_bench::BENCH_SEED));
-    out.push_str("  \"baseline_commit\": \"40c5325\",\n");
-    out.push_str(&format!(
-        "  \"baseline_note\": \"{CLUSTER_BASELINE_NOTE}\",\n"
-    ));
-    out.push_str(&format!("  \"diurnal_note\": \"{DIURNAL_NOTE}\",\n"));
-    // Scheduler internals (deterministic counters) plus the measured
-    // cost of turning telemetry on, interleaved in this same invocation
-    // (see `measure_telemetry`). Schema 3: the fused loop's departure
-    // path is the slot-keyed lazy board, so the fingerprint switched
-    // from the calendar's counter family to `lazy.*` plus the
-    // next-free bypass count.
-    out.push_str(&format!(
-        "  \"telemetry\": {{\"scenario\": \"two_class\", \
-         \"lazy_inserts\": {}, \"lazy_stale_pops\": {}, \
-         \"lazy_overwrites\": {}, \"lazy_rebuilds\": {}, \
-         \"next_free_bypasses\": {}, \
-         \"req_per_sec_telemetry_off\": {:.4e}, \
-         \"req_per_sec_telemetry_on\": {:.4e}, \
-         \"on_over_off_ratio\": {:.3}}},\n",
-        telemetry.lazy_inserts,
-        telemetry.lazy_stale_pops,
-        telemetry.lazy_overwrites,
-        telemetry.lazy_rebuilds,
-        telemetry.bypasses,
-        telemetry.off_req_per_sec,
-        telemetry.on_req_per_sec,
-        telemetry.on_req_per_sec / telemetry.off_req_per_sec,
-    ));
-    // Schema 4: the sharded-scale cell — the giant (131072-server)
-    // scenario on the space-sharded engine at 1 vs 4 workers, with the
-    // host's core count recorded next to the ratio (see SHARDED_NOTE).
-    out.push_str(&format!(
-        "  \"sharded\": {{\"scenario\": \"giant\", \"cores\": {}, \
-         \"requests_per_iter\": {}, \
-         \"req_per_sec_w1\": {:.4e}, \
-         \"req_per_sec_w4\": {:.4e}, \
-         \"speedup_w4_over_w1\": {:.3}, \
-         \"note\": \"{SHARDED_NOTE}\"}},\n",
-        sharded.cores,
-        sharded.requests_per_iter,
-        sharded.w1_req_per_sec,
-        sharded.w4_req_per_sec,
-        sharded.w4_req_per_sec / sharded.w1_req_per_sec,
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let baseline = c
-            .baseline_req_per_sec
-            .map_or("null".to_string(), |b| format!("{b:.4e}"));
-        let speedup = c
-            .baseline_req_per_sec
-            .map_or("null".to_string(), |b| format!("{:.2}", c.req_per_sec / b));
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"requests_per_iter\": {}, \
-             \"req_per_sec\": {:.4e}, \"requests_total\": {}, \
-             \"elapsed_secs\": {:.4}, \"baseline_req_per_sec\": {}, \
-             \"speedup_vs_baseline\": {}}}{}\n",
-            json_escape_free(c.scenario),
-            c.requests_per_iter,
-            c.req_per_sec,
-            c.total_requests,
-            c.elapsed.as_secs_f64(),
-            baseline,
-            speedup,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 fn render_router_json(cells: &[RouterCell], sim_path_routes_per_sec: f64, mode: &str) -> String {
     let generated = SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -707,31 +345,26 @@ fn render_router_json(cells: &[RouterCell], sim_path_routes_per_sec: f64, mode: 
 }
 
 fn usage() -> &'static str {
-    "Usage: bench-snapshot [--check] [--floor RATIO] [--out PATH] [--cluster-out PATH]\n\
-     \x20                     [--router-out PATH]\n\
+    "Usage: bench-snapshot [--check] [--floor RATIO] [--out PATH] [--router-out PATH]\n\
      \n\
      Measures balls/sec of the throw kernel over the standard scenario\n\
-     grid (-> BENCH_throw.json), requests/sec of the cluster simulator\n\
-     over its workload grid (-> BENCH_cluster.json), and routed\n\
-     placements/sec of the bnb-router data plane under 1-32 thread\n\
-     contention (-> BENCH_router.json), in the current directory by\n\
-     default.\n\
+     grid (-> BENCH_throw.json) and routed placements/sec of the\n\
+     bnb-router data plane under 1-32 thread contention\n\
+     (-> BENCH_router.json), in the current directory by default. The\n\
+     cluster simulator is benchmarked by perfbench/run.py instead.\n\
      \n\
      Options:\n\
      \x20  --check             tiny grids + short budget: CI smoke that\n\
      \x20                      the snapshot pipeline still produces valid\n\
      \x20                      files\n\
-     \x20  --floor RATIO       perf-regression gate: fail if any cluster\n\
-     \x20                      cell with a recorded baseline measures\n\
-     \x20                      below RATIO x that baseline, or if the\n\
-     \x20                      1-thread router cell falls below RATIO x\n\
-     \x20                      the in-simulator placement path (use a\n\
+     \x20  --floor RATIO       perf-regression gate: fail if the 1-thread\n\
+     \x20                      router cell falls below RATIO x the\n\
+     \x20                      in-simulator placement path (use a\n\
      \x20                      generous ratio, e.g. 0.25 — the gate is\n\
      \x20                      meant to catch debug-build-scale\n\
      \x20                      regressions without flaking on shared\n\
      \x20                      runners)\n\
      \x20  --out PATH          throw-kernel output (./BENCH_throw.json)\n\
-     \x20  --cluster-out PATH  cluster output (./BENCH_cluster.json)\n\
      \x20  --router-out PATH   router output (./BENCH_router.json)\n"
 }
 
@@ -739,7 +372,6 @@ fn main() -> ExitCode {
     let mut check = false;
     let mut floor: Option<f64> = None;
     let mut out_path = PathBuf::from("BENCH_throw.json");
-    let mut cluster_out_path = PathBuf::from("BENCH_cluster.json");
     let mut router_out_path = PathBuf::from("BENCH_router.json");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -764,13 +396,6 @@ fn main() -> ExitCode {
                 Some(p) => out_path = PathBuf::from(p),
                 None => {
                     eprintln!("--out needs a path\n\n{}", usage());
-                    return ExitCode::from(2);
-                }
-            },
-            "--cluster-out" => match args.next() {
-                Some(p) => cluster_out_path = PathBuf::from(p),
-                None => {
-                    eprintln!("--cluster-out needs a path\n\n{}", usage());
                     return ExitCode::from(2);
                 }
             },
@@ -823,72 +448,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // The cluster grid: end-to-end requests/sec per workload. Check
-    // mode keeps runs tiny but still covers every tracked cell, so the
-    // `--floor` gate in CI watches the whole grid, not one scenario.
-    let all_cluster_cells: &[&'static str] = &[
-        "uniform",
-        "two_class",
-        "zipf",
-        "flash_crowd",
-        "diurnal",
-        "churny_p2p",
-    ];
-    let (cluster_cells_spec, cluster_requests, cluster_budget): (&[&'static str], u64, Duration) =
-        if check {
-            (all_cluster_cells, 5_000, Duration::from_millis(30))
-        } else {
-            (all_cluster_cells, 50_000, Duration::from_millis(400))
-        };
-    let mut cluster_cells = Vec::new();
-    for &cell_name in cluster_cells_spec {
-        let cell = measure_cluster(cell_name, cluster_requests, cluster_budget);
-        println!(
-            "cluster/{:<12} reqs={:<6} {:>10.3e} req/s{}",
-            cell.scenario,
-            cell.requests_per_iter,
-            cell.req_per_sec,
-            cell.baseline_req_per_sec.map_or(String::new(), |b| {
-                format!("  ({:.2}x vs baseline)", cell.req_per_sec / b)
-            }),
-        );
-        cluster_cells.push(cell);
-    }
-
-    // Telemetry overhead on the two_class cell: off and on interleaved
-    // in one budget, plus the deterministic scheduler-internals
-    // counters for the snapshot's metadata block.
-    let telemetry = measure_telemetry(cluster_requests, cluster_budget);
-    println!(
-        "cluster/telemetry two_class     off {:>10.3e} req/s, on {:>10.3e} req/s ({:.3}x); \
-         {} lazy inserts, {} stale pops, {} rebuilds, {} bypasses",
-        telemetry.off_req_per_sec,
-        telemetry.on_req_per_sec,
-        telemetry.on_req_per_sec / telemetry.off_req_per_sec,
-        telemetry.lazy_inserts,
-        telemetry.lazy_stale_pops,
-        telemetry.lazy_rebuilds,
-        telemetry.bypasses,
-    );
-
-    // The sharded-scale cell: 131072 servers on the space-sharded
-    // engine, 1 worker vs 4, interleaved. Check mode shrinks the
-    // request budget but still exercises the whole engine (fleet
-    // partitioning, epoch rounds, shard merge).
-    let (sharded_requests, sharded_budget) = if check {
-        (20_000u64, Duration::from_millis(30))
-    } else {
-        (200_000u64, Duration::from_millis(1500))
-    };
-    let sharded = measure_sharded(sharded_requests, sharded_budget);
-    println!(
-        "cluster/sharded giant           w1 {:>10.3e} req/s, w4 {:>10.3e} req/s ({:.2}x on {} core(s))",
-        sharded.w1_req_per_sec,
-        sharded.w4_req_per_sec,
-        sharded.w4_req_per_sec / sharded.w1_req_per_sec,
-        sharded.cores,
-    );
-
     // The router contention grid: the same fleet shape, routed through
     // 1-32 cloned handles over one epoch-published view, next to the
     // bare in-simulator placement path measured in the same window.
@@ -911,65 +470,13 @@ fn main() -> ExitCode {
         router_cells.push(cell);
     }
 
-    // The perf floor: every cluster cell with a recorded baseline must
-    // clear `ratio × baseline` (tightened per cell by [`CELL_FLOOR`]),
-    // and the 1-thread router cell must clear `ratio × sim_path` (the
-    // embeddable surface may cost something, but never 4x). Ratios are
-    // generous by design — the gate exists to catch structural
-    // regressions (a debug build, an accidentally quadratic path), not
-    // to arbitrate benchmark noise.
+    // The perf floor: the 1-thread router cell must clear
+    // `ratio × sim_path` (the embeddable surface may cost something, but
+    // never 4x). The ratio is generous by design — the gate exists to
+    // catch structural regressions (a debug build, an accidentally
+    // quadratic path), not to arbitrate benchmark noise.
     if let Some(ratio) = floor {
         let mut failed = false;
-        for c in &cluster_cells {
-            if let Some(b) = c.baseline_req_per_sec {
-                let cell_ratio = CELL_FLOOR
-                    .iter()
-                    .find(|(name, _)| *name == c.scenario)
-                    .map_or(ratio, |&(_, r)| ratio.max(r));
-                let min = cell_ratio * b;
-                if c.req_per_sec < min {
-                    eprintln!(
-                        "FLOOR VIOLATION: cluster/{} measured {:.3e} req/s, \
-                         below {cell_ratio} x baseline {b:.3e} = {min:.3e}",
-                        c.scenario, c.req_per_sec
-                    );
-                    failed = true;
-                }
-            }
-        }
-        // The telemetry-overhead gate: sampled spans and plain counters
-        // must stay within 10% of the telemetry-off rate, measured
-        // interleaved in this same invocation so both sides saw the
-        // same host weather. A breach means instrumentation crept onto
-        // the per-event path (an unsampled timer, an allocation), which
-        // no amount of shared-runner noise produces at best-of-N.
-        const TELEMETRY_OVERHEAD_FLOOR: f64 = 0.9;
-        if telemetry.on_req_per_sec < TELEMETRY_OVERHEAD_FLOOR * telemetry.off_req_per_sec {
-            eprintln!(
-                "FLOOR VIOLATION: telemetry-on two_class measured {:.3e} req/s, below \
-                 {TELEMETRY_OVERHEAD_FLOOR} x its interleaved telemetry-off rate {:.3e}",
-                telemetry.on_req_per_sec, telemetry.off_req_per_sec
-            );
-            failed = true;
-        }
-        // The sharded-scaling gate: at 4 workers the giant cell must
-        // hold at least 2x its own 1-worker rate — but only on hosts
-        // that physically have 4 cores to scale onto. On narrower hosts
-        // the ratio measures oversubscription overhead, not scaling
-        // (see SHARDED_NOTE), so the gate stays disarmed and the
-        // recorded figure is context, not a contract.
-        const SHARDED_SPEEDUP_FLOOR: f64 = 2.0;
-        if sharded.cores >= 4
-            && sharded.w4_req_per_sec < SHARDED_SPEEDUP_FLOOR * sharded.w1_req_per_sec
-        {
-            eprintln!(
-                "FLOOR VIOLATION: sharded giant at 4 workers measured {:.3e} req/s, below \
-                 {SHARDED_SPEEDUP_FLOOR} x its interleaved 1-worker rate {:.3e} on a \
-                 {}-core host",
-                sharded.w4_req_per_sec, sharded.w1_req_per_sec, sharded.cores
-            );
-            failed = true;
-        }
         if let Some(single) = router_cells.iter().find(|c| c.threads == 1) {
             let min = ratio * sim_path;
             if single.routes_per_sec < min {
@@ -983,14 +490,14 @@ fn main() -> ExitCode {
         }
         if failed {
             eprintln!(
-                "bench floor gate failed — a tracked cluster cell lost more than \
-                 {:.0}% of its recorded throughput (debug build? pathological \
-                 regression?)",
+                "bench floor gate failed — the routed path lost more than \
+                 {:.0}% against the bare placement path (debug build? \
+                 pathological regression?)",
                 (1.0 - ratio) * 100.0
             );
             return ExitCode::FAILURE;
         }
-        println!("floor gate passed: every tracked cell >= {ratio} x its baseline");
+        println!("floor gate passed: router/threads=1 >= {ratio} x the sim path");
     }
 
     let write_file = |path: &PathBuf, json: &str| {
@@ -999,10 +506,6 @@ fn main() -> ExitCode {
     };
     for (path, json) in [
         (&out_path, render_json(&cells, mode)),
-        (
-            &cluster_out_path,
-            render_cluster_json(&cluster_cells, &telemetry, &sharded, mode),
-        ),
         (
             &router_out_path,
             render_router_json(&router_cells, sim_path, mode),

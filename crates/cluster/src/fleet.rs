@@ -255,35 +255,6 @@ impl Fleet {
         }
     }
 
-    /// The ordering key of Algorithm 1's allocation step for slot `i`:
-    /// post-join normalised load first (exact rational), then *larger*
-    /// capacity preferred (hence the inverted speed component).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[deprecated(
-        since = "0.1.0",
-        note = "the placement engine derives Algorithm 1's key from \
-                bnb_router::LoadView::load itself; read the mirror through that trait"
-    )]
-    #[inline]
-    #[must_use]
-    pub fn post_join_key(&self, i: usize) -> (Load, u64) {
-        let (q, s) = (self.queues[i], self.speeds[i]);
-        (Load::new(q + 1, s), u64::MAX - s)
-    }
-
-    /// Jobs in the system on slot `i`, served from the dense mirror.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[deprecated(since = "0.1.0", note = "use bnb_router::LoadView::queue_len")]
-    #[inline]
-    #[must_use]
-    pub fn queue_len_of(&self, i: usize) -> u64 {
-        self.queues[i]
-    }
-
     /// `1 / speed` of slot `i`, from the dense mirror — how the
     /// departure-scheduling path scales Exp(1) work into service time
     /// (bitwise-stable across the generic and fused loops, which is why

@@ -36,8 +36,8 @@
 //!   exchanged at epoch boundaries, per-shard reports merged in shard
 //!   order — byte-identical output under any worker count,
 //! * [`builder`] — the unified [`SimBuilder`] construction surface
-//!   over all of the above (scenario or spec, seed, scheduler,
-//!   telemetry, worker count),
+//!   over all of the above (scenario or spec, seed, telemetry,
+//!   worker count),
 //! * [`metrics`] — latency quantiles (O(n) selection, no sort),
 //!   per-server peaks and drop rates, rendered through `bnb-stats`,
 //! * [`scenario`] — the registry of named workloads behind the
@@ -78,11 +78,9 @@ pub mod sweep;
 pub mod telemetry;
 
 pub use arrivals::{ArrivalProcess, ArrivalSampler};
-pub use builder::{Scheduler, Sim, SimBuilder};
+pub use builder::{Sim, SimBuilder};
 pub use fleet::{ClusterServer, Fleet};
 pub use metrics::ClusterMetrics;
-#[allow(deprecated)]
-pub use placement::Router;
 pub use placement::{PlacementEngine, PlacementSpec};
 pub use scenario::{find_scenario, registry, Scenario, SMOKE_DIVISOR};
 pub use sharded::ShardedClusterSim;

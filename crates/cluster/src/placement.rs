@@ -10,54 +10,16 @@
 //! unchanged, so traces are byte-identical across the move — the
 //! registry-wide differential tests pin that.
 //!
-//! New code should construct engines through
-//! [`bnb_router::RouterBuilder`] (or [`PlacementEngine::new`] with a
-//! [`bnb_router::Membership`], e.g. from
-//! [`Fleet::membership`](crate::fleet::Fleet::membership)); the items
-//! below keep the old entry points compiling, deprecated.
+//! Construct engines through [`bnb_router::RouterBuilder`] (or
+//! [`PlacementEngine::new`] with a [`bnb_router::Membership`], e.g. from
+//! [`Fleet::membership`](crate::fleet::Fleet::membership)).
 
 pub use bnb_router::{PlacementEngine, PlacementSpec};
 
-use crate::fleet::Fleet;
-
-/// The old name of the placement state machine, kept as an alias.
-#[deprecated(
-    since = "0.1.0",
-    note = "use bnb_router::PlacementEngine (constructed from a Membership) \
-            or the bnb_router::Router trait for concurrent embeddings"
-)]
-pub type Router = PlacementEngine;
-
-/// The old fleet-coupled constructor: builds a placement engine for the
-/// fleet's current membership on RNG stream 0.
-#[deprecated(
-    since = "0.1.0",
-    note = "use PlacementEngine::new(spec, &fleet.membership(), seed) \
-            or bnb_router::RouterBuilder"
-)]
-#[must_use]
-pub fn fleet_router(spec: PlacementSpec, fleet: &Fleet, seed: u64) -> PlacementEngine {
-    PlacementEngine::new(spec, &fleet.membership(), seed)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::fleet::Fleet;
     use bnb_router::LoadView;
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_points_match_the_new_surface() {
-        // The shim constructor and the new membership-based one must be
-        // the same engine: identical placements, draw for draw.
-        let fleet = Fleet::new(&[1, 1, 8, 8], None);
-        let spec = PlacementSpec::DChoice { d: 3 };
-        let mut old: Router = fleet_router(spec, &fleet, 11);
-        let mut new = PlacementEngine::new(spec, &fleet.membership(), 11);
-        for i in 0..1_500u64 {
-            assert_eq!(old.place(&fleet, i), new.place(&fleet, i), "request {i}");
-        }
-    }
 
     #[test]
     fn fleet_load_view_mirrors_joins_and_departs() {

@@ -21,8 +21,8 @@
 //! other configuration takes the generic event loop. The two loops
 //! consume every RNG stream in the same per-stream order and resolve
 //! ties by the same insertion sequence, so they are metric-identical
-//! byte for byte — [`ClusterSim::run_generic`] exposes the generic
-//! loop precisely so the differential tests can prove that.
+//! byte for byte. The differential tests prove that against the
+//! binary-heap oracle, which always takes the generic loop.
 //!
 //! ## Determinism contract
 //!
@@ -117,9 +117,10 @@ pub enum ClusterEvent {
     ChurnTick,
 }
 
-/// The running simulator, generic over its event scheduler (calendar
-/// queue by default; see [`ClusterSim::with_scheduler`] to pin another
-/// implementation, e.g. the binary-heap oracle in differential tests).
+/// The running simulator, generic over its event scheduler. Production
+/// runs are built by [`crate::SimBuilder`] on the calendar queue;
+/// [`ClusterSim::with_scheduler`] pins another implementation, e.g. the
+/// binary-heap oracle in differential tests.
 #[derive(Debug)]
 pub struct ClusterSim<Sch: EventScheduler<ClusterEvent> = CalendarQueue<ClusterEvent>> {
     spec: ClusterSpec,
@@ -142,7 +143,7 @@ pub struct ClusterSim<Sch: EventScheduler<ClusterEvent> = CalendarQueue<ClusterE
     latencies: Vec<f64>,
     /// Metrics of the finished run (computed once; reruns return it).
     result: Option<ClusterMetrics>,
-    /// Per-component spans (inert unless [`ClusterSim::enable_telemetry`]
+    /// Per-component spans (inert unless [`crate::SimBuilder::telemetry`]
     /// switched them on). A separate field so the drive loops can time
     /// one component while borrowing the router/fleet disjointly.
     tele: SimTelemetry,
@@ -160,33 +161,16 @@ pub struct ClusterSim<Sch: EventScheduler<ClusterEvent> = CalendarQueue<ClusterE
     next_free_bypasses: u64,
 }
 
-impl ClusterSim {
-    /// Builds the simulator on the default calendar-queue scheduler.
+impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
+    /// Builds the simulator on an explicit scheduler implementation.
+    /// The scheduler cannot change the trace — the determinism contract
+    /// fixes the event order — only its speed.
     ///
     /// # Panics
     /// Panics if the spec is invalid: empty fleet, bad placement
     /// parameters, invalid arrival process, non-positive churn interval,
     /// or an unbounded-queue spec whose arrival rate reaches the fleet's
     /// service capacity (the run could not drain).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct through bnb_cluster::SimBuilder — the one surface that also \
-                carries the scheduler choice, telemetry registry and worker count"
-    )]
-    #[must_use]
-    pub fn new(spec: ClusterSpec, seed: u64) -> Self {
-        Self::with_scheduler(spec, seed)
-    }
-}
-
-impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
-    /// Builds the simulator on an explicit scheduler implementation
-    /// (same validation as [`ClusterSim::new`]). The scheduler cannot
-    /// change the trace — the determinism contract fixes the event
-    /// order — only its speed.
-    ///
-    /// # Panics
-    /// Panics under the same conditions as [`ClusterSim::new`].
     #[must_use]
     pub fn with_scheduler(spec: ClusterSpec, seed: u64) -> Self {
         spec.arrivals.validate();
@@ -235,21 +219,11 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     }
 
     /// Switches the per-component spans on (or reconfigures them) from
-    /// a [`Registry`]. Call before [`ClusterSim::run`]. Telemetry is
+    /// a [`Registry`]; [`crate::SimBuilder::telemetry`] configures
+    /// through this. Call before [`ClusterSim::run`]. Telemetry is
     /// **schedule-invisible**: it draws no RNG values and schedules no
     /// events, so the metrics of a telemetry-on run are bitwise those
     /// of a telemetry-off run — the differential tests pin it.
-    #[deprecated(
-        since = "0.1.0",
-        note = "pass the registry to bnb_cluster::SimBuilder::telemetry instead"
-    )]
-    pub fn enable_telemetry(&mut self, registry: &Registry) {
-        self.set_telemetry(registry);
-    }
-
-    /// The non-deprecated internal form of
-    /// [`ClusterSim::enable_telemetry`] that [`crate::SimBuilder`]
-    /// configures through.
     pub(crate) fn set_telemetry(&mut self, registry: &Registry) {
         self.tele = SimTelemetry::from_registry(registry);
     }
@@ -267,13 +241,9 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         if let Some(stats) = self.events.calendar_stats() {
             sched.merge_from(stats);
         }
-        let mut lazy = self.lazy_stats.clone();
-        if let Some(stats) = self.events.lazy_stats() {
-            lazy.merge_from(stats);
-        }
         self.tele.harvest(
             &sched,
-            &lazy,
+            &self.lazy_stats,
             self.next_free_bypasses,
             self.arrivals.thinning_counts(),
             self.arrived,
@@ -287,10 +257,9 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     /// The dominant configuration — `DChoice { d: 2 }` placement, no
     /// churn — is driven by a fused monomorphic loop (see the module
     /// docs); everything else takes the generic event loop. The two
-    /// are metric-identical (the
-    /// differential tests pin it bitwise), so the split is invisible
-    /// outside this method — [`ClusterSim::run_generic`] exists to pin
-    /// exactly that.
+    /// are metric-identical (the differential tests pin it bitwise
+    /// against the heap oracle), so the split is invisible outside this
+    /// method.
     pub fn run(&mut self) -> ClusterMetrics {
         if let Some(result) = &self.result {
             return result.clone();
@@ -299,7 +268,7 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         if self.fused_eligible() {
             self.run_fused_loop();
         } else {
-            self.run_generic_loop();
+            self.run_event_loop();
         }
         self.finish()
     }
@@ -314,24 +283,6 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         self.spec.churn.is_none()
             && matches!(self.spec.placement, PlacementSpec::DChoice { d: 2 })
             && TypeId::of::<Sch>() == TypeId::of::<CalendarQueue<ClusterEvent>>()
-    }
-
-    /// Runs the request budget through the **generic** event loop even
-    /// when the spec is eligible for the fused fast path — the
-    /// differential oracle proving the fused loop changes no metric.
-    /// Same caching semantics as [`ClusterSim::run`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "only differential oracle tests need the generic loop pinned; \
-                everything else should run through bnb_cluster::SimBuilder"
-    )]
-    pub fn run_generic(&mut self) -> ClusterMetrics {
-        if let Some(result) = &self.result {
-            return result.clone();
-        }
-        self.prime();
-        self.run_generic_loop();
-        self.finish()
     }
 
     /// One-time run setup: first arrival, churn kickoff, latency buffer.
@@ -362,7 +313,7 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
 
     /// The generic drive loop: any placement, any arrival process,
     /// churn included.
-    fn run_generic_loop(&mut self) {
+    fn run_event_loop(&mut self) {
         loop {
             // Merge the pre-sampled arrival stream with the scheduled
             // departures/churn ticks: scheduled events strictly before
@@ -421,8 +372,8 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     /// relative to the service stream, but the streams are
     /// independently seeded, so each stream's draw sequence is
     /// unchanged) and ties resolve by the same insertion sequence, so
-    /// the metrics are bitwise those of [`ClusterSim::run_generic`] —
-    /// the fused differential test pins that cell by cell.
+    /// the metrics are bitwise those of the generic loop — the
+    /// differential tests pin that against the heap oracle.
     fn run_fused_loop(&mut self) {
         debug_assert!(self.spec.churn.is_none());
         debug_assert!(self.events.is_empty(), "fused runs start unscheduled");
@@ -637,10 +588,20 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shims are this module's test subject.
-    #![allow(deprecated)]
     use super::*;
+    use crate::builder::SimBuilder;
+    use crate::scenario::{registry, SMOKE_DIVISOR};
     use bnb_queueing::events::EventQueue;
+
+    /// A production run: the builder's serial engine.
+    fn run(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
+        SimBuilder::new(spec).seed(seed).build().run()
+    }
+
+    /// The differential oracle: the generic loop on the binary heap.
+    fn heap_oracle(spec: ClusterSpec, seed: u64) -> ClusterSim<EventQueue<ClusterEvent>> {
+        ClusterSim::with_scheduler(spec, seed)
+    }
 
     fn base_spec() -> ClusterSpec {
         let speeds = CapacityVector::two_class(8, 1, 8, 8);
@@ -658,8 +619,7 @@ mod tests {
 
     #[test]
     fn conservation_without_churn() {
-        let mut sim = ClusterSim::new(base_spec(), 1);
-        let m = sim.run();
+        let m = run(base_spec(), 1);
         assert_eq!(m.requests, 20_000);
         assert_eq!(
             m.completed + m.dropped,
@@ -677,8 +637,7 @@ mod tests {
     fn zero_requests_simulates_nothing() {
         let mut spec = base_spec();
         spec.requests = 0;
-        let mut sim = ClusterSim::new(spec, 1);
-        let m = sim.run();
+        let m = run(spec, 1);
         assert_eq!(m.requests, 0);
         assert_eq!(m.completed, 0);
         assert_eq!(m.horizon, 0.0);
@@ -686,7 +645,7 @@ mod tests {
 
     #[test]
     fn rerun_is_a_noop_returning_the_same_metrics() {
-        let mut sim = ClusterSim::new(base_spec(), 2);
+        let mut sim = SimBuilder::new(base_spec()).seed(2).build();
         let first = sim.run();
         let second = sim.run();
         assert_eq!(first, second, "a drained simulator must not replay");
@@ -694,11 +653,10 @@ mod tests {
 
     #[test]
     fn same_seed_same_metrics_different_seed_different() {
-        let run = |seed| ClusterSim::new(base_spec(), seed).run();
-        let a = run(42);
-        let b = run(42);
+        let a = run(base_spec(), 42);
+        let b = run(base_spec(), 42);
         assert_eq!(a, b, "identical seeds must replay identically");
-        let c = run(43);
+        let c = run(base_spec(), 43);
         assert_ne!(a, c, "different seeds should differ (w.o.p.)");
     }
 
@@ -710,12 +668,37 @@ mod tests {
         // the fused fast path here (d-choice d=2, no churn); pinning
         // the heap oracle opts out of it, so this compares the fused
         // loop against the heap-driven generic loop in one assertion.
-        let fused = ClusterSim::new(base_spec(), 5).run();
-        let heap = ClusterSim::<EventQueue<ClusterEvent>>::with_scheduler(base_spec(), 5).run();
+        let fused = run(base_spec(), 5);
+        let heap = heap_oracle(base_spec(), 5).run();
         assert_eq!(fused, heap);
-        // And the calendar-driven generic loop agrees with both.
-        let generic = ClusterSim::new(base_spec(), 5).run_generic();
-        assert_eq!(fused, generic);
+    }
+
+    #[test]
+    fn telemetry_is_invisible_on_the_heap_oracle_on_every_scenario() {
+        // The heap-side half of the telemetry differential (the
+        // production half lives in `tests/differential.rs`): a fully
+        // enabled registry must not move a byte of the heap-driven
+        // generic loop's metrics on any scenario, so it still replays
+        // the production run exactly.
+        for scenario in registry() {
+            let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
+            let seed = 0x7E1E;
+            let production = run((scenario.build)(seed, requests), seed);
+            let mut heap = heap_oracle((scenario.build)(seed, requests), seed);
+            heap.set_telemetry(&Registry::with_sampling(0, 1 << 14));
+            let heap_on = heap.run();
+            assert_eq!(
+                production, heap_on,
+                "{}: telemetry perturbed the heap-driven loop",
+                scenario.id
+            );
+            assert_eq!(
+                heap.telemetry_snapshot().counter("sim.arrived"),
+                Some(requests),
+                "{}: heap telemetry snapshot missed arrivals",
+                scenario.id
+            );
+        }
     }
 
     #[test]
@@ -726,8 +709,7 @@ mod tests {
             interval: 10.0,
         });
         spec.requests = 30_000;
-        let mut sim = ClusterSim::new(spec, 9);
-        let m = sim.run();
+        let m = run(spec, 9);
         assert!(m.leaves > 0, "churn must actually fire");
         assert_eq!(m.joins, m.leaves);
         assert_eq!(
@@ -748,7 +730,7 @@ mod tests {
             let mut spec = base_spec();
             spec.placement = placement;
             spec.requests = 5_000;
-            let m = ClusterSim::new(spec, 3).run();
+            let m = run(spec, 3);
             assert_eq!(
                 m.completed + m.dropped,
                 5_000,
@@ -767,15 +749,15 @@ mod tests {
     fn load_aware_placement_beats_oblivious_on_peak_queue() {
         // The paper's claim, live: d-choice keeps the peak normalised
         // queue far below successor placement on the same traffic.
-        let run = |placement| {
+        let peak = |placement| {
             let mut spec = base_spec();
             spec.placement = placement;
             spec.requests = 40_000;
             spec.queue_capacity = Some(10_000); // effectively unbounded
-            ClusterSim::new(spec, 17).run().max_normalized_queue
+            run(spec, 17).max_normalized_queue
         };
-        let dchoice = run(PlacementSpec::DChoice { d: 2 });
-        let successor = run(PlacementSpec::ConsistentHash { vnodes: 8 });
+        let dchoice = peak(PlacementSpec::DChoice { d: 2 });
+        let successor = peak(PlacementSpec::ConsistentHash { vnodes: 8 });
         assert!(
             dchoice < successor,
             "d-choice peak {dchoice} should beat successor placement {successor}"
@@ -795,7 +777,7 @@ mod tests {
             churn: None,
             requests: 20_000,
         };
-        let m = ClusterSim::new(spec, 5).run();
+        let m = run(spec, 5);
         assert!(
             m.dropped > 4_000,
             "ρ=2 must shed heavily, got {}",
@@ -817,6 +799,6 @@ mod tests {
             churn: None,
             requests: 100,
         };
-        let _ = ClusterSim::new(spec, 0);
+        let _ = SimBuilder::new(spec).build();
     }
 }

@@ -2,16 +2,17 @@
 //! through both drive loops, and the end-of-run harvest into a
 //! [`MetricsSnapshot`].
 //!
-//! The spans mirror the README "Anatomy of a ~95 ns request"
-//! breakdown — arrival sampling, the d-choice compare, departure
-//! scheduling, fleet bookkeeping on departure — so a chrome://tracing
-//! export of one run lines up with the hotprof component table.
-//! Telemetry is **off by default** ([`SimTelemetry::disabled`]): every
-//! span entry is then a single predicted branch, and nothing records.
-//! On or off, telemetry draws zero RNG values and schedules zero
-//! events, so it cannot change a simulation artifact — the
-//! differential tests run the fused, generic and heap loops with
-//! telemetry enabled and require bitwise-identical metrics.
+//! The spans mirror the per-layer cells of `perfbench` (see
+//! `perfbench/README.md`) — arrival sampling, the d-choice compare,
+//! departure scheduling, fleet bookkeeping on departure — so a
+//! chrome://tracing export of one run lines up with the benchmark's
+//! layer breakdown. Telemetry is **off by default**
+//! ([`SimTelemetry::disabled`]): every span entry is then a single
+//! predicted branch, and nothing records. On or off, telemetry draws
+//! zero RNG values and schedules zero events, so it cannot change a
+//! simulation artifact — the differential tests run the production
+//! loops and the heap oracle with telemetry enabled and require
+//! bitwise-identical metrics.
 
 use bnb_queueing::{CalendarStats, LazyStats};
 use bnb_telemetry::{MetricsSnapshot, Registry, Span};

@@ -32,10 +32,6 @@ struct Args {
     smoke: bool,
     list: bool,
     out: Option<PathBuf>,
-    /// `--telemetry-out BASE` (run mode, back-compat): run with spans
-    /// enabled and write `BASE-<scenario>.trace.json` +
-    /// `BASE-<scenario>.prom`.
-    telemetry_out: Option<PathBuf>,
     /// `cluster-sim sweep …`: replica/d-sweep mode.
     sweep: bool,
     /// `--telemetry` (both modes): harvest snapshots and write them as
@@ -101,9 +97,6 @@ fn usage() -> String {
          \x20  --telemetry        harvest telemetry; written as\n\
          \x20                     telemetry-<scenario>.{trace.json,prom} under\n\
          \x20                     --out DIR, printed otherwise\n\
-         \x20  --telemetry-out B  (run mode, back-compat) enable telemetry;\n\
-         \x20                     write B-<scenario>.trace.json and\n\
-         \x20                     B-<scenario>.prom\n\
          \n\
          Sweep options:\n\
          \x20  --replicas R       independent replicas per point (default 8)\n\
@@ -125,7 +118,6 @@ fn parse_args() -> ParseOutcome {
         smoke: false,
         list: false,
         out: None,
-        telemetry_out: None,
         sweep: false,
         telemetry: false,
         workers: None,
@@ -213,12 +205,6 @@ fn parse_args() -> ParseOutcome {
                     Ok(w) => args.workers = Some(w),
                     Err(e) => return err(format!("bad --workers {v}: {e}")),
                 }
-            }
-            "--telemetry-out" if !args.sweep => {
-                let Some(base) = iter.next() else {
-                    return err("--telemetry-out needs a path base".into());
-                };
-                args.telemetry_out = Some(PathBuf::from(base));
             }
             other => {
                 return err(format!("unknown option '{other}'\n\n{}", usage()));
@@ -348,7 +334,7 @@ fn main() -> ExitCode {
         });
         let spec = (scenario.build)(args.seed, requests);
         let placement = spec.placement.name();
-        let registry = (args.telemetry || args.telemetry_out.is_some()).then(Registry::enabled);
+        let registry = args.telemetry.then(Registry::enabled);
         let mut builder = SimBuilder::new(spec).seed(args.seed);
         if let Some(reg) = &registry {
             builder = builder.telemetry(reg);
@@ -376,25 +362,11 @@ fn main() -> ExitCode {
             elapsed,
             metrics.requests as f64 / elapsed.as_secs_f64()
         );
-        if let Some(base) = &args.telemetry_out {
-            let snap = sim.telemetry_snapshot();
-            if let Err(e) = write_telemetry(base, scenario.id, &snap) {
-                eprintln!("failed to write telemetry for {}: {e}", scenario.id);
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "   telemetry: {}-{}.{{trace.json,prom}}\n",
-                base.display(),
-                scenario.id
-            );
-        }
         if args.telemetry {
             let snap = sim.telemetry_snapshot();
             if let Some(dir) = &args.out {
                 let base = dir.join("telemetry");
-                if let Err(e) = std::fs::create_dir_all(dir)
-                    .and_then(|()| write_telemetry(&base, scenario.id, &snap))
-                {
+                if let Err(e) = write_telemetry(&base, scenario.id, &snap) {
                     eprintln!("failed to write telemetry for {}: {e}", scenario.id);
                     return ExitCode::FAILURE;
                 }

@@ -12,7 +12,7 @@
 //! a single popped `(time, payload)` pair, which the scheduler
 //! equivalence property tests pin.
 
-use crate::stats::{CalendarStats, LazyStats};
+use crate::stats::CalendarStats;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -88,14 +88,6 @@ pub trait EventScheduler<E> {
     /// answers `None`). Lets harness code harvest mechanism counters
     /// through the trait without knowing the concrete scheduler.
     fn calendar_stats(&self) -> Option<&CalendarStats> {
-        None
-    }
-
-    /// The scheduler's lazy-deletion telemetry, when it keeps any (the
-    /// [`LazyBoard`](crate::LazyBoard) does; everything else answers
-    /// `None`). The lazy counterpart of
-    /// [`calendar_stats`](EventScheduler::calendar_stats).
-    fn lazy_stats(&self) -> Option<&LazyStats> {
         None
     }
 }

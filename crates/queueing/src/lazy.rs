@@ -5,10 +5,9 @@
 //! busy server, over a fixed slot universe. Both general schedulers
 //! pay structural costs that workload never needs — the heap its
 //! `log n` sift, the calendar wheel its arena, bucket chains, ring
-//! refills and sorted-bucket maintenance — and even the eager
-//! tournament board ([`SlotBoard`](crate::SlotBoard)) replays `log n`
-//! compare rounds on *every* schedule and pop. The lazy board drops
-//! all of it:
+//! refills and sorted-bucket maintenance, and an eager tournament tree
+//! over the slots would replay `log n` compare rounds on *every*
+//! schedule and pop. The lazy board drops all of it:
 //!
 //! * **Authoritative state is one dense array.** `schedule(slot, t)`
 //!   writes a packed `(time, seq)` key into a per-slot array — one
@@ -70,11 +69,12 @@
 //!
 //! Unlike the general schedulers, scheduling here is **keyed**: a
 //! second `schedule` for the same slot *replaces* the pending entry
-//! instead of adding a sibling. The [`EventScheduler<u32>`] impl
-//! documents the same deviation — callers that need multiset semantics
-//! want the heap or the calendar, not this board.
+//! instead of adding a sibling. That is why the board does not
+//! implement [`EventScheduler`](crate::EventScheduler): callers that
+//! need multiset semantics want the heap or the calendar, not this
+//! board.
 
-use crate::events::{EventScheduler, Time};
+use crate::events::Time;
 use crate::stats::LazyStats;
 
 /// Authoritative key of an idle slot: `u128::MAX` compares above every
@@ -110,8 +110,7 @@ const INITIAL_SHIFT: u32 = 48;
 const BAG_CAP: usize = 16;
 
 /// Remaps an `f64`'s bits so unsigned integer order matches
-/// `total_cmp` order (the classic radix-sort float map — shared idiom
-/// with [`SlotBoard`](crate::SlotBoard)).
+/// `total_cmp` order (the classic radix-sort float map).
 #[inline]
 fn monotone_bits(t: Time) -> u64 {
     let b = t.to_bits();
@@ -279,8 +278,9 @@ impl LazyBoard {
     /// outlined `schedule` costs more than the work it does.
     ///
     /// # Panics
-    /// Panics if `time` is not finite (the [`EventScheduler`]
-    /// contract) or `slot` does not fit the `u32` candidate index.
+    /// Panics if `time` is not finite (the
+    /// [`EventScheduler`](crate::EventScheduler) contract) or `slot`
+    /// does not fit the `u32` candidate index.
     #[inline(always)]
     pub fn schedule(&mut self, slot: u32, time: Time) {
         assert!(time.is_finite(), "event time must be finite, got {time}");
@@ -616,49 +616,10 @@ impl LazyBoard {
     }
 }
 
-/// The [`EventScheduler`] view of the board, with the payload as the
-/// slot key — **slot-keyed overwrite semantics**: scheduling a payload
-/// that already has a pending entry replaces it instead of adding a
-/// sibling. Under the one-pending-per-slot discipline the cluster's
-/// fused loop maintains (schedule only on idle→busy or straight after
-/// the slot's pop), the deviation is unobservable and the pop stream
-/// is byte-identical to the heap's; callers needing multiset semantics
-/// want [`EventQueue`](crate::EventQueue) or
-/// [`CalendarQueue`](crate::CalendarQueue).
-impl EventScheduler<u32> for LazyBoard {
-    fn new() -> Self {
-        LazyBoard::new()
-    }
-
-    fn schedule(&mut self, time: Time, event: u32) {
-        LazyBoard::schedule(self, event, time);
-    }
-
-    fn pop(&mut self) -> Option<(Time, u32)> {
-        LazyBoard::pop(self)
-    }
-
-    fn peek(&self) -> Option<Time> {
-        LazyBoard::peek(self)
-    }
-
-    fn pop_if_before(&mut self, bound: Time) -> Option<(Time, u32)> {
-        LazyBoard::pop_if_before(self, bound)
-    }
-
-    fn len(&self) -> usize {
-        LazyBoard::len(self)
-    }
-
-    fn lazy_stats(&self) -> Option<&LazyStats> {
-        Some(&self.stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventQueue;
+    use crate::events::{EventQueue, EventScheduler};
 
     #[test]
     fn pops_in_time_order_with_fifo_ties() {
@@ -812,8 +773,8 @@ mod tests {
     fn matches_binary_heap_on_a_hold_workload() {
         // The simulation-shaped drive against the heap oracle: random
         // schedules over a 64-slot universe with exact-tie bursts,
-        // popped in lockstep. (The trait proptest in
-        // tests/lazy_board.rs adds overwrite storms; this hold
+        // popped in lockstep. (The proptest in tests/lazy_board.rs
+        // adds overwrite storms; this hold
         // workload keeps the one-pending-per-slot discipline so the
         // plain heap is directly comparable.)
         let mut board = LazyBoard::with_slots(64);

@@ -24,9 +24,6 @@
 //!   at-most-one-event-per-slot workload (O(1) overwrite schedules, a
 //!   stale-tolerant candidate ring validated on pop) — the cluster's
 //!   fused-loop departure scheduler,
-//! * [`board`] — the [`SlotBoard`]: the eager tournament-tree
-//!   alternative over the same slot-keyed workload, kept as the naive
-//!   baseline the lazy board is benched against,
 //! * [`server`] — heterogeneous-speed server state with time-integrated
 //!   queue-length accounting and optional finite queues with drop
 //!   counting,
@@ -35,7 +32,8 @@
 //! * [`stats`] — always-on scheduler-internals telemetry: the
 //!   [`CalendarStats`] block behind the calendar's amortised-O(1)
 //!   claim (ring refills/spills, bulk-commit drains, rebuilds,
-//!   occupancy-at-rebuild distributions),
+//!   occupancy-at-rebuild distributions) and the lazy board's
+//!   [`LazyStats`],
 //! * [`system`] — the simulator: arrivals, departures, metrics.
 //!
 //! The test-suite verifies textbook laws (M/M/1 mean queue length,
@@ -47,7 +45,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod board;
 pub mod calendar;
 pub mod events;
 pub mod lazy;
@@ -56,7 +53,6 @@ pub mod server;
 pub mod stats;
 pub mod system;
 
-pub use board::SlotBoard;
 pub use calendar::CalendarQueue;
 pub use events::{EventQueue, EventScheduler};
 pub use lazy::LazyBoard;

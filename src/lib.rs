@@ -76,7 +76,7 @@ pub use bnb_telemetry as telemetry;
 pub mod prelude {
     pub use bnb_cluster::{
         find_scenario, ArrivalProcess, ArrivalSampler, ChurnConfig, ClusterEvent, ClusterMetrics,
-        ClusterServer, ClusterSim, ClusterSpec, Fleet, ReplicaAccumulator, Scenario, Scheduler,
+        ClusterServer, ClusterSim, ClusterSpec, Fleet, ReplicaAccumulator, Scenario,
         ShardedClusterSim, Sim, SimBuilder,
     };
     pub use bnb_core::prelude::*;
