@@ -21,9 +21,10 @@
 //!   a `(time bits, slot)` candidate — never a sorted insert, never a
 //!   memmove — to the bag of its *global* bag index `g`: the key's
 //!   monotone time bits shifted right (the board's `shift` below),
-//!   pure integer, monotone in the time. A cursor lap covers
-//!   `BAGS` consecutive indices mapped onto physical bags by `g mod
-//!   BAGS`; candidates beyond the lap park in an overflow vector, and
+//!   pure integer, monotone in the time. A cursor lap covers the
+//!   `BAGS` consecutive indices of one aligned block (`g / BAGS` is the
+//!   lap), mapped onto physical bags by `g mod BAGS`; candidates beyond
+//!   the lap park in the far level (next bullet but one), and
 //!   candidates behind the cursor (a schedule into the past) drop into
 //!   the cursor's own bag, which therefore may mix indices — harmless,
 //!   because ordering never relies on bag membership alone.
@@ -37,12 +38,31 @@
 //!   Exact-time ties fall to a cold path that re-compares the tying
 //!   candidates' *live* keys, so the insertion sequence breaks ties
 //!   exactly as a heap would. A drained bag advances the cursor one
-//!   index (`O(1)`, no scan); a drained lap refills from the overflow
-//!   vector, jumping the cursor straight to the earliest parked index
-//!   when the near window is dry. The bag geometry (the shift) is
-//!   re-derived from the live population's measured head spread when a
-//!   bag outgrows `BAG_CAP` — the escape hatch for time-scale drift,
-//!   never on the steady-state path.
+//!   index (`O(1)`, no scan); a drained lap refills from the far level.
+//!   The bag geometry (the shift) is re-derived from the live
+//!   population's measured head spread when a bag outgrows `BAG_CAP` —
+//!   the escape hatch for time-scale drift, never on the steady-state
+//!   path.
+//! * **The far side has two levels and refills one lap at a time**,
+//!   after the ladder queue (Tang, Goh & Thng, ACM TOMACS 2005). A
+//!   *ring* holds one unsorted bucket per future lap in `(current lap,
+//!   top_floor]`; its length is derived from the slot count, so its
+//!   window spans `RING_SPAN` times the slot count in entries at the
+//!   head density. Candidates past the window park in a *top* list,
+//!   swept only when the ring runs dry: the sweep re-bases the window
+//!   at the top's earliest lap and moves what now falls inside it into
+//!   the bags and the ring. A lap refill drains exactly one bucket
+//!   (about `BAGS * GSLOT_FILL` candidates), so each parked candidate
+//!   is examined once when its lap comes up plus once per top sweep it
+//!   sits through — a small constant per pop at any population,
+//!   instead of a re-sweep of the whole far population every lap. A
+//!   sweep whose new window catches less than `1 / SWEEP_YIELD` of what
+//!   it examined means the geometry no longer fits the population, and
+//!   rebuilds it. Parked candidates are 8-byte `(slot, tag)` pairs —
+//!   the time is re-read from the authoritative key when they leave the
+//!   far level — held in chains of fixed-size chunks drawn from one
+//!   arena, so the far level's footprint follows its live population
+//!   rather than each bucket's peak.
 //! * **Front probes are cached.** The located front `(key, slot, bag
 //!   position)` is memoized; the refusal side of
 //!   [`LazyBoard::pop_if_before`] — which the cluster's fused drain
@@ -62,10 +82,14 @@
 //! at a bag position at or ahead of the cursor, and the cursor only
 //! advances past empty bags, so the earliest live entry's candidate is
 //! always in the first non-empty bag the cursor meets, with only
-//! stale or equal-index candidates before it. The oracle proptest
-//! drives the board against an independent lazy-deletion binary heap
-//! through overwrite storms, tie storms and `pop_if_before` window
-//! edges and requires identical output streams.
+//! stale or equal-index candidates before it. The far level keeps that
+//! invariant: it only releases a lap's candidates when the cursor
+//! enters that lap, and a top sweep happens only when the near window
+//! and the ring are both empty, so it re-bases the cursor at or below
+//! every live entry. The oracle proptests drive the board against an
+//! independent lazy-deletion binary heap through overwrite storms, tie
+//! storms, `pop_if_before` window edges and, at 16384 slots, far-future
+//! cohorts and time-scale jumps, and require identical output streams.
 //!
 //! Unlike the general schedulers, scheduling here is **keyed**: a
 //! second `schedule` for the same slot *replaces* the pending entry
@@ -85,6 +109,15 @@ const IDLE_KEY: u128 = u128::MAX;
 /// Physical bags one cursor lap folds onto. A power of two, so the
 /// fold is a mask.
 const BAGS: usize = 32;
+
+/// Fewest far-ring buckets, whatever the slot count.
+const MIN_RING: usize = 8;
+
+/// Entries the far ring's window spans at the head density, in units
+/// of the slot count: with one pending entry per slot, a population
+/// whose tail thins at least exponentially then mostly parks in the
+/// ring, and the top holds only its far tail.
+const RING_SPAN: usize = 4;
 
 /// How many of the earliest live entries inform the shift estimate at
 /// a rebuild, and how many pops must separate two rebuilds (the
@@ -108,6 +141,11 @@ const INITIAL_SHIFT: u32 = 48;
 /// no shift can spread — degrade to a bounded scan instead of
 /// rebuild thrash.
 const BAG_CAP: usize = 16;
+
+/// Least share of the candidates a top sweep examines that its new
+/// window must catch (one in this many); a sweep below it triggers a
+/// geometry rebuild, rate-limited like the bag-cap one.
+const SWEEP_YIELD: usize = 8;
 
 /// Remaps an `f64`'s bits so unsigned integer order matches
 /// `total_cmp` order (the classic radix-sort float map).
@@ -137,6 +175,145 @@ fn unpack_time(key: u128) -> Time {
     unpack_hi((key >> 64) as u64)
 }
 
+/// A far-level candidate: `(slot, tag of its time bits)`. The full
+/// time is re-read from the authoritative key when the candidate leaves
+/// the far level; the tag tells a superseded candidate from the live
+/// one without storing the whole time — 8 bytes, half a bag candidate.
+type Parked = (u32, u32);
+
+/// The 32-bit tag of a key's time bits: both halves folded, so times
+/// that differ only in their high bits (round numbers) or only in their
+/// low bits (nearby samples) get distinct tags.
+#[inline]
+fn tag(hi: u64) -> u32 {
+    (hi ^ (hi >> 32)) as u32
+}
+
+/// Parked candidates per arena chunk (128 bytes of candidates): small,
+/// because every non-empty list holds one partial chunk.
+const CHUNK: usize = 16;
+
+/// End of a chunk chain, and the empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One arena chunk: up to [`CHUNK`] parked candidates, and the index of
+/// the next chunk of its chain (or of the free list).
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    items: [Parked; CHUNK],
+    next: u32,
+}
+
+/// One unsorted far-level list — a ring bucket or the top list — as a
+/// chain of arena chunks, every one full but the tail.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// The far level's storage: every [`Chain`] draws fixed-size chunks
+/// from one arena and returns them to its free list when drained. The
+/// footprint is therefore the far population's peak plus one partial
+/// chunk per list — not the sum of every bucket's own peak, which is
+/// what per-bucket vectors that keep their capacity would hold — and
+/// the steady state allocates nothing.
+#[derive(Debug, Clone)]
+struct Arena {
+    chunks: Vec<Chunk>,
+    free: u32,
+}
+
+impl Arena {
+    const fn new() -> Self {
+        Arena {
+            chunks: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Appends `parked` to `chain`, taking a chunk from the free list
+    /// (or growing the arena) when the tail is full.
+    #[inline]
+    fn push(&mut self, chain: &mut Chain, parked: Parked) {
+        let fill = chain.len as usize % CHUNK;
+        if fill == 0 {
+            let c = if self.free == NIL {
+                self.chunks.push(Chunk {
+                    items: [(0, 0); CHUNK],
+                    next: NIL,
+                });
+                (self.chunks.len() - 1) as u32
+            } else {
+                let c = self.free;
+                self.free = self.chunks[c as usize].next;
+                self.chunks[c as usize].next = NIL;
+                c
+            };
+            if chain.tail == NIL {
+                chain.head = c;
+            } else {
+                self.chunks[chain.tail as usize].next = c;
+            }
+            chain.tail = c;
+        }
+        self.chunks[chain.tail as usize].items[fill] = parked;
+        chain.len += 1;
+    }
+
+    /// Detaches the head chunk of `chain` and returns it to the free
+    /// list, handing back a copy of it and the number of candidates it
+    /// holds; `None` once the chain is empty. The copy lets the caller
+    /// push into other chains, reusing the chunk, while it reads.
+    fn pop_chunk(&mut self, chain: &mut Chain) -> Option<([Parked; CHUNK], usize)> {
+        if chain.len == 0 {
+            return None;
+        }
+        let c = chain.head;
+        let chunk = self.chunks[c as usize];
+        self.chunks[c as usize].next = self.free;
+        self.free = c;
+        // Every chunk but the tail is full.
+        let n = (chain.len as usize).min(CHUNK);
+        *chain = if chain.len as usize == n {
+            Chain::EMPTY
+        } else {
+            Chain {
+                head: chunk.next,
+                tail: chain.tail,
+                len: chain.len - n as u32,
+            }
+        };
+        Some((chunk.items, n))
+    }
+
+    /// Drops every chain at once (a rebuild re-parks everything); the
+    /// chunk vector keeps its capacity for the re-parking.
+    fn clear(&mut self) {
+        self.chunks.clear();
+        self.free = NIL;
+    }
+}
+
+/// Far-ring buckets for a board over `slots` slots: enough laps (of
+/// `BAGS * GSLOT_FILL` entries each at the head density) for
+/// [`RING_SPAN`] times the slot count, a power of two so the lap fold
+/// is a mask.
+fn ring_len(slots: usize) -> usize {
+    (RING_SPAN * slots / (BAGS * GSLOT_FILL as usize))
+        .next_power_of_two()
+        .max(MIN_RING)
+}
+
 /// A slot-keyed lazy-deletion event scheduler: at most one pending
 /// `(time, slot)` entry per slot, O(1) overwrite on reschedule, pops
 /// in `(time, insertion sequence)` order via candidate validation.
@@ -155,14 +332,32 @@ pub struct LazyBoard {
     /// behind-cursor candidates dumped into the cursor's bag); pops
     /// argmin-scan the cursor's bag only.
     bags: [Vec<(u64, u32)>; BAGS],
-    /// Candidates whose global bag index lies beyond the current lap,
-    /// unsorted. Swept into bags (and stale-swept) at lap refills.
-    over: Vec<(u64, u32)>,
+    /// Far level, first tier: one unsorted chain of [`Parked`]
+    /// candidates per future lap in `(current lap, top_floor]`, lap `l`
+    /// in bucket `l mod ring.len()`. A lap refill drains exactly one
+    /// bucket.
+    ring: Vec<Chain>,
+    /// Candidates currently in `ring` (stale ones included): the
+    /// dry test that sends the lap walk to the top sweep.
+    far: usize,
+    /// Last lap the ring covers; laps past it park in `top`. Moves only
+    /// when a top sweep re-bases the window.
+    top_floor: u64,
+    /// Far level, second tier: [`Parked`] candidates past `top_floor`,
+    /// unsorted, swept only when the ring runs dry.
+    top: Chain,
+    /// Chunk storage of every ring bucket and of `top`.
+    arena: Arena,
+    /// Smallest global bag index pushed to `top` since its last sweep
+    /// (stale pushes included): a lower bound on every live one, so
+    /// the sweep re-bases there without a separate min pass.
+    top_min: u64,
     /// Cursor: the global bag index being drained. Candidates are
     /// never placed behind it, and it only advances past empty bags.
     glob: u64,
-    /// First global bag index beyond the current lap: `over` holds
-    /// every candidate at or past this.
+    /// First global bag index past the current lap, a multiple of
+    /// [`BAGS`] (laps are aligned): every candidate at or past it sits
+    /// in the far level.
     lap_end: u64,
     /// Bag geometry: a candidate's global bag index is its key's
     /// monotone time bits shifted right by this — pure integer, no
@@ -201,7 +396,12 @@ impl Default for LazyBoard {
         LazyBoard {
             keys: Vec::new(),
             bags: std::array::from_fn(|_| Vec::new()),
-            over: Vec::new(),
+            ring: vec![Chain::EMPTY; ring_len(0)],
+            far: 0,
+            top_floor: ring_len(0) as u64,
+            top: Chain::EMPTY,
+            arena: Arena::new(),
+            top_min: u64::MAX,
             glob: 0,
             lap_end: BAGS as u64,
             shift: INITIAL_SHIFT,
@@ -230,6 +430,8 @@ impl LazyBoard {
     pub fn with_slots(slots: usize) -> Self {
         let mut board = LazyBoard::new();
         board.ensure_slot(slots.saturating_sub(1));
+        board.ring = vec![Chain::EMPTY; ring_len(slots)];
+        board.top_floor = board.ring.len() as u64;
         board
     }
 
@@ -310,8 +512,36 @@ impl LazyBoard {
                 self.front = (key, slot, (self.bags[b].len() - 1) as u32);
             }
         } else {
-            self.over.push((hi, slot));
+            self.park(g, (slot, tag(hi)));
         }
+    }
+
+    /// Parks a candidate of global bag index `g`, past the current lap,
+    /// in the far level: its lap's ring bucket inside the window, else
+    /// the top list.
+    #[inline]
+    fn park(&mut self, g: u64, parked: Parked) {
+        let lap = g / BAGS as u64;
+        if lap <= self.top_floor {
+            let mask = self.ring.len() - 1;
+            self.arena.push(&mut self.ring[lap as usize & mask], parked);
+            self.far += 1;
+        } else {
+            self.top_min = self.top_min.min(g);
+            self.arena.push(&mut self.top, parked);
+        }
+    }
+
+    /// The live `(time bits, global bag index)` of a parked candidate,
+    /// or `None` when it is stale: its slot popped, or rescheduled (the
+    /// tag no longer matches). A tag collision after a reschedule lets
+    /// a stale candidate through as a duplicate of the live one — which
+    /// the bags tolerate, since they validate against `keys` again.
+    #[inline]
+    fn unpark(&self, (slot, parked_tag): Parked) -> Option<(u64, u64)> {
+        let key = self.keys[slot as usize];
+        let hi = (key >> 64) as u64;
+        (key != IDLE_KEY && tag(hi) == parked_tag).then_some((hi, hi >> self.shift))
     }
 
     /// Locates the front of the queue — the earliest live `(time,
@@ -398,12 +628,10 @@ impl LazyBoard {
     }
 
     /// Advances the cursor past a drained bag: one step while the near
-    /// window still holds candidates, otherwise straight to the lap
-    /// refill.
+    /// window still holds candidates, otherwise to the lap refill.
     #[inline]
     fn advance(&mut self) {
         if self.near == 0 {
-            self.glob = self.lap_end;
             self.refill();
         } else {
             // Some bag ahead in this lap is non-empty, so the step
@@ -413,44 +641,84 @@ impl LazyBoard {
         }
     }
 
-    /// Starts the next lap: sweeps the overflow vector, moving (live)
-    /// candidates that now fall inside the lap window into their bags
-    /// and dropping superseded ones. When everything parked lies
-    /// beyond even this lap, jumps the cursor to the earliest parked
-    /// index and tries again — so a far-future cohort costs one sweep,
-    /// not a lap-by-lap crawl.
+    /// Starts the next non-empty lap. Walks the ring one lap at a time,
+    /// draining each lap's bucket into the bags — only that lap's
+    /// candidates are examined, so a refill costs one bucket (about
+    /// `BAGS * GSLOT_FILL` candidates), never the far population.
+    /// When the ring runs dry, sweeps the top list once and re-bases
+    /// the window at its earliest lap — so a far-future cohort costs
+    /// one sweep, not a lap-by-lap crawl.
     #[cold]
     fn refill(&mut self) {
-        loop {
-            self.lap_end = self.glob + BAGS as u64;
-            let mut min_far = u64::MAX;
-            let mut moved = false;
-            let mut i = 0;
-            while i < self.over.len() {
-                let (h, s) = self.over[i];
-                if (self.keys[s as usize] >> 64) as u64 != h {
-                    // Superseded while parked: never reaches a bag.
-                    self.stats.ring_drops += 1;
-                    self.over.swap_remove(i);
-                    continue;
+        let mut scanned = 0;
+        while self.near == 0 {
+            if self.far == 0 {
+                // Near window and ring both empty: every live entry is
+                // parked on top.
+                assert!(self.top.len > 0, "live entries exist");
+                let swept = self.top.len as usize;
+                scanned += swept;
+                self.sweep_top();
+                // A sweep whose new window caught only a sliver of the
+                // parked population means the geometry no longer fits
+                // it (the dense head it was derived from is gone):
+                // re-derive it, rather than re-sweep the top every few
+                // pops.
+                if (self.near + self.far) * SWEEP_YIELD < swept
+                    && self.pops_since_rebuild > TARGET_FILL as u64
+                {
+                    self.rebuild();
                 }
-                let g = h >> self.shift;
-                if g < self.lap_end {
-                    let b = (g.max(self.glob) as usize) & (BAGS - 1);
-                    self.bags[b].push((h, s));
-                    self.near += 1;
-                    self.over.swap_remove(i);
-                    moved = true;
-                } else {
-                    min_far = min_far.min(g);
-                    i += 1;
+                continue;
+            }
+            self.glob = self.lap_end;
+            self.lap_end += BAGS as u64;
+            let lap = self.glob / BAGS as u64;
+            let idx = lap as usize & (self.ring.len() - 1);
+            let mut bucket = std::mem::replace(&mut self.ring[idx], Chain::EMPTY);
+            scanned += bucket.len as usize;
+            self.far -= bucket.len as usize;
+            while let Some((items, n)) = self.arena.pop_chunk(&mut bucket) {
+                for &parked in &items[..n] {
+                    match self.unpark(parked) {
+                        // A tag collision can name another lap: that
+                        // live entry has its own candidate there.
+                        Some((hi, g)) if g / BAGS as u64 == lap => {
+                            self.bags[(g as usize) & (BAGS - 1)].push((hi, parked.0));
+                            self.near += 1;
+                        }
+                        _ => self.stats.ring_drops += 1,
+                    }
                 }
             }
-            if moved || self.over.is_empty() {
-                return;
+        }
+        self.stats.refill_scanned += scanned as u64;
+        self.stats.refill_sweep.record(scanned as u64);
+    }
+
+    /// Sweeps the top list of a dry ring: re-bases the window at the
+    /// earliest parked index, moving candidates of the new lap into the
+    /// bags and those inside the new window into the ring, and dropping
+    /// popped slots. Only called with the near window and the ring
+    /// empty, so every live entry is parked here.
+    fn sweep_top(&mut self) {
+        self.glob = self.top_min;
+        let base = self.glob / BAGS as u64;
+        self.lap_end = (base + 1) * BAGS as u64;
+        self.top_floor = base + self.ring.len() as u64;
+        self.top_min = u64::MAX;
+        let mut top = std::mem::replace(&mut self.top, Chain::EMPTY);
+        while let Some((items, n)) = self.arena.pop_chunk(&mut top) {
+            for &parked in &items[..n] {
+                match self.unpark(parked) {
+                    Some((hi, g)) if g < self.lap_end => {
+                        self.bags[(g as usize) & (BAGS - 1)].push((hi, parked.0));
+                        self.near += 1;
+                    }
+                    Some((_, g)) => self.park(g, parked),
+                    None => self.stats.ring_drops += 1,
+                }
             }
-            // Everything live is parked beyond this lap: jump.
-            self.glob = min_far;
         }
     }
 
@@ -458,7 +726,9 @@ impl LazyBoard {
     /// redistributes every live entry (dropping all stale candidates
     /// wholesale) — the escape hatch for an anchor shift that drifted
     /// orders of magnitude off the actual event gaps, paid only when a
-    /// bag outgrows [`BAG_CAP`], never on the steady-state path.
+    /// bag outgrows [`BAG_CAP`] or a top sweep falls short of
+    /// [`SWEEP_YIELD`], never on the steady-state path. The ring grows
+    /// here if the slot universe has since grown.
     #[cold]
     fn rebuild(&mut self) {
         self.stats.rebuild_scans += 1;
@@ -486,15 +756,24 @@ impl LazyBoard {
         let spread = (scratch[k - 1] - scratch[0]) / (k as u64 / GSLOT_FILL).max(1);
         self.shift = spread.max(2).ilog2();
         self.glob = scratch[0] >> self.shift;
-        self.lap_end = self.glob + BAGS as u64;
+        let base = self.glob / BAGS as u64;
+        self.lap_end = (base + 1) * BAGS as u64;
         self.scratch = scratch;
         for bag in &mut self.bags {
             bag.clear();
         }
-        self.over.clear();
+        let want = ring_len(self.keys.len()).max(self.ring.len());
+        self.ring.clear();
+        self.ring.resize(want, Chain::EMPTY);
+        self.top_floor = base + self.ring.len() as u64;
+        self.top = Chain::EMPTY;
+        self.arena.clear();
+        self.top_min = u64::MAX;
+        self.far = 0;
         self.near = 0;
         self.front = (IDLE_KEY, 0, 0);
-        for (slot, &key) in self.keys.iter().enumerate() {
+        for slot in 0..self.keys.len() {
+            let key = self.keys[slot];
             if key != IDLE_KEY {
                 let hi = (key >> 64) as u64;
                 let g = hi >> self.shift;
@@ -503,7 +782,7 @@ impl LazyBoard {
                     self.bags[b].push((hi, slot as u32));
                     self.near += 1;
                 } else {
-                    self.over.push((hi, slot as u32));
+                    self.park(g, (slot as u32, tag(hi)));
                 }
             }
         }
@@ -575,13 +854,17 @@ impl LazyBoard {
     }
 
     /// Internal geometry snapshot for diagnostics: `(key shift,
-    /// indexed candidates, per-bag candidate counts)`.
+    /// indexed candidates, per-bag candidate counts)`. Indexed
+    /// candidates count every level — the near bags, the far ring and
+    /// the top list — stale ones included, so their excess over
+    /// [`LazyBoard::len`] is the garbage lazy deletion has yet to
+    /// collect.
     #[doc(hidden)]
     #[must_use]
     pub fn debug_geometry(&self) -> (u32, usize, Vec<usize>) {
         (
             self.shift,
-            self.near + self.over.len(),
+            self.near + self.far + self.top.len as usize,
             self.bags.iter().map(Vec::len).collect(),
         )
     }
@@ -819,6 +1102,110 @@ mod tests {
         assert!(
             board.stats().ring_inserts > 0,
             "every schedule indexes exactly once"
+        );
+    }
+
+    /// Time of near entry `s` in [`settled_board`].
+    fn near(s: usize) -> f64 {
+        5.0 + s as f64 * 1e-6
+    }
+
+    /// A board over `2 * n` slots holding `n` near entries a
+    /// microsecond apart, past the geometry rebuild the initial
+    /// unit-scale guess forces (a bag index near 1.0 time units wide
+    /// at 10^6), with `drained` of them popped.
+    fn settled_board(n: usize, drained: usize) -> LazyBoard {
+        let mut b = LazyBoard::with_slots(2 * n);
+        for s in 0..n {
+            b.schedule(s as u32, near(s));
+        }
+        for s in 0..drained {
+            assert_eq!(b.pop(), Some((near(s), s as u32)));
+        }
+        assert_eq!(b.stats().rebuild_scans, 1, "the first bag cap fired");
+        b
+    }
+
+    #[test]
+    fn far_cohort_past_the_ring_is_swept_once_and_rebased() {
+        // A compact cohort far past the ring's window parks in the top
+        // list, untouched by the lap refills that drain the near
+        // entries; the first refill after them sweeps it once and
+        // re-bases the window at its earliest lap.
+        let n = 256;
+        let mut b = settled_board(n, 40);
+        let far = |s: usize| 1e6 + s as f64 * 0.125;
+        for s in n..2 * n {
+            b.schedule(s as u32, far(s));
+        }
+        assert_eq!(b.top.len as usize, n, "the whole cohort parks on top");
+        let floor = b.top_floor;
+        for s in 40..n {
+            assert_eq!(b.pop(), Some((near(s), s as u32)));
+        }
+        assert_eq!(b.top.len as usize, n, "lap refills never touch the top");
+        assert_eq!(b.pop(), Some((far(n), n as u32)));
+        assert_eq!(b.top.len, 0, "one sweep brought the cohort in");
+        assert!(b.top_floor > floor, "the window re-based at the cohort");
+        for s in n + 1..2 * n {
+            assert_eq!(b.pop(), Some((far(s), s as u32)));
+        }
+        assert_eq!(b.pop(), None);
+        assert_eq!(b.stats().rebuild_scans, 1, "a productive sweep");
+    }
+
+    #[test]
+    fn unproductive_top_sweep_rebuilds_the_geometry() {
+        // A cohort spread 10^4 times wider than the geometry was
+        // derived for: re-based at its earliest lap, the ring's window
+        // catches a sliver of it, so the sweep re-derives the geometry
+        // instead of leaving the top to be re-swept every few pops.
+        let n = 256;
+        let mut b = settled_board(n, 40);
+        let far = |s: usize| 1e6 + s as f64 * 1250.0;
+        for s in n..2 * n {
+            b.schedule(s as u32, far(s));
+        }
+        let mut want: Vec<(f64, u32)> = (40..n).map(|s| (near(s), s as u32)).collect();
+        want.extend((n..2 * n).map(|s| (far(s), s as u32)));
+        for w in want {
+            assert_eq!(b.pop(), Some(w));
+        }
+        assert_eq!(b.stats().rebuild_scans, 2, "the sparse sweep rebuilt");
+        assert!(
+            b.stats().refill_scanned < 4 * n as u64,
+            "the cohort was swept once, not once per lap"
+        );
+    }
+
+    #[test]
+    fn far_level_footprint_is_bounded_by_the_population() {
+        // A steady hold over many laps: drained chunks return to the
+        // arena's free list, so the arena never holds more chunks than
+        // the live population fills plus one partial chunk per list —
+        // not the sum of every bucket's own peak.
+        let slots = 4096;
+        let mut b = LazyBoard::with_slots(slots);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut exp = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            -((state >> 11) as f64 / (1u64 << 53) as f64).ln_1p() * 0.5
+        };
+        for slot in 0..slots as u32 {
+            b.schedule(slot, exp());
+        }
+        for _ in 0..20 * slots {
+            let (t, slot) = b.pop().expect("hold keeps every slot pending");
+            b.schedule(slot, t + exp());
+        }
+        let lists = b.ring.len() + 1;
+        assert!(b.ring.len() > MIN_RING, "the ring is sized from the slots");
+        assert!(
+            b.arena.chunks.len() <= slots / CHUNK + lists,
+            "{} chunks for {slots} slots and {lists} lists",
+            b.arena.chunks.len()
         );
     }
 }

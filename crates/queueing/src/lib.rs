@@ -21,9 +21,10 @@
 //!   dynamic bucket-width resizing and an overflow ladder, the amortised
 //!   O(1) general-purpose scheduler of the simulators,
 //! * [`lazy`] — the [`LazyBoard`]: slot-keyed lazy deletion for the
-//!   at-most-one-event-per-slot workload (O(1) overwrite schedules, a
-//!   stale-tolerant candidate ring validated on pop) — the cluster's
-//!   fused-loop departure scheduler,
+//!   at-most-one-event-per-slot workload (O(1) overwrite schedules,
+//!   stale-tolerant candidate bags validated on pop, a two-level far
+//!   side refilled one lap at a time) — the cluster's fused-loop
+//!   departure scheduler,
 //! * [`server`] — heterogeneous-speed server state with time-integrated
 //!   queue-length accounting and optional finite queues with drop
 //!   counting,

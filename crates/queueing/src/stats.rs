@@ -83,8 +83,10 @@ impl Mergeable for CalendarStats {
 /// measure how much delete work lazy deletion deferred; stale pops and
 /// ring drops count where the superseded candidates were finally
 /// collected (on bag contact or at a lap refill); rebuild scans and
-/// slots scanned price the geometry re-derivations. Harvest with
-/// [`LazyStats::record_into`], or merge shards through [`Mergeable`].
+/// slots scanned price the geometry re-derivations; refill scanned and
+/// the refill sweep histogram price the far level's lap refills and
+/// top sweeps. Harvest with [`LazyStats::record_into`], or merge shards
+/// through [`Mergeable`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LazyStats {
     /// Schedules that replaced a still-pending entry for the same slot
@@ -95,11 +97,11 @@ pub struct LazyStats {
     /// slot's earlier pop) had invalidated them — the deferred
     /// deletions, finally collected on contact.
     pub stale_pops: u64,
-    /// Candidates indexed by schedules — one bag or overflow append
+    /// Candidates indexed by schedules — one bag or far-level append
     /// each; never a sorted insert.
     pub ring_inserts: u64,
-    /// Candidates found superseded while parked in the overflow vector
-    /// and dropped during a lap refill, never reaching a bag.
+    /// Candidates found superseded while parked in the far level and
+    /// dropped during a lap refill or top sweep, never reaching a bag.
     pub ring_drops: u64,
     /// Geometry rebuilds: the bag shift re-derived from the live
     /// population's head spread after a bag outgrew its cap.
@@ -107,6 +109,14 @@ pub struct LazyStats {
     /// Slots examined across all geometry rebuilds (each rebuild scans
     /// the full authoritative array once).
     pub slots_scanned: u64,
+    /// Far-level candidates examined by lap refills and top sweeps —
+    /// the amortised cost of the far side, a small constant per pop at
+    /// any population.
+    pub refill_scanned: u64,
+    /// Candidates examined per lap refill (ring buckets drained plus
+    /// any top sweep): the sweep-length distribution behind
+    /// `refill_scanned`.
+    pub refill_sweep: Log2Histogram,
 }
 
 impl LazyStats {
@@ -125,6 +135,8 @@ impl LazyStats {
         snapshot.add_counter("lazy.ring_drops", self.ring_drops);
         snapshot.add_counter("lazy.rebuild_scans", self.rebuild_scans);
         snapshot.add_counter("lazy.slots_scanned", self.slots_scanned);
+        snapshot.add_counter("lazy.refill_scanned", self.refill_scanned);
+        snapshot.add_histogram("lazy.refill_sweep", &self.refill_sweep);
     }
 }
 
@@ -136,6 +148,8 @@ impl Mergeable for LazyStats {
         self.ring_drops += other.ring_drops;
         self.rebuild_scans += other.rebuild_scans;
         self.slots_scanned += other.slots_scanned;
+        self.refill_scanned += other.refill_scanned;
+        self.refill_sweep.merge_from(&other.refill_sweep);
     }
 }
 
@@ -149,11 +163,16 @@ mod tests {
         a.overwrites = 3;
         a.stale_pops = 2;
         a.slots_scanned = 64;
+        a.refill_scanned = 300;
+        a.refill_sweep.record(256);
         let mut b = LazyStats::new();
         b.overwrites = 1;
         b.ring_drops = 5;
         b.rebuild_scans = 7;
         b.ring_inserts = 9;
+        b.refill_scanned = 12;
+        b.refill_sweep.record(12);
+        b.refill_sweep.record(0);
         a.merge_from(&b);
         let mut snap = MetricsSnapshot::new();
         a.record_into(&mut snap);
@@ -163,6 +182,10 @@ mod tests {
         assert_eq!(snap.counter("lazy.ring_drops"), Some(5));
         assert_eq!(snap.counter("lazy.rebuild_scans"), Some(7));
         assert_eq!(snap.counter("lazy.slots_scanned"), Some(64));
+        assert_eq!(snap.counter("lazy.refill_scanned"), Some(312));
+        let sweep = snap.histogram("lazy.refill_sweep").unwrap();
+        assert_eq!((sweep.count(), sweep.sum()), (3, 268));
+        assert_eq!(sweep.buckets()[8], 1, "the 256-candidate refill");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property tests of the [`LazyBoard`] against an independent
 //! lazy-deletion binary-heap oracle.
 //!
-//! The board's three claims — O(1) overwrite schedules, a
-//! stale-tolerant candidate ring, full-scan refills — must jointly
-//! behave as one stable *slot-keyed* priority queue: at most one live
-//! entry per slot, superseded in place by reschedules, popped in
-//! `(time, insertion sequence)` order. The oracle here is deliberately
+//! The board's three claims — O(1) overwrite schedules, stale-tolerant
+//! candidate bags, a two-level far side refilled one lap at a time —
+//! must jointly behave as one stable *slot-keyed* priority queue: at
+//! most one live entry per slot, superseded in place by reschedules,
+//! popped in `(time, insertion sequence)` order. The oracle here is deliberately
 //! *not* the crate's own `EventQueue`: it is a plain
 //! `std::collections::BinaryHeap` over `(time, seq, slot)` plus an
 //! authoritative per-slot sequence table, validating entries on pop
@@ -19,17 +19,30 @@
 //! mix drives the regimes the issue names: **overwrite storms**
 //! (reschedule one slot repeatedly, exact same-time overwrites
 //! included), **tie storms** (many slots at one instant), and
-//! `pop_if_before` **window edges** (`bound == time` must not pop).
+//! `pop_if_before` **window edges** (`bound == time` must not pop). A
+//! large-population drive adds the far side's regimes: cohorts parked
+//! past the ring (top sweeps and window re-bases) and time-scale jumps
+//! (mid-run geometry rebuilds).
+//!
+//! The last test guards the far side's cost without a timer: on a hold
+//! pattern, far-level candidates examined per pop stay a small constant
+//! from 64 to 131072 pending entries.
 
-use bnb_queueing::LazyBoard;
+use bnb_distributions::{ExponentialBlock, Xoshiro256PlusPlus};
+use bnb_queueing::{EventQueue, LazyBoard};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Slot universe of every drive (the board also grows on demand; a
+/// Slot universe of the small drives (the board also grows on demand; a
 /// fixed universe keeps overwrites frequent).
 const SLOTS: usize = 48;
+
+/// Slot universe of the large-population drive: enough laps of pending
+/// entries that the far ring, sized from the slot count, is exercised
+/// well past its minimum.
+const LARGE_SLOTS: usize = 16_384;
 
 /// Sequence value of an idle slot in the oracle's authoritative table.
 const IDLE: u64 = u64::MAX;
@@ -65,10 +78,10 @@ struct Oracle {
 }
 
 impl Oracle {
-    fn new() -> Self {
+    fn new(slots: usize) -> Self {
         Oracle {
             heap: BinaryHeap::new(),
-            current: vec![IDLE; SLOTS],
+            current: vec![IDLE; slots],
             next_seq: 0,
             len: 0,
         }
@@ -137,6 +150,14 @@ enum Op {
     },
     /// Schedule a run of distinct slots at one exact instant.
     TieStorm { first: u32, time: f64, count: usize },
+    /// Schedule (or overwrite) a run of `count` consecutive slots at
+    /// scattered times in `last_pop + base + [0, spread)`.
+    Cohort {
+        first: u32,
+        count: usize,
+        base: f64,
+        spread: f64,
+    },
     /// Pop up to this many entries unconditionally.
     Pop(usize),
     /// Pop entries strictly before `last_pop + delta`, up to `max` —
@@ -219,12 +240,48 @@ fn check_pop(
     }
 }
 
-/// Drives the board and the oracle through one op sequence, asserting
-/// identical `(time, slot)` pop streams, identical peeks and live
-/// counts after every op, and an identical drain tail.
-fn assert_matches_oracle(ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut board = LazyBoard::with_slots(SLOTS);
-    let mut oracle = Oracle::new();
+/// A large-population op: cohorts at the hold's density (ring traffic),
+/// far-future cohorts past the ring (top sweeps and re-bases), dense
+/// microsecond-gap cohorts (a time-scale jump that forces a rebuild),
+/// overwrite and tie storms, long pops and window-edge pops.
+fn large_op_strategy() -> impl Strategy<Value = Op> {
+    let slot = 0u32..LARGE_SLOTS as u32;
+    let cohort = |(first, count, base, spread)| Op::Cohort {
+        first,
+        count,
+        base,
+        spread,
+    };
+    prop_oneof![
+        (slot.clone(), 1024usize..8192, 0.0f64..2.0, 0.5f64..8.0).prop_map(cohort),
+        (slot.clone(), 1024usize..8192, 0.0f64..2.0, 0.5f64..8.0).prop_map(cohort),
+        (slot.clone(), 256usize..4096, 1e3f64..1e6, 0.0f64..1e3).prop_map(cohort),
+        (slot.clone(), 512usize..4096, 0.0f64..4.0, 1e-6f64..1e-3).prop_map(cohort),
+        (slot.clone(), 0.0f64..4.0, 0.0f64..0.5, 1usize..64).prop_map(
+            |(slot, base, width, count)| Op::OverwriteStorm {
+                slot,
+                base,
+                width,
+                count
+            }
+        ),
+        (slot, 0.0f64..4.0, 1usize..256).prop_map(|(first, time, count)| Op::TieStorm {
+            first,
+            time,
+            count
+        }),
+        (0usize..8192).prop_map(Op::Pop),
+        (0usize..8192).prop_map(Op::Pop),
+        (0.0f64..2.0, 1usize..2048).prop_map(|(delta, max)| Op::PopBefore { delta, max }),
+    ]
+}
+
+/// Drives a board over `slots` slots and the oracle through one op
+/// sequence, asserting identical `(time, slot)` pop streams, identical
+/// peeks and live counts after every op, and an identical drain tail.
+fn assert_matches_oracle(slots: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut board = LazyBoard::with_slots(slots);
+    let mut oracle = Oracle::new(slots);
     let mut last_pop = 0.0f64;
     for (step, op) in ops.iter().enumerate() {
         match *op {
@@ -247,8 +304,22 @@ fn assert_matches_oracle(ops: &[Op]) -> Result<(), TestCaseError> {
             }
             Op::TieStorm { first, time, count } => {
                 for i in 0..count {
-                    let slot = (first + i as u32) % SLOTS as u32;
+                    let slot = (first + i as u32) % slots as u32;
                     let t = last_pop + time;
+                    board.schedule(slot, t);
+                    oracle.schedule(slot, t);
+                }
+            }
+            Op::Cohort {
+                first,
+                count,
+                base,
+                spread,
+            } => {
+                for i in 0..count {
+                    let slot = (first + i as u32) % slots as u32;
+                    let frac = f64::from((i as u32).wrapping_mul(2_654_435_769) >> 16) / 65_536.0;
+                    let t = last_pop + base + spread * frac;
                     board.schedule(slot, t);
                     oracle.schedule(slot, t);
                 }
@@ -308,7 +379,7 @@ proptest! {
     fn lazy_board_matches_lazy_heap_oracle(
         ops in prop::collection::vec(op_strategy(), 1..300)
     ) {
-        assert_matches_oracle(&ops)?;
+        assert_matches_oracle(SLOTS, &ops)?;
     }
 
     /// Sustained overwrite storms with no relief: one hot slot is
@@ -326,7 +397,7 @@ proptest! {
             ops.push(Op::Pop(p));
         }
         ops.push(Op::Pop(10_000));
-        assert_matches_oracle(&ops)?;
+        assert_matches_oracle(SLOTS, &ops)?;
     }
 
     /// Entries pinned to the window edge: a monotone clock pops with
@@ -353,6 +424,67 @@ proptest! {
             ops.push(Op::PopBefore { delta: t, max: 2 });
         }
         ops.push(Op::Pop(10_000));
-        assert_matches_oracle(&ops)?;
+        assert_matches_oracle(SLOTS, &ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The large-population drive: thousands of pending entries spread
+    /// over many laps, far-future cohorts parked past the ring, dense
+    /// cohorts that force a mid-run rebuild, storms and window-edge pops
+    /// — the board still emits the oracle's exact stream.
+    #[test]
+    fn large_population_matches_lazy_heap_oracle(
+        ops in prop::collection::vec(large_op_strategy(), 8..40)
+    ) {
+        assert_matches_oracle(LARGE_SLOTS, &ops)?;
+    }
+}
+
+/// Runs a hold pattern over `slots` slots in lockstep with an
+/// [`EventQueue`]: every pop reschedules its slot at `now + Exp(1) /
+/// speed`, with even slots at speed 1 and odd slots at speed 8. Asserts
+/// identical pop streams throughout and returns far-level candidates
+/// examined per pop over `pairs` pairs, measured after one warm-up
+/// cycle of every slot.
+fn hold_refill_scanned_per_pop(slots: usize, pairs: u64) -> f64 {
+    let inv_speed = |slot: u32| if slot % 2 == 0 { 1.0 } else { 0.125 };
+    let mut exp = ExponentialBlock::new(Xoshiro256PlusPlus::from_u64_seed(0x5107));
+    let mut board = LazyBoard::with_slots(slots);
+    let mut heap: EventQueue<u32> = EventQueue::new();
+    for slot in 0..slots as u32 {
+        let t = exp.next() * inv_speed(slot);
+        board.schedule(slot, t);
+        heap.schedule(t, slot);
+    }
+    let mut run = |pairs: u64| {
+        for pair in 0..pairs {
+            let popped = board.pop();
+            assert_eq!(popped, heap.pop(), "divergence at pair {pair}");
+            let (t, slot) = popped.expect("hold keeps every slot pending");
+            let next = t + exp.next() * inv_speed(slot);
+            board.schedule(slot, next);
+            heap.schedule(next, slot);
+        }
+        board.stats().refill_scanned
+    };
+    let warm = run(slots as u64);
+    (run(pairs) - warm) as f64 / pairs as f64
+}
+
+/// The population cliff, guarded without a timer: a flat far side
+/// re-sweeps every parked candidate at each lap refill, hundreds of
+/// candidates per pop at 131072 pending entries. The two-level far side
+/// examines each parked candidate a small constant number of times.
+#[test]
+fn far_side_refills_cost_a_constant_per_pop_at_any_population() {
+    for slots in [64, 131_072] {
+        let per_pop = hold_refill_scanned_per_pop(slots, 100_000);
+        assert!(
+            per_pop <= 4.0,
+            "{slots} slots: {per_pop:.2} far candidates examined per pop"
+        );
     }
 }
