@@ -15,15 +15,16 @@
 //! * [`arrivals`] — Poisson, flash-crowd and ramped-diurnal request
 //!   processes, generated by the batched [`ArrivalSampler`] on a
 //!   dedicated RNG stream,
-//! * [`fleet`] — heterogeneous finite-queue servers (built on
-//!   [`bnb_queueing::Server`]) with latency bookkeeping, churn, and a
-//!   dense load mirror for the placement hot path,
+//! * [`fleet`] — heterogeneous finite-queue servers with latency
+//!   bookkeeping and churn, one cache-line-pair record per server
+//!   (counters plus an inline admission ring) that placement reads and
+//!   joins write,
 //! * [`placement`] — pluggable routing, now served by the standalone
 //!   [`bnb_router`] data plane: the paper's d-choice Algorithm 1 over
 //!   non-uniform capacities (block pre-sampled candidates),
 //!   consistent-hash successor placement, weighted rendezvous, and the
 //!   Byers-style hash-then-probe hybrid, driven as a
-//!   [`bnb_router::PlacementEngine`] over the fleet's dense load mirror,
+//!   [`bnb_router::PlacementEngine`] over the fleet's per-server records,
 //! * [`sim`] — the deterministic event loop, generic over
 //!   `bnb-queueing`'s [`EventScheduler`](bnb_queueing::EventScheduler)
 //!   (the [`CalendarQueue`](bnb_queueing::CalendarQueue) timing wheel by

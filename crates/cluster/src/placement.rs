@@ -4,8 +4,8 @@
 //! the derived structures (alias table, membership ring, rendezvous
 //! scores) used to live in this module; they are now the standalone
 //! [`bnb_router`] data plane, which this simulator drives through
-//! [`bnb_router::PlacementEngine`] against the fleet's dense load
-//! mirror (the fleet implements [`bnb_router::LoadView`]). The RNG
+//! [`bnb_router::PlacementEngine`] against the fleet's per-server
+//! records (the fleet implements [`bnb_router::LoadView`]). The RNG
 //! streams, candidate block size and tie-break semantics moved
 //! unchanged, so traces are byte-identical across the move — the
 //! registry-wide differential tests pin that.

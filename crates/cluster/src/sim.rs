@@ -7,9 +7,10 @@
 //!
 //! The dominant configuration — `DChoice { d: 2 }` placement, no
 //! churn, on the default scheduler — runs a **fused monomorphic loop**:
-//! arrival merging, the unrolled d = 2 compare over the fleet's dense
-//! load mirror, ziggurat service sampling and completion scheduling in
-//! one branch-predictable loop, with departures carried as bare `u32`
+//! arrival merging, the unrolled d = 2 compare over the fleet's
+//! per-server records (the same record the join then writes),
+//! ziggurat service sampling and completion scheduling in one
+//! branch-predictable loop, with departures carried as bare `u32`
 //! server indices through a slot-keyed
 //! [`bnb_queueing::LazyBoard`] — the fleet holds at most
 //! one pending departure per server, so a schedule is two array stores
@@ -231,10 +232,11 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     /// Harvests everything this run observed — span latency
     /// distributions and trace events, scheduler-internals counters
     /// (ring refills/spills, bulk-commit drains, rebuilds, occupancy at
-    /// rebuild), and arrival-thinning counts — into one exportable
-    /// snapshot. Meaningful after [`ClusterSim::run`]; the
-    /// scheduler-internals counters are live (always on) even when the
-    /// spans were never enabled.
+    /// rebuild), admissions that overflowed a server's inline ring
+    /// (`fleet.fifo_spills`), and arrival-thinning counts — into one
+    /// exportable snapshot. Meaningful after [`ClusterSim::run`]; the
+    /// internals counters are live (always on) even when the spans were
+    /// never enabled.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
         let mut sched = self.sched_stats.clone();
@@ -245,6 +247,7 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             &sched,
             &self.lazy_stats,
             self.next_free_bypasses,
+            self.fleet.fifo_spills(),
             self.arrivals.thinning_counts(),
             self.arrived,
         )
@@ -342,7 +345,7 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     /// `DChoice { d: 2 }` placement, no churn, any arrival process.
     ///
     /// One branch-predictable loop keeps arrival merging, the unrolled
-    /// d = 2 compare over the fleet's dense load mirror, service
+    /// d = 2 compare over the fleet's per-server records, service
     /// sampling and completion scheduling together — no per-event enum
     /// dispatch. Without churn the only events are departures, and the
     /// fleet holds **at most one pending departure per server**, so
@@ -353,6 +356,11 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     /// per-slot entry, and the clock, arrival cursor and the board's
     /// front time all live in registers instead of round-tripping
     /// through `self` between events.
+    ///
+    /// Fleet state per request is the two candidates' records:
+    /// placement reads `(queue_len, speed)` from both, and the winner's
+    /// join, `1 / speed` and admission-ring write land in a record the
+    /// compare has just pulled in. A departure touches one record.
     ///
     /// On top of the board sits the **next-free bypass**: when a
     /// request lands on an idle server and its departure time is
@@ -425,8 +433,9 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             } else {
                 None
             };
-            // Key-oblivious placement: the d = 2 fast path over the
-            // dense (queue_len, speed) mirror.
+            // Key-oblivious placement: the d = 2 fast path reads each
+            // candidate's (queue_len, speed) from its fleet record, so
+            // the winner's record is already in cache for the join.
             let tp = self.tele.place.enter();
             let target = self.router.place_d2(&self.fleet);
             if LoadView::load(&self.fleet, target).0 != 0 {

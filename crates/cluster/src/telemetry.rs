@@ -67,19 +67,21 @@ impl SimTelemetry {
     }
 
     /// Harvests the spans plus the scheduler-internals (calendar and
-    /// lazy-board), next-free-bypass and thinning counters into one
-    /// snapshot.
+    /// lazy-board), next-free-bypass, fleet FIFO-spill and thinning
+    /// counters into one snapshot.
     pub(crate) fn harvest(
         &self,
         sched: &CalendarStats,
         lazy: &LazyStats,
         next_free_bypasses: u64,
+        fifo_spills: u64,
         thinning: (u64, u64, u64),
         arrived: u64,
     ) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         snap.add_counter("sim.arrived", arrived);
         snap.add_counter("sim.next_free_bypass", next_free_bypasses);
+        snap.add_counter("fleet.fifo_spills", fifo_spills);
         for span in [&self.arrival, &self.place, &self.schedule, &self.depart] {
             snap.add_span(span);
         }

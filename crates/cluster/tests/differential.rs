@@ -16,7 +16,7 @@
 
 use bnb_cluster::{
     registry, ClusterEvent, ClusterMetrics, ClusterSim, ClusterSpec, Fleet, PlacementEngine,
-    PlacementSpec, SimBuilder, SMOKE_DIVISOR,
+    PlacementSpec, Sim, SimBuilder, SMOKE_DIVISOR,
 };
 use bnb_core::prelude::*;
 use bnb_hashring::hash::mix64;
@@ -184,18 +184,22 @@ fn telemetry_is_schedule_invisible_on_every_scenario() {
     // must replay the plain run exactly. (The heap oracle's half of
     // this check needs the crate-private telemetry switch, so it lives
     // in `sim.rs`'s unit tests.)
+    let mut spilled_somewhere = false;
     for scenario in registry() {
         let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
         let seed = 0x7E1E;
         let registry_on = Registry::with_sampling(0, 1 << 14); // sample everything
         let fused_off = run((scenario.build)(seed, requests), seed);
-        let (fused_on, fused_snap) = {
+        let (fused_on, fused_snap, fleet_spills) = {
             let mut sim = SimBuilder::scenario(scenario, requests)
                 .seed(seed)
                 .telemetry(&registry_on)
                 .build();
             let m = sim.run();
-            (m, sim.telemetry_snapshot())
+            let Sim::Serial(serial) = &sim else {
+                panic!("{}: the builder's default engine is serial", scenario.id)
+            };
+            (m, sim.telemetry_snapshot(), serial.fleet().fifo_spills())
         };
         assert_eq!(
             fused_off, fused_on,
@@ -226,6 +230,15 @@ fn telemetry_is_schedule_invisible_on_every_scenario() {
             "{}: lazy scheduler counters missing from the snapshot",
             scenario.id
         );
+        // Admissions past a server's inline ring are harvested on every
+        // serial run, straight from the fleet's own counter.
+        assert_eq!(
+            fused_snap.counter("fleet.fifo_spills"),
+            Some(fleet_spills),
+            "{}: fleet spill counter missing from the snapshot",
+            scenario.id
+        );
+        spilled_somewhere |= fleet_spills > 0;
         let spec_probe = (scenario.build)(seed, requests);
         let fused_eligible = spec_probe.churn.is_none()
             && matches!(
@@ -243,6 +256,10 @@ fn telemetry_is_schedule_invisible_on_every_scenario() {
             );
         }
     }
+    assert!(
+        spilled_somewhere,
+        "no registry scenario overflowed an inline admission ring"
+    );
 }
 
 #[test]

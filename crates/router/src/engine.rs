@@ -242,8 +242,8 @@ impl PlacementEngine {
                 let pos = self.cand_pos;
                 self.cand_pos += d;
                 // Algorithm 1 over the candidate *set* through the
-                // batched scan kernel: chunked gather from the dense
-                // mirror, then the same dedup + reservoir argmin
+                // batched scan kernel: chunked gather of the loads,
+                // then the same dedup + reservoir argmin
                 // (smallest post-join normalised queue, capacity
                 // tie-break, residual ties uniform — bit-identical RNG
                 // draws to the scalar scan it replaced).
@@ -558,6 +558,7 @@ fn reservoir_argmin<K: Ord>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::DenseView;
     use bnb_hashring::hash::mix64;
 
     /// A plain single-threaded load mirror standing in for the cluster
@@ -814,6 +815,61 @@ mod tests {
                     "{}: key {key}",
                     spec.name()
                 );
+            }
+        }
+    }
+
+    /// The same loads as a [`DenseView`], with the slices hidden: only
+    /// [`LoadView::load`], the path the simulator's fleet takes.
+    struct LoadOnly<'a>(DenseView<'a>);
+
+    impl LoadView for LoadOnly<'_> {
+        fn load(&self, slot: usize) -> (u64, u64) {
+            self.0.load(slot)
+        }
+    }
+
+    #[test]
+    fn load_only_views_place_like_dense_views() {
+        // Tie-heavy loads (three speeds, short queues), on an unchurned
+        // membership and on one with every third slot departed.
+        let speeds: Vec<u64> = (0..24).map(|i| [1, 2, 4][i % 3]).collect();
+        let full = Membership::from_speeds(&speeds);
+        let churned = Membership::new(
+            full.members()
+                .iter()
+                .copied()
+                .filter(|m| m.slot % 3 != 1)
+                .collect(),
+        );
+        for membership in [&full, &churned] {
+            for d in [2, 3] {
+                let spec = PlacementSpec::DChoice { d };
+                let mut dense = PlacementEngine::new(spec, membership, 5);
+                let mut load_only = dense.clone();
+                let fresh = dense.clone();
+                let mut queues = vec![0u64; speeds.len()];
+                for r in 0..3_000usize {
+                    let (a, b) = {
+                        let view = DenseView::new(&queues, &speeds);
+                        if d == 2 {
+                            (dense.place_d2(&view), load_only.place_d2(&LoadOnly(view)))
+                        } else {
+                            (dense.place(&view, 0), load_only.place(&LoadOnly(view), 0))
+                        }
+                    };
+                    assert_eq!(a, b, "d={d}, request {r}: views picked different slots");
+                    queues[a] += 1;
+                    // Drain one job per request so queues stay short.
+                    let drained = (r * 7) % speeds.len();
+                    queues[drained] = queues[drained].saturating_sub(1);
+                }
+                assert_eq!(
+                    dense.tie_rng, load_only.tie_rng,
+                    "d={d}: tie streams diverged"
+                );
+                assert_eq!(dense.place_rng, load_only.place_rng);
+                assert_ne!(dense.tie_rng, fresh.tie_rng, "d={d}: no tie was drawn");
             }
         }
     }

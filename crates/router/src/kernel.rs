@@ -3,15 +3,16 @@
 //!
 //! Placement spends its per-request budget on two memory-bound steps:
 //! mapping candidate tokens to fleet slots and pulling each slot's
-//! `(queue_len, speed)` out of the dense load mirror. Done one
-//! candidate at a time (as the generic `reservoir_argmin` closure did),
+//! `(queue_len, speed)` out of the load view. Done one candidate at a
+//! time (as the generic `reservoir_argmin` closure did),
 //! every load sits on the previous one's address — a serial
 //! token → slot → queue dependency chain the core cannot overlap. This
 //! module splits the evaluation into two phases:
 //!
-//! * a **gather phase** over the mirror's structure-of-arrays slices
-//!   ([`LoadView::dense`]): a chunked loop ([`slice::chunks_exact`],
-//!   plain safe Rust — the workspace denies `unsafe`) that issues the
+//! * a **gather phase** over the view's structure-of-arrays slices,
+//!   when it has them ([`LoadView::dense`]): a chunked loop
+//!   ([`slice::chunks_exact`], plain safe Rust — the workspace denies
+//!   `unsafe`) that issues the
 //!   candidate loads in independent groups of [`GATHER_CHUNK`], so the
 //!   address arithmetic unrolls, the loads pipeline instead of
 //!   serialising, and on targets with gather/SIMD support the
@@ -22,10 +23,13 @@
 //!   two small stack arrays instead of chasing pointers, with
 //!   Algorithm 1's exact cross-multiplied `(q+1)/s` compare inlined.
 //!
-//! The `d = 2` fast path in [`crate::PlacementEngine::place_d2`] stays
-//! hand-unrolled (two candidates don't amortise a loop), but reads the
-//! same dense slices; `d > 2` and the experiment sweep paths route
-//! through [`gather`] + [`argmin_algo1`].
+//! Views without dense slices (the simulator's fleet, concurrent
+//! snapshots) fill the same scratch through per-slot
+//! [`LoadView::load`] calls, so the compare phase is shared. The
+//! `d = 2` fast path in [`crate::PlacementEngine::place_d2`] stays
+//! hand-unrolled (two candidates don't amortise a loop) and reads
+//! either form; `d > 2` and the experiment sweep paths route through
+//! [`gather`] + [`argmin_algo1`].
 
 use crate::view::LoadView;
 use bnb_core::choice::MAX_D;

@@ -3,8 +3,8 @@
 //! The placement **data plane** of the *Balls into non-uniform bins*
 //! reproduction, as an embeddable library: the four placement policies
 //! (the paper's Algorithm 1 d-choice, consistent-hash successor,
-//! weighted rendezvous, and Byers-style hash-then-probe), the dense
-//! `(jobs_in_system, speed)` load mirror they compare against, and the
+//! weighted rendezvous, and Byers-style hash-then-probe), the per-slot
+//! `(jobs_in_system, speed)` load view they compare against, and the
 //! radix-successor hash ring — behind one [`Router`] trait a live load
 //! balancer can program against, with **no simulator dependencies**
 //! (CI builds this crate standalone to prove it).
@@ -21,7 +21,7 @@
 //!   concurrency, never torn).
 //! * [`PlacementEngine`] — the bare policy state machine, generic over
 //!   any [`LoadView`]: the cluster simulator drives it directly against
-//!   its own fleet mirror, which is how simulation and serving share
+//!   its own fleet records, which is how simulation and serving share
 //!   one placement code path byte for byte.
 //!
 //! Telemetry is opt-in ([`RouterBuilder::telemetry`]): each handle

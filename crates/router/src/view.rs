@@ -124,15 +124,17 @@ impl Membership {
     }
 }
 
-/// Read access to the dense `(jobs_in_system, speed)` load mirror the
+/// Read access to the per-slot `(jobs_in_system, speed)` loads the
 /// placement hot path compares thousands of times per second.
 ///
 /// Implemented by [`FleetSnapshot`] (atomic counters, concurrent
-/// serving) and by the cluster simulator's `Fleet` (plain words,
-/// single-threaded simulation) — one placement engine serves both.
+/// serving), by [`DenseView`] (frozen plain slices, the sharded
+/// simulator's per-epoch view) and by the cluster simulator's `Fleet`
+/// (one record per server, single-threaded simulation) — one placement
+/// engine serves all three.
 pub trait LoadView {
-    /// Dense-mirror `(jobs_in_system, speed)` of slot `slot` (the
-    /// unrolled d = 2 compare reads both words at once).
+    /// `(jobs_in_system, speed)` of slot `slot` (the unrolled d = 2
+    /// compare reads both words at once).
     fn load(&self, slot: usize) -> (u64, u64);
 
     /// Jobs in the system on slot `slot` (the hash-then-probe path
@@ -142,13 +144,15 @@ pub trait LoadView {
         self.load(slot).0
     }
 
-    /// The mirror as plain structure-of-arrays slices
-    /// `(queue_lens, speeds)`, when the implementation can expose them.
-    /// Single-threaded mirrors (the simulator's fleet) return `Some`,
-    /// and the batched scan kernel (`crate::kernel`) gathers candidates
-    /// straight out of the slices in a chunked loop; concurrent mirrors
-    /// whose counters are atomics return `None` (the default) and take
-    /// the per-slot [`LoadView::load`] path instead.
+    /// The loads as plain structure-of-arrays slices
+    /// `(queue_lens, speeds)`, when the implementation stores them that
+    /// way. [`DenseView`] returns `Some`, and the batched scan kernel
+    /// (`crate::kernel`) gathers candidates straight out of the slices
+    /// in a chunked loop. Everything else returns `None` (the default)
+    /// and takes the per-slot [`LoadView::load`] path: concurrent
+    /// snapshots, whose counters are atomics, and the simulator's
+    /// fleet, which keeps each server's load inside that server's own
+    /// record.
     #[inline]
     fn dense(&self) -> Option<(&[u64], &[u64])> {
         None
