@@ -425,7 +425,7 @@ impl ArrivalSampler {
     /// `out` (cleared first), each chaining off its predecessor —
     /// exactly the sequence `n` successive [`ArrivalSampler::next_after`]
     /// calls produce, drawn from the same streams in the same order (the
-    /// bitwise-equivalence test pins it). The fused drive loop consumes
+    /// bitwise-equivalence test pins it). The drive loop consumes
     /// arrivals through this, keeping the thinning loop hot across a
     /// block instead of re-entering it per request.
     pub fn fill_after(&mut self, now: Time, n: usize, out: &mut Vec<Time>) {

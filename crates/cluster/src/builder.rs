@@ -1,8 +1,6 @@
 //! The simulator construction surface: one fluent [`SimBuilder`]
 //! carrying the scenario (or explicit spec), the seed, the telemetry
-//! registry and the worker count. Serial runs are built on the calendar
-//! queue; the binary-heap oracle of the differential tests is
-//! constructed directly through [`ClusterSim::with_scheduler`].
+//! registry and the worker count.
 //!
 //! ```
 //! use bnb_cluster::{find_scenario, SimBuilder};
@@ -21,8 +19,7 @@
 use crate::metrics::ClusterMetrics;
 use crate::scenario::Scenario;
 use crate::sharded::ShardedClusterSim;
-use crate::sim::{ClusterEvent, ClusterSim, ClusterSpec};
-use bnb_queueing::calendar::CalendarQueue;
+use crate::sim::{ClusterSim, ClusterSpec};
 use bnb_telemetry::{MetricsSnapshot, Registry};
 
 /// Where the spec comes from: given directly, or deferred through a
@@ -122,7 +119,7 @@ impl SimBuilder {
             // is counters-only and always on (see `telemetry`).
             return Sim::Sharded(Box::new(ShardedClusterSim::new(spec, self.seed, workers)));
         }
-        let mut sim = ClusterSim::with_scheduler(spec, self.seed);
+        let mut sim = ClusterSim::new(spec, self.seed);
         if let Some(reg) = &self.registry {
             sim.set_telemetry(reg);
         }
@@ -135,9 +132,9 @@ impl SimBuilder {
 /// surface over both.
 #[derive(Debug)]
 pub enum Sim {
-    /// Serial engine on the calendar-queue scheduler (fused fast path
-    /// for eligible specs).
-    Serial(Box<ClusterSim<CalendarQueue<ClusterEvent>>>),
+    /// The serial engine: one drive loop on the slot-keyed departure
+    /// board.
+    Serial(Box<ClusterSim>),
     /// The space-sharded parallel engine.
     Sharded(Box<ShardedClusterSim>),
 }

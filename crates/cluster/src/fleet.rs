@@ -337,9 +337,8 @@ impl Fleet {
     }
 
     /// `1 / speed` of slot `i` — how the departure-scheduling path
-    /// scales Exp(1) work into service time (bitwise-stable across the
-    /// generic and fused loops, which is why the reciprocal is
-    /// precomputed once rather than divided per event).
+    /// scales Exp(1) work into service time (precomputed once rather
+    /// than divided per event).
     ///
     /// # Panics
     /// Panics if `i` is out of range.
@@ -373,7 +372,7 @@ impl Fleet {
     }
 
     /// Serves one job start-to-finish on an **idle** server in a single
-    /// step: the fused loop's next-free bypass, where the departure is
+    /// step: the drive loop's next-free bypass, where the departure is
     /// provably the next event so the job arrives, serves and departs
     /// with no observer in between. Counter state afterwards is exactly
     /// [`Fleet::try_join`] then [`Fleet::depart`] composed — the queue
@@ -482,7 +481,7 @@ mod tests {
         assert_eq!(a.try_join(1, 1.0), Admission::StartedService);
         let (lat_a, more) = a.depart(1, 2.5);
         assert!(!more);
-        // Path B: the fused bypass in one step.
+        // Path B: the bypass in one step.
         let lat_b = b.serve_one_now(1, 1.0, 2.5);
         assert_eq!(lat_a.to_bits(), lat_b.to_bits());
         assert_eq!(a.server(1).completed(), b.server(1).completed());

@@ -25,12 +25,13 @@
 //!   consistent-hash successor placement, weighted rendezvous, and the
 //!   Byers-style hash-then-probe hybrid, driven as a
 //!   [`bnb_router::PlacementEngine`] over the fleet's per-server records,
-//! * [`sim`] — the deterministic event loop, generic over
-//!   `bnb-queueing`'s [`EventScheduler`](bnb_queueing::EventScheduler)
-//!   (the [`CalendarQueue`](bnb_queueing::CalendarQueue) timing wheel by
-//!   default, the binary heap as differential oracle), with periodic
-//!   churn rebalanced incrementally through
-//!   [`bnb_hashring::churn::MembershipRing`],
+//! * [`sim`] — the deterministic serial engine: one drive loop for
+//!   every placement policy, arrival process and churn schedule, with
+//!   departures on `bnb-queueing`'s slot-keyed
+//!   [`LazyBoard`](bnb_queueing::LazyBoard), churn ticks and arrivals
+//!   merged as scalar registers, and the ring placements rebalanced
+//!   incrementally through [`bnb_hashring::churn::MembershipRing`] on
+//!   each churn tick,
 //! * [`sharded`] — the space-sharded parallel engine: the fleet split
 //!   into contiguous slot ranges across worker threads, placement
 //!   routed against a frozen per-epoch load view, cross-shard joins
@@ -47,14 +48,14 @@
 //!   [`bnb_stats::Mergeable`]) behind the sharded `cluster-sim sweep`
 //!   d-sweep runner,
 //! * [`telemetry`] — the per-component [`bnb_telemetry`] span set
-//!   threaded through both drive loops (off by default, one predicted
+//!   threaded through the drive loop (off by default, one predicted
 //!   branch per component when off) and the end-of-run harvest of
-//!   scheduler-internals and thinning counters.
+//!   departure-board internals and thinning counters.
 //!
 //! Every run is a pure function of `(scenario, seed)`: randomness flows
 //! through dedicated derived streams (arrivals, service, placement,
 //! tie-breaks, churn), so the same seed replays the identical trace,
-//! byte for byte, on any scheduler and any thread count.
+//! byte for byte, on any departure board and any thread count.
 //!
 //! ```
 //! use bnb_cluster::{find_scenario, SimBuilder};
@@ -85,6 +86,6 @@ pub use metrics::ClusterMetrics;
 pub use placement::{PlacementEngine, PlacementSpec};
 pub use scenario::{find_scenario, registry, Scenario, SMOKE_DIVISOR};
 pub use sharded::ShardedClusterSim;
-pub use sim::{ChurnConfig, ClusterEvent, ClusterSim, ClusterSpec};
+pub use sim::{ChurnConfig, ClusterSim, ClusterSpec};
 pub use sweep::ReplicaAccumulator;
 pub use telemetry::SimTelemetry;

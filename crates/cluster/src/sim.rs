@@ -1,29 +1,42 @@
 //! The discrete-event cluster simulator: arrivals → placement → finite
-//! queues → departures, with optional churn, on any
-//! [`EventScheduler`] — the [`CalendarQueue`] slab timing wheel by
-//! default, the binary heap as the differential oracle.
+//! queues → departures, with optional churn.
 //!
-//! ## Drive loops
+//! ## The drive loop
 //!
-//! The dominant configuration — `DChoice { d: 2 }` placement, no
-//! churn, on the default scheduler — runs a **fused monomorphic loop**:
-//! arrival merging, the unrolled d = 2 compare over the fleet's
-//! per-server records (the same record the join then writes),
-//! ziggurat service sampling and completion scheduling in one
-//! branch-predictable loop, with departures carried as bare `u32`
-//! server indices through a slot-keyed
-//! [`bnb_queueing::LazyBoard`] — the fleet holds at most
-//! one pending departure per server, so a schedule is two array stores
-//! and a pop validates a candidate-ring entry against the
-//! authoritative per-slot array (no per-event enum dispatch, no heap
-//! or wheel maintenance). A **next-free bypass** on top serves a
-//! request landing on an idle server inline whenever its departure is
-//! provably the next event, skipping the scheduler entirely. Every
-//! other configuration takes the generic event loop. The two loops
-//! consume every RNG stream in the same per-stream order and resolve
-//! ties by the same insertion sequence, so they are metric-identical
-//! byte for byte. The differential tests prove that against the
-//! binary-heap oracle, which always takes the generic loop.
+//! One loop serves every placement policy and every arrival process,
+//! with and without churn. It merges three event streams, each led by
+//! a scalar register:
+//!
+//! * **arrivals** — block pre-sampled on their own stream, the next one
+//!   held in `next_arrival`;
+//! * **departures** — bare `u32` server slots on a slot-keyed
+//!   [`LazyBoard`]. The fleet holds at most one pending departure per
+//!   server, so a schedule is two array stores and a pop validates a
+//!   candidate-ring entry against the authoritative per-slot array (no
+//!   per-event enum dispatch, no heap or wheel maintenance). The
+//!   board's front time is mirrored in the `dep_bound` register;
+//! * **churn ticks** — `next_churn`, one tick per [`ChurnConfig`]
+//!   interval (`INFINITY` without churn).
+//!
+//! The earliest event goes first. At an exact time tie the arrival goes
+//! first, then the departure, then the churn tick (a job finishing the
+//! instant its server leaves completes rather than orphans);
+//! departures tied with each other pop in insertion order. A tick retires a server by
+//! deactivating its slot. The retired server's pending departure stays
+//! on the board: slots are never revived, so when it pops `is_alive`
+//! marks it stale, and it only advances the clock. After the last
+//! arrival the one tick still pending fires as a no-op, so the
+//! horizon covers it.
+//!
+//! Placement is dispatched once per run. `DChoice { d: 2 }` takes the
+//! unrolled d = 2 compare over the fleet's per-server records (the same
+//! record the join then writes) as its own monomorphised arm; every
+//! other policy calls [`PlacementEngine::place`], with a request key
+//! computed only for the key-driven (ring) policies.
+//!
+//! A **next-free bypass** serves a request landing on an idle server
+//! inline whenever its departure is provably the next event, skipping
+//! the board entirely.
 //!
 //! ## Determinism contract
 //!
@@ -31,14 +44,15 @@
 //! **dedicated derived streams** — arrivals, service, placement
 //! candidates, tie-breaks and churn each own a
 //! [`derive_seed`]-separated RNG — and each stream is consumed in
-//! event order (the scheduler contract breaks time ties by insertion
-//! sequence). Within a stream, draws are block pre-sampled (arrival
-//! gaps and Exp(1) service variates through
-//! [`bnb_distributions::ExponentialBlock`]'s ziggurat stream, placement
-//! candidates through the batched alias sampler), which moves RNG work
-//! off the per-event path without changing any draw: the same seed
-//! replays the identical event trace, byte for byte, in the rendered
-//! metrics — on either scheduler, through either drive loop.
+//! event order, which the tie rule above fixes. Within a stream, draws
+//! are block pre-sampled (arrival gaps and Exp(1) service variates
+//! through [`bnb_distributions::ExponentialBlock`]'s ziggurat stream,
+//! placement candidates through the batched alias sampler), which moves
+//! RNG work off the per-event path without changing any draw: the same
+//! seed replays the identical event trace, byte for byte, in the
+//! rendered metrics. The unit tests replay every registry scenario on a
+//! binary-heap departure board with the bypass off and require
+//! byte-identical output.
 
 use crate::arrivals::{ArrivalProcess, ArrivalSampler};
 use crate::fleet::Fleet;
@@ -48,14 +62,12 @@ use crate::telemetry::SimTelemetry;
 use bnb_core::CapacityVector;
 use bnb_distributions::{derive_seed, ExponentialBlock, Xoshiro256PlusPlus};
 use bnb_hashring::hash::mix64;
-use bnb_queueing::calendar::CalendarQueue;
-use bnb_queueing::events::{EventScheduler, Time};
+use bnb_queueing::events::Time;
 use bnb_queueing::server::Admission;
-use bnb_queueing::{CalendarStats, LazyBoard, LazyStats};
+use bnb_queueing::{LazyBoard, LazyStats};
 use bnb_router::{LoadView, PlacementEngine};
 use bnb_stats::Mergeable;
 use bnb_telemetry::{MetricsSnapshot, Registry};
-use std::any::TypeId;
 
 /// Stream id of the arrival-time RNG (gaps + thinning acceptances).
 /// Shared with the sharded engine: both derive the arrival stream as
@@ -97,46 +109,68 @@ pub struct ClusterSpec {
     pub requests: u64,
 }
 
-/// Events of the cluster simulation (public so the simulator can be
-/// generic over any [`EventScheduler`] carrying this payload).
-///
-/// Arrivals are **not** scheduler events: the arrival stream is
-/// pre-sampled and merged into the event loop through
-/// [`EventScheduler::pop_if_before`] (arrivals win exact time ties), so
-/// the scheduler only carries departures and churn ticks — half the
-/// scheduling traffic of the naive design.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ClusterEvent {
-    /// The job in service on `server` completes — stale (ignored) if the
-    /// server has left since this was scheduled; slots are never
-    /// revived, so `is_alive` fully identifies staleness.
-    Departure {
-        /// Slot index of the completing server.
-        server: usize,
-    },
-    /// One leave + one join, then reschedule.
-    ChurnTick,
+/// The departure schedule the drive loop runs on: at most one pending
+/// departure per server slot, popped in `(time, insertion sequence)`
+/// order. [`LazyBoard`] in production; the unit tests plug in the
+/// binary heap as the oracle. The loop only ever schedules a slot with
+/// no pending departure, so the board's keyed semantics (a reschedule
+/// replaces) and the heap's multiset semantics coincide.
+pub(crate) trait DepartureBoard {
+    /// Whether the loop may serve a provably-next departure inline (the
+    /// next-free bypass) instead of scheduling it. The oracle opts out,
+    /// so the differential checks the bypass as well as the board.
+    const BYPASS: bool = true;
+    /// An empty board sized for `slots` slots (it may grow past them).
+    fn with_slots(slots: usize) -> Self;
+    /// Schedules `slot`'s departure at `time`.
+    fn schedule(&mut self, slot: u32, time: Time);
+    /// Pops the earliest departure as `(time, slot)`.
+    fn pop(&mut self) -> Option<(Time, u32)>;
+    /// The exact time of the earliest pending departure, `INFINITY`
+    /// when none is pending.
+    fn front(&mut self) -> Time;
+    /// The board's internals counters, if it keeps any.
+    fn stats(&self) -> Option<&LazyStats>;
 }
 
-/// The running simulator, generic over its event scheduler. Production
-/// runs are built by [`crate::SimBuilder`] on the calendar queue;
-/// [`ClusterSim::with_scheduler`] pins another implementation, e.g. the
-/// binary-heap oracle in differential tests.
+impl DepartureBoard for LazyBoard {
+    fn with_slots(slots: usize) -> Self {
+        LazyBoard::with_slots(slots)
+    }
+
+    #[inline]
+    fn schedule(&mut self, slot: u32, time: Time) {
+        LazyBoard::schedule(self, slot, time);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(Time, u32)> {
+        LazyBoard::pop(self)
+    }
+
+    #[inline]
+    fn front(&mut self) -> Time {
+        self.min_time_bound().unwrap_or(f64::INFINITY)
+    }
+
+    fn stats(&self) -> Option<&LazyStats> {
+        Some(LazyBoard::stats(self))
+    }
+}
+
+/// The running simulator. Production runs are built by
+/// [`crate::SimBuilder`].
 #[derive(Debug)]
-pub struct ClusterSim<Sch: EventScheduler<ClusterEvent> = CalendarQueue<ClusterEvent>> {
+pub struct ClusterSim {
     spec: ClusterSpec,
     fleet: Fleet,
     router: PlacementEngine,
-    events: Sch,
     arrivals: ArrivalSampler,
     /// Block-sampled Exp(1) service variates; scaled by `1/speed` at
     /// the departure-scheduling site.
     service: ExponentialBlock,
     churn_rng: Xoshiro256PlusPlus,
     key_seed: u64,
-    now: Time,
-    /// The merged arrival stream's next event (never in the scheduler).
-    next_arrival: Option<Time>,
     arrived: u64,
     orphaned: u64,
     joins: u64,
@@ -145,27 +179,23 @@ pub struct ClusterSim<Sch: EventScheduler<ClusterEvent> = CalendarQueue<ClusterE
     /// Metrics of the finished run (computed once; reruns return it).
     result: Option<ClusterMetrics>,
     /// Per-component spans (inert unless [`crate::SimBuilder::telemetry`]
-    /// switched them on). A separate field so the drive loops can time
+    /// switched them on). A separate field so the drive loop can time
     /// one component while borrowing the router/fleet disjointly.
     tele: SimTelemetry,
-    /// Scheduler-internals stats harvested from drained departure
-    /// calendars (the generic scheduler's stats are read live at
-    /// snapshot time; this field folds in any calendar that dies
-    /// before then).
-    sched_stats: CalendarStats,
-    /// Lazy-deletion internals folded out of the fused loop's local
+    /// Lazy-deletion internals folded out of the drive loop's local
     /// departure board when it drains (see [`bnb_queueing::LazyBoard`]).
     lazy_stats: LazyStats,
-    /// Fused-loop requests served inline by the next-free bypass: the
-    /// request landed on an idle server and its departure was provably
-    /// the next event, so it never entered the scheduler at all.
+    /// Requests served inline by the next-free bypass: the request
+    /// landed on an idle server and its departure was provably the next
+    /// event, so it never entered the departure board at all.
     next_free_bypasses: u64,
+    /// Departures popped after their server left: dropped, having only
+    /// advanced the clock.
+    stale_departures: u64,
 }
 
-impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
-    /// Builds the simulator on an explicit scheduler implementation.
-    /// The scheduler cannot change the trace — the determinism contract
-    /// fixes the event order — only its speed.
+impl ClusterSim {
+    /// Builds the simulator for `spec` under `seed`.
     ///
     /// # Panics
     /// Panics if the spec is invalid: empty fleet, bad placement
@@ -173,7 +203,7 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     /// or an unbounded-queue spec whose arrival rate reaches the fleet's
     /// service capacity (the run could not drain).
     #[must_use]
-    pub fn with_scheduler(spec: ClusterSpec, seed: u64) -> Self {
+    pub(crate) fn new(spec: ClusterSpec, seed: u64) -> Self {
         spec.arrivals.validate();
         if let Some(churn) = &spec.churn {
             assert!(
@@ -194,7 +224,6 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         ClusterSim {
             fleet,
             router,
-            events: Sch::new(),
             arrivals: ArrivalSampler::new(spec.arrivals, derive_seed(seed, ARRIVAL_STREAM, 0)),
             service: ExponentialBlock::new(Xoshiro256PlusPlus::from_u64_seed(derive_seed(
                 seed,
@@ -203,8 +232,6 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             ))),
             churn_rng: Xoshiro256PlusPlus::from_u64_seed(derive_seed(seed, CHURN_STREAM, 0)),
             key_seed: seed,
-            now: 0.0,
-            next_arrival: None,
             arrived: 0,
             orphaned: 0,
             joins: 0,
@@ -212,9 +239,9 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             latencies: Vec::new(),
             result: None,
             tele: SimTelemetry::disabled(),
-            sched_stats: CalendarStats::new(),
             lazy_stats: LazyStats::new(),
             next_free_bypasses: 0,
+            stale_departures: 0,
             spec,
         }
     }
@@ -230,23 +257,20 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     }
 
     /// Harvests everything this run observed — span latency
-    /// distributions and trace events, scheduler-internals counters
-    /// (ring refills/spills, bulk-commit drains, rebuilds, occupancy at
-    /// rebuild), admissions that overflowed a server's inline ring
-    /// (`fleet.fifo_spills`), and arrival-thinning counts — into one
-    /// exportable snapshot. Meaningful after [`ClusterSim::run`]; the
-    /// internals counters are live (always on) even when the spans were
-    /// never enabled.
+    /// distributions and trace events, the departure board's internals
+    /// counters (ring inserts, stale pops, rebuilds, far-side refills),
+    /// next-free bypasses, departures dropped because their server
+    /// churned out (`sim.stale_departures`), admissions that overflowed
+    /// a server's inline ring (`fleet.fifo_spills`), and
+    /// arrival-thinning counts — into one exportable snapshot. Meaningful after [`ClusterSim::run`];
+    /// the internals counters are live (always on) even when the spans
+    /// were never enabled.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
-        let mut sched = self.sched_stats.clone();
-        if let Some(stats) = self.events.calendar_stats() {
-            sched.merge_from(stats);
-        }
         self.tele.harvest(
-            &sched,
             &self.lazy_stats,
             self.next_free_bypasses,
+            self.stale_departures,
             self.fleet.fifo_spills(),
             self.arrivals.thinning_counts(),
             self.arrived,
@@ -256,51 +280,21 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     /// Runs the full request budget and drains the queues; returns the
     /// final metrics. A second call is a no-op returning the same
     /// metrics: the budget is already spent.
-    ///
-    /// The dominant configuration — `DChoice { d: 2 }` placement, no
-    /// churn — is driven by a fused monomorphic loop (see the module
-    /// docs); everything else takes the generic event loop. The two
-    /// are metric-identical (the differential tests pin it bitwise
-    /// against the heap oracle), so the split is invisible outside this
-    /// method.
     pub fn run(&mut self) -> ClusterMetrics {
+        self.run_on::<LazyBoard>()
+    }
+
+    /// [`ClusterSim::run`] on departure board `B`. Placement is
+    /// dispatched here, once per run.
+    fn run_on<B: DepartureBoard>(&mut self) -> ClusterMetrics {
         if let Some(result) = &self.result {
             return result.clone();
         }
-        self.prime();
-        if self.fused_eligible() {
-            self.run_fused_loop();
+        let horizon = if matches!(self.spec.placement, PlacementSpec::DChoice { d: 2 }) {
+            self.drive::<B, true>()
         } else {
-            self.run_event_loop();
-        }
-        self.finish()
-    }
-
-    /// Whether this run takes the fused fast path: `DChoice { d: 2 }`
-    /// placement, no churn, **and** the default calendar-queue
-    /// scheduler. Pinning an explicit scheduler
-    /// ([`ClusterSim::with_scheduler`]) opts out — an oracle run on the
-    /// binary heap must actually be driven by the binary heap, not
-    /// silently rerouted through the fused loop's departure tree.
-    fn fused_eligible(&self) -> bool {
-        self.spec.churn.is_none()
-            && matches!(self.spec.placement, PlacementSpec::DChoice { d: 2 })
-            && TypeId::of::<Sch>() == TypeId::of::<CalendarQueue<ClusterEvent>>()
-    }
-
-    /// One-time run setup: first arrival, churn kickoff, latency buffer.
-    fn prime(&mut self) {
-        if self.arrived < self.spec.requests && self.next_arrival.is_none() {
-            self.next_arrival = Some(self.arrivals.next_after(self.now));
-            if let Some(churn) = self.spec.churn {
-                self.events.schedule(churn.start, ClusterEvent::ChurnTick);
-            }
-            self.latencies.reserve(self.spec.requests as usize);
-        }
-    }
-
-    /// Collects, caches and returns the metrics of a drained run.
-    fn finish(&mut self) -> ClusterMetrics {
+            self.drive::<B, false>()
+        };
         let metrics = ClusterMetrics::collect(
             &self.fleet,
             std::mem::take(&mut self.latencies),
@@ -308,83 +302,40 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             self.orphaned,
             self.joins,
             self.leaves,
-            self.now,
+            horizon,
         );
         self.result = Some(metrics.clone());
         metrics
     }
 
-    /// The generic drive loop: any placement, any arrival process,
-    /// churn included.
-    fn run_event_loop(&mut self) {
-        loop {
-            // Merge the pre-sampled arrival stream with the scheduled
-            // departures/churn ticks: scheduled events strictly before
-            // the next arrival go first, arrivals win exact ties.
-            if let Some(t_arr) = self.next_arrival {
-                match self.events.pop_if_before(t_arr) {
-                    Some((time, event)) => {
-                        self.now = time;
-                        self.dispatch(event);
-                    }
-                    None => {
-                        self.now = t_arr;
-                        self.handle_arrival();
-                    }
-                }
-            } else if let Some((time, event)) = self.events.pop() {
-                self.now = time;
-                self.dispatch(event);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// The fused drive loop for the dominant configuration:
-    /// `DChoice { d: 2 }` placement, no churn, any arrival process.
+    /// The drive loop (see the module docs); returns the horizon, the
+    /// time of the last event. `D2` selects the unrolled d = 2
+    /// placement arm.
     ///
-    /// One branch-predictable loop keeps arrival merging, the unrolled
-    /// d = 2 compare over the fleet's per-server records, service
-    /// sampling and completion scheduling together — no per-event enum
-    /// dispatch. Without churn the only events are departures, and the
-    /// fleet holds **at most one pending departure per server**, so
-    /// they are carried as bare `u32` slot indices through a
-    /// slot-keyed [`LazyBoard`]: a schedule is one authoritative-array
-    /// store plus an unsorted bag append, a pop argmin-scans the
-    /// cursor's bag and validates the winner against the authoritative
-    /// per-slot entry, and the clock, arrival cursor and the board's
-    /// front time all live in registers instead of round-tripping
+    /// One branch-predictable loop keeps arrival merging, placement,
+    /// service sampling and completion scheduling together, and the
+    /// clock, the next arrival, the board's front time and the next
+    /// churn tick all live in registers instead of round-tripping
     /// through `self` between events.
-    ///
-    /// Fleet state per request is the two candidates' records:
-    /// placement reads `(queue_len, speed)` from both, and the winner's
-    /// join, `1 / speed` and admission-ring write land in a record the
-    /// compare has just pulled in. A departure touches one record.
     ///
     /// On top of the board sits the **next-free bypass**: when a
     /// request lands on an idle server and its departure time is
     /// provably the next event — strictly before the next arrival
-    /// (arrivals win ties, so a tie disqualifies) and strictly below
-    /// the board's front time (mirrored exactly in the `dep_bound`
-    /// register) — the job is served start-to-finish inline
-    /// ([`Fleet::serve_one_now`]) and its departure never enters the
-    /// scheduler at all. Both strict comparisons make the trace
-    /// position unambiguous: the departure would have popped before
-    /// every pending event, and the server's queue goes 0 → 1 → 0 with
-    /// no observer in between, so every counter and the latency-push
-    /// order are exactly the generic loop's.
+    /// (arrivals win ties, so a tie disqualifies), strictly below the
+    /// board's front time (mirrored exactly in `dep_bound`) and
+    /// strictly before the next churn tick — the job is served
+    /// start-to-finish inline ([`Fleet::serve_one_now`]) and its
+    /// departure never enters the board at all. The strict comparisons
+    /// make the trace position unambiguous: the departure would have
+    /// popped before every pending event, and the server's queue goes
+    /// 0 → 1 → 0 with no observer in between, so every counter and the
+    /// latency-push order are exactly those of a scheduled departure.
     ///
-    /// Every RNG stream is consumed in exactly the generic loop's
-    /// per-stream order (the next arrival is drawn one step earlier
-    /// relative to the service stream, but the streams are
-    /// independently seeded, so each stream's draw sequence is
-    /// unchanged) and ties resolve by the same insertion sequence, so
-    /// the metrics are bitwise those of the generic loop — the
-    /// differential tests pin that against the heap oracle.
-    fn run_fused_loop(&mut self) {
-        debug_assert!(self.spec.churn.is_none());
-        debug_assert!(self.events.is_empty(), "fused runs start unscheduled");
+    /// The next arrival is drawn before the current one is placed (the
+    /// bypass compares against it). The streams are independently
+    /// seeded, so each stream's draw sequence is still its event-order
+    /// sequence.
+    fn drive<B: DepartureBoard, const D2: bool>(&mut self) -> Time {
         /// Arrival times pre-sampled per refill. Arrivals chain off
         /// their own stream only, so a block is bitwise the scalar
         /// sequence; the size just keeps the thinning loop hot (the
@@ -393,33 +344,54 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         /// drain loop can observe.
         const ARRIVAL_BLOCK: usize = 64;
         let requests = self.spec.requests;
-        let mut departures = LazyBoard::with_slots(self.fleet.n_slots());
-        let mut now = self.now;
-        let mut next_arrival = self.next_arrival;
+        if requests == 0 {
+            return 0.0;
+        }
+        self.latencies.reserve(requests as usize);
+        let needs_key = self.router.needs_key();
+        let (mut next_churn, churn_interval) = self
+            .spec
+            .churn
+            .map_or((f64::INFINITY, f64::INFINITY), |c| (c.start, c.interval));
+        let mut departures = B::with_slots(self.fleet.n_slots());
+        let mut now = 0.0;
+        let mut next_arrival = self.arrivals.next_after(now);
         let mut block: Vec<Time> = Vec::new();
         let mut block_pos = 0usize;
         // The board's front time, mirrored into a register: `schedule`
-        // can only lower it (`min` below), a pop invalidates it, and
-        // `min_time_bound` is exact, so the mirror always equals the
-        // next departure time (`INFINITY` for an empty board). The
-        // per-arrival drain probe and the bypass test then cost one
-        // f64 compare each instead of a board call.
+        // can only lower it (`min` below), a pop re-reads it, and
+        // `front` is exact, so the mirror always equals the next
+        // departure time (`INFINITY` for an empty board). The event
+        // merge and the bypass test then cost one f64 compare each
+        // instead of a board call.
         let mut dep_bound = f64::INFINITY;
-        while let Some(t_arr) = next_arrival {
-            // Scheduled departures strictly before the next arrival go
-            // first; the arrival wins exact ties.
-            while dep_bound < t_arr {
+        loop {
+            if dep_bound < next_arrival && dep_bound <= next_churn {
                 let (time, server) = departures.pop().expect("front at dep_bound");
                 now = time;
-                self.fused_depart(&mut departures, server as usize, now);
-                dep_bound = departures.min_time_bound().unwrap_or(f64::INFINITY);
+                self.depart(&mut departures, server as usize, now);
+                dep_bound = departures.front();
+                continue;
             }
-            now = t_arr;
+            if next_churn < next_arrival {
+                now = next_churn;
+                next_churn = if self.arrived < requests {
+                    self.churn_tick(now);
+                    now + churn_interval
+                } else {
+                    // The budget is offered: the run is draining, and
+                    // this last tick retires nobody.
+                    f64::INFINITY
+                };
+                continue;
+            }
+            if next_arrival == f64::INFINITY {
+                break;
+            }
+            now = next_arrival;
             self.arrived += 1;
-            // The next arrival is drawn *before* placement so the
-            // bypass test below can compare against it. The refill
-            // chains off `now` — the arrival just consumed — exactly
-            // where the scalar stream was.
+            // The refill chains off `now` — the arrival just consumed —
+            // exactly where the scalar stream was.
             next_arrival = if self.arrived < requests {
                 if block_pos == block.len() {
                     let n = ((requests - self.arrived) as usize).min(ARRIVAL_BLOCK);
@@ -429,15 +401,27 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
                     block_pos = 0;
                 }
                 block_pos += 1;
-                Some(block[block_pos - 1])
+                block[block_pos - 1]
             } else {
-                None
+                f64::INFINITY
             };
-            // Key-oblivious placement: the d = 2 fast path reads each
-            // candidate's (queue_len, speed) from its fleet record, so
-            // the winner's record is already in cache for the join.
             let tp = self.tele.place.enter();
-            let target = self.router.place_d2(&self.fleet);
+            let target = if D2 {
+                // Key-oblivious: reads each candidate's (queue_len,
+                // speed) from its fleet record, so the winner's record
+                // is already in cache for the join.
+                self.router.place_d2(&self.fleet)
+            } else {
+                // Counter-hashed request key: deterministic, uniform
+                // over u64 — only computed for the key-driven (ring)
+                // policies.
+                let key = if needs_key {
+                    mix64(self.key_seed ^ self.arrived.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                } else {
+                    0
+                };
+                self.router.place(&self.fleet, key)
+            };
             if LoadView::load(&self.fleet, target).0 != 0 {
                 // Busy target: the request queues (or drops); no
                 // departure to schedule either way.
@@ -449,13 +433,12 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             self.tele.place.exit(tp);
             // Idle target: service starts now (an idle queue always
             // admits), so draw the service time and decide where the
-            // departure goes.
+            // departure goes. Exp(1) work at rate `speed` ⇒ Exp(speed)
+            // service time, through the precomputed reciprocal.
             let ts = self.tele.schedule.enter();
-            let service = self.service.next() * self.fleet.inv_speed_of(target);
-            let t_dep = now + service;
-            let is_next = next_arrival.is_none_or(|t| t_dep < t) && t_dep < dep_bound;
-            if is_next {
-                // Next-free bypass: serve inline, skip the scheduler.
+            let t_dep = now + self.service.next() * self.fleet.inv_speed_of(target);
+            if B::BYPASS && t_dep < next_arrival && t_dep < dep_bound && t_dep < next_churn {
+                // Next-free bypass: serve inline, skip the board.
                 self.next_free_bypasses += 1;
                 self.tele.schedule.exit(ts);
                 let td = self.tele.depart.enter();
@@ -471,23 +454,26 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
                 self.tele.schedule.exit(ts);
             }
         }
-        // Budget offered; drain the queues.
-        while let Some((time, server)) = departures.pop() {
-            now = time;
-            self.fused_depart(&mut departures, server as usize, now);
+        // The local board dies with this loop; fold its internals
+        // counters into the run's stats first.
+        if let Some(stats) = departures.stats() {
+            self.lazy_stats.merge_from(stats);
         }
-        self.now = now;
-        self.next_arrival = None;
-        // The local departure board dies with this loop; fold its
-        // internals counters into the run's stats first.
-        self.lazy_stats.merge_from(departures.stats());
+        debug_assert_eq!(
+            self.lazy_stats.overwrites, 0,
+            "the loop schedules only slots with no pending departure"
+        );
+        now
     }
 
-    /// Departure handling of the fused loop: no staleness check (churn
-    /// is excluded, so every scheduled departure is live — the generic
-    /// loop's `is_alive` test is identically true there).
+    /// A popped departure. Stale if the server has left since it was
+    /// scheduled: it is dropped, having only advanced the clock.
     #[inline]
-    fn fused_depart(&mut self, departures: &mut LazyBoard, server: usize, now: Time) {
+    fn depart<B: DepartureBoard>(&mut self, departures: &mut B, server: usize, now: Time) {
+        if !self.fleet.server(server).is_alive() {
+            self.stale_departures += 1;
+            return;
+        }
         let td = self.tele.depart.enter();
         let (latency, more) = self.fleet.depart(server, now);
         self.latencies.push(latency);
@@ -500,75 +486,14 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         }
     }
 
-    #[inline]
-    fn dispatch(&mut self, event: ClusterEvent) {
-        match event {
-            ClusterEvent::Departure { server } => {
-                // Stale departures (the server left since this was
-                // scheduled) are dropped on the floor.
-                if self.fleet.server(server).is_alive() {
-                    let td = self.tele.depart.enter();
-                    let (latency, more) = self.fleet.depart(server, self.now);
-                    self.latencies.push(latency);
-                    self.tele.depart.exit(td);
-                    if more {
-                        self.schedule_departure(server);
-                    }
-                }
-            }
-            ClusterEvent::ChurnTick => self.handle_churn_tick(),
-        }
-    }
-
-    #[inline]
-    fn handle_arrival(&mut self) {
-        self.arrived += 1;
-        // Counter-hashed request key: deterministic, uniform over u64 —
-        // only computed for the key-driven (ring) policies.
-        let tp = self.tele.place.enter();
-        let key = if self.router.needs_key() {
-            mix64(self.key_seed ^ self.arrived.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        } else {
-            0
-        };
-        let target = self.router.place(&self.fleet, key);
-        let admission = self.fleet.try_join(target, self.now);
-        self.tele.place.exit(tp);
-        if admission == Admission::StartedService {
-            self.schedule_departure(target);
-        }
-        self.next_arrival = if self.arrived < self.spec.requests {
-            let ta = self.tele.arrival.enter();
-            let next = self.arrivals.next_after(self.now);
-            self.tele.arrival.exit(ta);
-            Some(next)
-        } else {
-            None
-        };
-    }
-
-    #[inline]
-    fn schedule_departure(&mut self, server: usize) {
-        // Exp(1) work at rate `speed` ⇒ Exp(speed) service time. The
-        // precomputed reciprocal (not a per-event divide) is shared
-        // with the fused loop so both produce bit-identical times.
-        let ts = self.tele.schedule.enter();
-        let service = self.service.next() * self.fleet.inv_speed_of(server);
-        self.events
-            .schedule(self.now + service, ClusterEvent::Departure { server });
-        self.tele.schedule.exit(ts);
-    }
-
-    fn handle_churn_tick(&mut self) {
-        // Stop churning once the last arrival is in; the run is draining.
-        if self.arrived >= self.spec.requests {
-            return;
-        }
+    /// One churn tick at `now`: a random alive server leaves (its queue
+    /// is orphaned) and a fresh server of the same speed joins.
+    fn churn_tick(&mut self, now: Time) {
         let alive = self.fleet.alive_indices();
         if alive.len() > 1 {
             let victim = alive[self.churn_rng.next_below(alive.len() as u64) as usize];
             let speed = self.fleet.server(victim).speed();
-            self.orphaned += self.fleet.deactivate(victim, self.now);
+            self.orphaned += self.fleet.deactivate(victim, now);
             self.leaves += 1;
             // A fresh server of the same speed joins: stationary capacity
             // mix, fresh arcs on the ring.
@@ -576,9 +501,6 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             self.joins += 1;
             self.router.rebuild(&self.fleet.membership());
         }
-        let interval = self.spec.churn.expect("tick implies churn config").interval;
-        self.events
-            .schedule(self.now + interval, ClusterEvent::ChurnTick);
     }
 
     /// Read access to the fleet (used by tests and the CLI's per-server
@@ -602,14 +524,49 @@ mod tests {
     use crate::scenario::{registry, SMOKE_DIVISOR};
     use bnb_queueing::events::EventQueue;
 
+    /// The binary heap as a departure board: the oracle. It never
+    /// dedups a slot, so it replays the lazy board exactly only because
+    /// the loop never schedules a slot that already has a departure
+    /// pending (the loop's `overwrites == 0` debug assertion). Every
+    /// departure goes through it: no bypass.
+    impl DepartureBoard for EventQueue<u32> {
+        const BYPASS: bool = false;
+
+        fn with_slots(_slots: usize) -> Self {
+            EventQueue::new()
+        }
+
+        fn schedule(&mut self, slot: u32, time: Time) {
+            EventQueue::schedule(self, time, slot);
+        }
+
+        fn pop(&mut self) -> Option<(Time, u32)> {
+            EventQueue::pop(self)
+        }
+
+        fn front(&mut self) -> Time {
+            self.peek().unwrap_or(f64::INFINITY)
+        }
+
+        fn stats(&self) -> Option<&LazyStats> {
+            None
+        }
+    }
+
     /// A production run: the builder's serial engine.
     fn run(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
         SimBuilder::new(spec).seed(seed).build().run()
     }
 
-    /// The differential oracle: the generic loop on the binary heap.
-    fn heap_oracle(spec: ClusterSpec, seed: u64) -> ClusterSim<EventQueue<ClusterEvent>> {
-        ClusterSim::with_scheduler(spec, seed)
+    /// The differential oracle: the drive loop on the binary heap,
+    /// without the next-free bypass.
+    fn heap_oracle(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
+        ClusterSim::new(spec, seed).run_on::<EventQueue<u32>>()
+    }
+
+    /// The rendered output a run's artifacts are made of.
+    fn render(m: &ClusterMetrics) -> String {
+        m.render_table() + &m.to_series_set("diff", "diff").to_plot_text()
     }
 
     fn base_spec() -> ClusterSpec {
@@ -670,43 +627,37 @@ mod tests {
     }
 
     #[test]
-    fn heap_scheduler_replays_the_calendar_trace() {
-        // The spot check behind the full registry-wide differential
-        // tests: neither the scheduler choice nor the drive loop may
-        // leak into the metrics. `run()` on the default scheduler takes
-        // the fused fast path here (d-choice d=2, no churn); pinning
-        // the heap oracle opts out of it, so this compares the fused
-        // loop against the heap-driven generic loop in one assertion.
-        let fused = run(base_spec(), 5);
-        let heap = heap_oracle(base_spec(), 5).run();
-        assert_eq!(fused, heap);
-    }
-
-    #[test]
-    fn telemetry_is_invisible_on_the_heap_oracle_on_every_scenario() {
-        // The heap-side half of the telemetry differential (the
-        // production half lives in `tests/differential.rs`): a fully
-        // enabled registry must not move a byte of the heap-driven
-        // generic loop's metrics on any scenario, so it still replays
-        // the production run exactly.
+    fn heap_oracle_replays_the_production_run_on_every_scenario() {
+        // The departure-board differential: the production run on the
+        // lazy board and the same loop on the binary heap, every
+        // departure scheduled (no bypass), must not differ by a single
+        // byte of any scenario's rendered output — quantiles,
+        // per-server curves, churn counters and all. The oracle runs
+        // with every span enabled, so this is also the heap-side half
+        // of the telemetry differential (the production half lives in
+        // `tests/differential.rs`). Two seeds, so a tie-breaking slip
+        // cannot hide behind one lucky trace.
         for scenario in registry() {
             let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
-            let seed = 0x7E1E;
-            let production = run((scenario.build)(seed, requests), seed);
-            let mut heap = heap_oracle((scenario.build)(seed, requests), seed);
-            heap.set_telemetry(&Registry::with_sampling(0, 1 << 14));
-            let heap_on = heap.run();
-            assert_eq!(
-                production, heap_on,
-                "{}: telemetry perturbed the heap-driven loop",
-                scenario.id
-            );
-            assert_eq!(
-                heap.telemetry_snapshot().counter("sim.arrived"),
-                Some(requests),
-                "{}: heap telemetry snapshot missed arrivals",
-                scenario.id
-            );
+            for seed in [0xCA1E, 0xF0_5ED] {
+                let production = run((scenario.build)(seed, requests), seed);
+                let mut heap = ClusterSim::new((scenario.build)(seed, requests), seed);
+                heap.set_telemetry(&Registry::with_sampling(0, 1 << 14));
+                let oracle = heap.run_on::<EventQueue<u32>>();
+                assert_eq!(
+                    render(&production),
+                    render(&oracle),
+                    "{}: lazy board vs heap oracle diverged (seed {seed:#x})",
+                    scenario.id
+                );
+                assert_eq!(production, oracle, "{} (seed {seed:#x})", scenario.id);
+                assert_eq!(
+                    heap.telemetry_snapshot().counter("sim.arrived"),
+                    Some(requests),
+                    "{}: heap telemetry snapshot missed arrivals",
+                    scenario.id
+                );
+            }
         }
     }
 
@@ -726,6 +677,84 @@ mod tests {
             m.requests,
             "requests partition into completed, dropped and orphaned"
         );
+    }
+
+    #[test]
+    fn churn_retiring_a_busy_server_drops_its_departure_as_stale() {
+        // An overloaded fleet keeps every server busy, so each tick
+        // retires a server with a departure pending on the board. That
+        // departure must pop as stale (counted, nothing served), the
+        // retired queue must count as orphaned, and every request must
+        // land in exactly one of the three outcomes.
+        let speeds = CapacityVector::uniform(4, 1);
+        let spec = ClusterSpec {
+            arrivals: ArrivalProcess::Poisson {
+                rate: 3.0 * speeds.total() as f64,
+            },
+            speeds,
+            placement: PlacementSpec::DChoice { d: 2 },
+            queue_capacity: Some(16),
+            churn: Some(ChurnConfig {
+                start: 2.0,
+                interval: 5.0,
+            }),
+            requests: 2_000,
+        };
+        let mut sim = SimBuilder::new(spec.clone()).seed(4).build();
+        let m = sim.run();
+        let stale = sim.telemetry_snapshot().counter("sim.stale_departures");
+        assert!(m.leaves > 0, "churn must fire");
+        assert!(m.orphaned > 0, "a busy server must have been retired");
+        assert!(
+            stale.is_some_and(|n| n > 0),
+            "a retired server's departure must pop as stale, got {stale:?}"
+        );
+        assert_eq!(m.completed + m.dropped + m.orphaned, m.requests);
+        assert_eq!(m, heap_oracle(spec, 4));
+    }
+
+    #[test]
+    fn churn_faster_than_service_replays_on_the_heap_oracle() {
+        // Ticks every 0.3 time units against a mean service time of 1:
+        // a tick falls between most pairs of departures, so the bypass
+        // test's `t_dep < next_churn` compare decides often, and retired
+        // servers leave stale departures behind. Every placement arm,
+        // d = 2 included, must still replay the heap oracle bitwise.
+        for placement in [
+            PlacementSpec::DChoice { d: 2 },
+            PlacementSpec::DChoice { d: 3 },
+            PlacementSpec::HashThenProbe { d: 2, vnodes: 8 },
+            PlacementSpec::ConsistentHash { vnodes: 8 },
+        ] {
+            let speeds = CapacityVector::uniform(16, 1);
+            let spec = ClusterSpec {
+                arrivals: ArrivalProcess::Poisson {
+                    rate: 0.7 * speeds.total() as f64,
+                },
+                speeds,
+                placement,
+                queue_capacity: Some(32),
+                churn: Some(ChurnConfig {
+                    start: 0.1,
+                    interval: 0.3,
+                }),
+                requests: 6_000,
+            };
+            let mut sim = SimBuilder::new(spec.clone()).seed(12).build();
+            let m = sim.run();
+            let snap = sim.telemetry_snapshot();
+            let name = placement.name();
+            assert!(m.leaves > 100, "{name}: churn must fire often");
+            assert!(
+                snap.counter("sim.next_free_bypass").unwrap_or(0) > 0,
+                "{name}: the bypass must fire between ticks"
+            );
+            assert!(
+                snap.counter("sim.stale_departures").unwrap_or(0) > 0,
+                "{name}: stale departures must pop"
+            );
+            assert_eq!(m, heap_oracle(spec, 12), "{name}: heap oracle diverged");
+        }
     }
 
     #[test]

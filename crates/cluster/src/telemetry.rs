@@ -1,5 +1,5 @@
 //! Simulator telemetry: the per-component [`Span`] set threaded
-//! through both drive loops, and the end-of-run harvest into a
+//! through the drive loop, and the end-of-run harvest into a
 //! [`MetricsSnapshot`].
 //!
 //! The spans mirror the per-layer cells of `perfbench` (see
@@ -11,10 +11,10 @@
 //! predicted branch, and nothing records. On or off, telemetry draws
 //! zero RNG values and schedules zero events, so it cannot change a
 //! simulation artifact — the differential tests run the production
-//! loops and the heap oracle with telemetry enabled and require
+//! loop and the heap oracle with telemetry enabled and require
 //! bitwise-identical metrics.
 
-use bnb_queueing::{CalendarStats, LazyStats};
+use bnb_queueing::LazyStats;
 use bnb_telemetry::{MetricsSnapshot, Registry, Span};
 
 /// Chrome://tracing track ids, one per instrumented component.
@@ -24,18 +24,19 @@ const TID_SCHEDULE: u32 = 3;
 const TID_DEPART: u32 = 4;
 
 /// The simulator's span set. Owned by `ClusterSim` as a plain field so
-/// the drive loops can time one component while borrowing the router,
-/// fleet and scheduler disjointly.
+/// the drive loop can time one component while borrowing the router,
+/// fleet and departure board disjointly.
 #[derive(Debug)]
 pub struct SimTelemetry {
     registry: Registry,
-    /// Arrival sampling: one block refill in the fused loop, one
-    /// `next_after` in the generic loop.
+    /// Arrival sampling: one block refill of pre-sampled arrival
+    /// times.
     pub(crate) arrival: Span,
-    /// Placement: the d = 2 compare (or generic `place`) plus
-    /// `try_join`.
+    /// Placement: the d = 2 compare (or generic `place`), plus the
+    /// `try_join` of a request that lands on a busy server.
     pub(crate) place: Span,
-    /// Departure scheduling: ziggurat service draw + calendar insert.
+    /// Departure scheduling: ziggurat service draw + departure-board
+    /// insert (or the next-free bypass decision).
     pub(crate) schedule: Span,
     /// Departure bookkeeping: `Fleet::depart` + latency record.
     pub(crate) depart: Span,
@@ -66,14 +67,14 @@ impl SimTelemetry {
         self.registry.is_enabled()
     }
 
-    /// Harvests the spans plus the scheduler-internals (calendar and
-    /// lazy-board), next-free-bypass, fleet FIFO-spill and thinning
+    /// Harvests the spans plus the departure board's internals,
+    /// next-free-bypass, stale-departure, fleet FIFO-spill and thinning
     /// counters into one snapshot.
     pub(crate) fn harvest(
         &self,
-        sched: &CalendarStats,
         lazy: &LazyStats,
         next_free_bypasses: u64,
+        stale_departures: u64,
         fifo_spills: u64,
         thinning: (u64, u64, u64),
         arrived: u64,
@@ -81,11 +82,11 @@ impl SimTelemetry {
         let mut snap = MetricsSnapshot::new();
         snap.add_counter("sim.arrived", arrived);
         snap.add_counter("sim.next_free_bypass", next_free_bypasses);
+        snap.add_counter("sim.stale_departures", stale_departures);
         snap.add_counter("fleet.fifo_spills", fifo_spills);
         for span in [&self.arrival, &self.place, &self.schedule, &self.depart] {
             snap.add_span(span);
         }
-        sched.record_into(&mut snap);
         lazy.record_into(&mut snap);
         let (accepted, rejected, squeeze) = thinning;
         snap.add_counter("arrivals.thinning_accepted", accepted);

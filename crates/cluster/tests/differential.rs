@@ -7,30 +7,27 @@
 //!    the equivalent static weight vector.
 //! 2. Every registered scenario is deterministic: same seed → bitwise
 //!    identical rendered metrics.
-//! 3. Neither the scheduler nor the drive loop leaks into the metrics:
-//!    on every registry scenario the production run (`SimBuilder`, the
-//!    fused loop where eligible, the calendar-driven generic loop
-//!    otherwise) and the binary-heap oracle (always the generic loop)
-//!    produce byte-identical metrics — the `EventScheduler`
-//!    determinism contract, end to end.
+//! 3. Telemetry is schedule-invisible: a fully enabled registry moves
+//!    no byte of any scenario's metrics, and every scenario — churn and
+//!    ring placements included — runs its departures through the one
+//!    drive loop's slot-keyed path (board or next-free bypass).
+//!
+//! The departure-board differential (the drive loop on the lazy board
+//! vs the binary-heap oracle, every scenario, two seeds) needs the
+//! crate-private board seam, so it lives in `sim.rs`'s unit tests;
+//! `tests/golden.rs` pins every scenario's rendered output.
 
 use bnb_cluster::{
-    registry, ClusterEvent, ClusterMetrics, ClusterSim, ClusterSpec, Fleet, PlacementEngine,
-    PlacementSpec, Sim, SimBuilder, SMOKE_DIVISOR,
+    registry, ClusterMetrics, ClusterSpec, Fleet, PlacementEngine, PlacementSpec, Sim, SimBuilder,
+    SMOKE_DIVISOR,
 };
 use bnb_core::prelude::*;
 use bnb_hashring::hash::mix64;
-use bnb_queueing::EventQueue;
 use bnb_telemetry::Registry;
 
 /// A production run: the builder's serial engine.
 fn run(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
     SimBuilder::new(spec).seed(seed).build().run()
-}
-
-/// The differential oracle: the generic loop on the binary heap.
-fn heap_oracle(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
-    ClusterSim::<EventQueue<ClusterEvent>>::with_scheduler(spec, seed).run()
 }
 
 /// Drives `m` placements into a fleet that never serves anything:
@@ -142,55 +139,21 @@ fn every_scenario_is_bitwise_deterministic() {
 }
 
 #[test]
-fn heap_oracle_replays_the_production_run_on_every_scenario() {
-    // The scheduler and drive-loop differential: the production run
-    // (fused loop for d-choice d=2 churn-free specs, the calendar-driven
-    // generic loop otherwise) and the heap-driven generic loop must not
-    // differ by a single byte of any scenario's rendered output —
-    // quantiles, per-server curves, churn counters and all. Scenarios
-    // outside the fused configuration compare the two schedulers under
-    // one loop; the rest compare the two loops. Either way the assertion
-    // stays total over the registry. Two seeds, so a tie-breaking slip
-    // cannot hide behind one lucky trace.
-    for scenario in registry() {
-        let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
-        for seed in [0xCA1E, 0xF0_5ED] {
-            let production = run((scenario.build)(seed, requests), seed);
-            let heap = heap_oracle((scenario.build)(seed, requests), seed);
-            assert_eq!(
-                production, heap,
-                "{}: production run vs heap-driven generic loop diverged (seed {seed:#x})",
-                scenario.id
-            );
-            let render = |m: &ClusterMetrics| {
-                m.render_table() + &m.to_series_set("diff", "diff").to_plot_text()
-            };
-            assert_eq!(
-                render(&production),
-                render(&heap),
-                "{}: rendered output must be byte-identical (seed {seed:#x})",
-                scenario.id
-            );
-        }
-    }
-}
-
-#[test]
 fn telemetry_is_schedule_invisible_on_every_scenario() {
     // The telemetry differential: enabling spans, tracing and the
     // scheduler-internals counters must not move a single byte of any
     // scenario's metrics. Telemetry draws zero RNG values and schedules
     // zero events, so a production run with a fully enabled registry
     // must replay the plain run exactly. (The heap oracle's half of
-    // this check needs the crate-private telemetry switch, so it lives
-    // in `sim.rs`'s unit tests.)
+    // this check needs the crate-private board seam, so it lives in
+    // `sim.rs`'s unit tests.)
     let mut spilled_somewhere = false;
     for scenario in registry() {
         let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
         let seed = 0x7E1E;
         let registry_on = Registry::with_sampling(0, 1 << 14); // sample everything
-        let fused_off = run((scenario.build)(seed, requests), seed);
-        let (fused_on, fused_snap, fleet_spills) = {
+        let plain_off = run((scenario.build)(seed, requests), seed);
+        let (traced_on, snap, fleet_spills) = {
             let mut sim = SimBuilder::scenario(scenario, requests)
                 .seed(seed)
                 .telemetry(&registry_on)
@@ -202,59 +165,51 @@ fn telemetry_is_schedule_invisible_on_every_scenario() {
             (m, sim.telemetry_snapshot(), serial.fleet().fifo_spills())
         };
         assert_eq!(
-            fused_off, fused_on,
-            "{}: telemetry perturbed the fused loop",
+            plain_off, traced_on,
+            "{}: telemetry perturbed the drive loop",
             scenario.id
         );
         // The enabled run must actually have observed the traffic —
         // otherwise this test is vacuous.
         assert_eq!(
-            fused_snap.counter("sim.arrived"),
+            snap.counter("sim.arrived"),
             Some(requests),
             "{}: telemetry snapshot missed arrivals",
             scenario.id
         );
         assert!(
-            fused_snap.counter("sim.place.calls").unwrap_or(0) >= requests,
+            snap.counter("sim.place.calls").unwrap_or(0) >= requests,
             "{}: place span saw fewer calls than requests",
             scenario.id
         );
-        // The lazy-board counters are always harvested; on scenarios
-        // that take the fused fast path (d-choice d=2, no churn) the
-        // slot-keyed departure path must actually have fired — every
-        // served request either bypassed the scheduler or went through
-        // the board's ring/rebuild machinery.
+        // Every scenario — churn and ring placements included — serves
+        // its departures through the slot-keyed path: the board's ring
+        // or the next-free bypass (`giant`'s deep departure backlog
+        // never lets the bypass fire). Each board insert ends as a
+        // completion or, if its server churned out first, as a stale
+        // pop, so the counters balance exactly.
+        let c = |name: &str| snap.counter(name).unwrap_or(0);
+        let (inserts, bypasses) = (c("lazy.ring_inserts"), c("sim.next_free_bypass"));
         assert!(
-            fused_snap.counter("lazy.ring_inserts").is_some()
-                && fused_snap.counter("sim.next_free_bypass").is_some(),
-            "{}: lazy scheduler counters missing from the snapshot",
+            inserts + bypasses > 0,
+            "{}: the lazy departure path did not fire (ring inserts {inserts}, bypasses {bypasses})",
+            scenario.id
+        );
+        assert_eq!(
+            inserts + bypasses,
+            traced_on.completed + c("sim.stale_departures"),
+            "{}: departure accounting does not balance",
             scenario.id
         );
         // Admissions past a server's inline ring are harvested on every
         // serial run, straight from the fleet's own counter.
         assert_eq!(
-            fused_snap.counter("fleet.fifo_spills"),
+            snap.counter("fleet.fifo_spills"),
             Some(fleet_spills),
             "{}: fleet spill counter missing from the snapshot",
             scenario.id
         );
         spilled_somewhere |= fleet_spills > 0;
-        let spec_probe = (scenario.build)(seed, requests);
-        let fused_eligible = spec_probe.churn.is_none()
-            && matches!(
-                spec_probe.placement,
-                bnb_cluster::PlacementSpec::DChoice { d: 2 }
-            );
-        if fused_eligible {
-            let lazy_activity = fused_snap.counter("lazy.ring_inserts").unwrap_or(0)
-                + fused_snap.counter("lazy.rebuild_scans").unwrap_or(0)
-                + fused_snap.counter("sim.next_free_bypass").unwrap_or(0);
-            assert!(
-                lazy_activity > 0,
-                "{}: fused run never exercised the lazy departure path",
-                scenario.id
-            );
-        }
     }
     assert!(
         spilled_somewhere,

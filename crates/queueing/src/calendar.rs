@@ -132,7 +132,7 @@ struct Slot<E> {
 /// sequence)` pop order as the binary-heap
 /// [`EventQueue`](crate::EventQueue), at amortised `O(1)` per operation
 /// for simulation-shaped workloads. This is the default scheduler of
-/// [`QueueSystem`](crate::QueueSystem) and `bnb-cluster`'s `ClusterSim`.
+/// [`QueueSystem`](crate::QueueSystem).
 ///
 /// Payloads must be `Copy`: entries live in the recycled slab arena, and
 /// popping copies the event out of its slot as the slot moves to the
@@ -722,10 +722,6 @@ impl<E: Copy> EventScheduler<E> for CalendarQueue<E> {
 
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn calendar_stats(&self) -> Option<&CalendarStats> {
-        Some(&self.stats)
     }
 }
 

@@ -12,7 +12,6 @@
 //! a single popped `(time, payload)` pair, which the scheduler
 //! equivalence property tests pin.
 
-use crate::stats::CalendarStats;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -82,14 +81,6 @@ pub trait EventScheduler<E> {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The scheduler's internals telemetry, when it keeps any (the
-    /// [`CalendarQueue`](crate::CalendarQueue) does; the reference heap
-    /// answers `None`). Lets harness code harvest mechanism counters
-    /// through the trait without knowing the concrete scheduler.
-    fn calendar_stats(&self) -> Option<&CalendarStats> {
-        None
-    }
 }
 
 /// Heap/bucket entry: events ordered by time, ties broken by insertion
@@ -127,9 +118,10 @@ impl<E> PartialOrd for Scheduled<E> {
 /// The binary-heap [`EventScheduler`]: `O(log n)` schedule/pop, the
 /// reference implementation of the determinism contract.
 ///
-/// [`QueueSystem`](crate::QueueSystem) and `bnb-cluster`'s `ClusterSim`
-/// default to the [`CalendarQueue`](crate::CalendarQueue) for speed; the
-/// heap remains the oracle the differential tests compare against, and
+/// [`QueueSystem`](crate::QueueSystem) defaults to the
+/// [`CalendarQueue`](crate::CalendarQueue) for speed; the heap remains
+/// the oracle the differential tests compare against (`bnb-cluster`'s
+/// drive loop replays on it as a departure board), and
 /// richer simulators can still plug in their own payload type here and
 /// inherit the same earliest-first, FIFO-on-ties guarantee.
 #[derive(Debug, Default)]

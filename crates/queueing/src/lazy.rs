@@ -65,10 +65,10 @@
 //!   rather than each bucket's peak.
 //! * **Front probes are cached.** The located front `(key, slot, bag
 //!   position)` is memoized; the refusal side of
-//!   [`LazyBoard::pop_if_before`] — which the cluster's fused drain
-//!   loop takes once per arrival — and [`LazyBoard::min_time_bound`]
-//!   revalidate it with two compares instead of rescanning, and the
-//!   following take removes it by position without relocating. A
+//!   [`LazyBoard::pop_if_before`] and [`LazyBoard::min_time_bound`]
+//!   (the cluster drive loop's front probe after every pop) revalidate
+//!   it with two compares instead of rescanning, and the following
+//!   take removes it by position without relocating. A
 //!   schedule below the cached key *becomes* the cache (it provably
 //!   lands in the cursor's bag); an overwrite of the cached slot fails
 //!   the full-key revalidation by construction.
@@ -838,9 +838,9 @@ impl LazyBoard {
 
     /// Pops the earliest entry if it is strictly before `bound`
     /// (arrival merges: the bound wins exact ties). The refusal path
-    /// revalidates the memoized front and compares — the fused drain
-    /// loop calls this once per arrival, so refusals are the common
-    /// outcome and stay off the scan path.
+    /// revalidates the memoized front and compares — in an arrival
+    /// merge refusals are the common outcome, so they stay off the scan
+    /// path.
     #[inline]
     pub fn pop_if_before(&mut self, bound: Time) -> Option<(Time, u32)> {
         if self.len == 0 {
@@ -882,12 +882,12 @@ impl LazyBoard {
     }
 
     /// Time of the earliest pending entry, located through the bags
-    /// (sweeping stale front candidates — hence `&mut`). This is the
-    /// fused loop's `next_free` fast-path test: `t < min_time_bound()`
-    /// proves `t` beats every pending departure. The name is
-    /// contractual — callers may rely on it as a lower bound — but the
-    /// front candidate is validated, so the value returned is in fact
-    /// exact.
+    /// (sweeping stale front candidates — hence `&mut`). The cluster's
+    /// drive loop mirrors it in a register for its next-free bypass
+    /// test: `t < min_time_bound()` proves `t` beats every pending
+    /// departure. The name is contractual — callers may rely on it as a
+    /// lower bound — but the front candidate is validated, so the value
+    /// returned is in fact exact.
     #[inline]
     #[must_use]
     pub fn min_time_bound(&mut self) -> Option<Time> {

@@ -19,12 +19,12 @@
 //!   richer simulators such as `bnb-cluster` reuse it,
 //! * [`calendar`] — the [`CalendarQueue`]: a bucketed timing wheel with
 //!   dynamic bucket-width resizing and an overflow ladder, the amortised
-//!   O(1) general-purpose scheduler of the simulators,
+//!   O(1) general-purpose scheduler of [`QueueSystem`],
 //! * [`lazy`] — the [`LazyBoard`]: slot-keyed lazy deletion for the
 //!   at-most-one-event-per-slot workload (O(1) overwrite schedules,
 //!   stale-tolerant candidate bags validated on pop, a two-level far
-//!   side refilled one lap at a time) — the cluster's fused-loop
-//!   departure scheduler,
+//!   side refilled one lap at a time) — the departure board of the
+//!   cluster's drive loop,
 //! * [`server`] — heterogeneous-speed server state with time-integrated
 //!   queue-length accounting and optional finite queues with drop
 //!   counting,

@@ -228,8 +228,8 @@ impl PlacementEngine {
         match self.spec {
             PlacementSpec::DChoice { d } => {
                 if d == 2 {
-                    // The dominant configuration, unrolled; shared with
-                    // the fused cluster loop.
+                    // The dominant configuration, unrolled; the
+                    // cluster's drive loop calls it directly.
                     return self.place_d2(view);
                 }
                 if self.cand_pos + d > self.cand_buf.len() {
@@ -455,7 +455,7 @@ impl PlacementEngine {
 
     /// The unrolled `d = 2` placement of Algorithm 1 — the dominant
     /// configuration, called per request by both
-    /// [`PlacementEngine::place`] and the fused cluster drive loop.
+    /// [`PlacementEngine::place`] and the cluster drive loop's d = 2 arm.
     /// Semantics (candidate draws, dedup, capacity tie-break, residual
     /// tie-stream draw) are exactly the reservoir scan's, which the
     /// equivalence tests pin.

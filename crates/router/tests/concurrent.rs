@@ -4,12 +4,20 @@
 //! torn mirror — every routed target is a member of the exact published
 //! epoch the handle served from, with the speed that slot was created
 //! with.
+//!
+//! Every reader routes once and then meets the writer at a barrier
+//! before the writer starts churning, so each case really overlaps
+//! routing with publication: without it the writer could publish every
+//! epoch and stop the readers before any of them was scheduled.
 
 use bnb_router::{Member, Membership, PlacementSpec, Router, RouterBuilder};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
+
+/// Reader threads per case.
+const READERS: usize = 3;
 
 /// Deterministic slot → speed mapping, shared by the initial fleet and
 /// every churn joiner: lets readers verify a snapshot's speed column
@@ -35,15 +43,17 @@ proptest! {
         };
         let (mut view, handle) = RouterBuilder::new(spec).seed(seed).build(&speeds);
         let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(READERS + 1));
 
-        let readers: Vec<_> = (0..3)
+        let readers: Vec<_> = (0..READERS)
             .map(|r| {
                 let mut h = handle.clone();
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 thread::spawn(move || {
                     let mut routes = 0u64;
                     let mut key = seed ^ (r as u64) << 32;
-                    while routes < 20_000 && !stop.load(Ordering::Relaxed) {
+                    let mut route_and_check = || {
                         key = key.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
                         let target = h.route(key);
                         // The handle serves from exactly one published
@@ -70,6 +80,14 @@ proptest! {
                         assert_eq!(s, member.speed, "load mirror speed torn");
                         snap.record_join(target);
                         snap.record_depart(target);
+                    };
+                    // One route before the churn starts, then the rest
+                    // race the writer's publications.
+                    route_and_check();
+                    routes += 1;
+                    start.wait();
+                    while routes < 20_000 && !stop.load(Ordering::Relaxed) {
+                        route_and_check();
                         routes += 1;
                     }
                     routes
@@ -80,6 +98,7 @@ proptest! {
         // The writer: each churn tick retires the lowest alive slot and
         // brings up a fresh one (ids == slots here, strictly increasing,
         // so the incremental ring path is exercised too).
+        start.wait();
         for k in 0..churns {
             let mut members: Vec<Member> =
                 view.snapshot().membership().members()[1..].to_vec();

@@ -75,17 +75,17 @@ pub use bnb_telemetry as telemetry;
 /// ```
 pub mod prelude {
     pub use bnb_cluster::{
-        find_scenario, ArrivalProcess, ArrivalSampler, ChurnConfig, ClusterEvent, ClusterMetrics,
-        ClusterServer, ClusterSim, ClusterSpec, Fleet, ReplicaAccumulator, Scenario,
-        ShardedClusterSim, Sim, SimBuilder,
+        find_scenario, ArrivalProcess, ArrivalSampler, ChurnConfig, ClusterMetrics, ClusterServer,
+        ClusterSim, ClusterSpec, Fleet, ReplicaAccumulator, Scenario, ShardedClusterSim, Sim,
+        SimBuilder,
     };
     pub use bnb_core::prelude::*;
     pub use bnb_hashring::{
         ByersGame, ChordOverlay, ChurnSimulator, HashRing, MembershipRing, Rendezvous,
     };
     pub use bnb_queueing::{
-        Admission, CalendarQueue, EventQueue, EventScheduler, QueueMetrics, QueueSystem,
-        RoutingPolicy, Server, SystemConfig,
+        Admission, EventQueue, EventScheduler, QueueMetrics, QueueSystem, RoutingPolicy, Server,
+        SystemConfig,
     };
     pub use bnb_router::{
         FleetReader, FleetSnapshot, FleetView, LoadView, Member, Membership, PlacementEngine,
