@@ -348,6 +348,19 @@ impl Fleet {
         self.servers[i].inv_speed
     }
 
+    /// Loads both cache lines of slot `i`'s record — the counters
+    /// (`queue`, `alive`) and the admission ring a departure reads — and
+    /// returns a value derived from them. The drive loop's lookahead
+    /// calls it for records it will read soon, so the misses overlap the
+    /// work in between; only the loads matter, the value only feeds a
+    /// sink.
+    #[inline]
+    #[must_use]
+    pub(crate) fn touch_record(&self, i: usize) -> u64 {
+        let s = &self.servers[i];
+        s.queue ^ s.ring[0].to_bits()
+    }
+
     /// The job in service on server `i` completes at `now`; returns its
     /// sojourn latency and whether another job is waiting (the caller
     /// must then schedule the next departure).

@@ -38,6 +38,34 @@
 //! inline whenever its departure is provably the next event, skipping
 //! the board entirely.
 //!
+//! ## Lookahead
+//!
+//! On a wide fleet the loop waits on memory: every request and every
+//! departure reads a 128-byte server record that is rarely cached. But
+//! the loop knows some of those addresses early, so it loads them
+//! before it needs them and the misses overlap the work in between
+//! (group prefetching, after Chen, Ailamaki, Gibbons & Mowry, ICDE
+//! 2004, done with plain loads because the crate is safe Rust):
+//!
+//! * **placement** — before placing request i, the `D2` arm loads the
+//!   counters line (`queue`, `speed`) of request i + 4's two
+//!   candidates, read out of the router's pre-sampled candidate block
+//!   ([`PlacementEngine::peek_d2`]);
+//! * **departures** — when the board's front probe refills its near
+//!   window from the far level, the next ~100 departures become known
+//!   (the hook of [`LazyBoard::min_time_bound`]), and the loop loads
+//!   both lines of each one's record: the counters and the admission
+//!   ring [`Fleet::depart`] reads.
+//!
+//! The loads are compiled in only for d = 2 placement on a fleet whose
+//! record array is larger than `LOOKAHEAD_FOOTPRINT` (1 MiB, about one
+//! core's private L2), a const-generic arm chosen once per run like
+//! `D2`; smaller fleets and other policies run the loop without them.
+//! The loaded values only feed a sink consumed after the loop. The
+//! lookahead draws no random number, consumes no candidate token, and
+//! moves no event, so it cannot change a run's output.
+//! `sim.lookahead_touches` counts the records loaded.
+//!
 //! ## Determinism contract
 //!
 //! A run is a pure function of `(spec, seed)`. Randomness flows through
@@ -63,6 +91,7 @@ use bnb_core::CapacityVector;
 use bnb_distributions::{derive_seed, ExponentialBlock, Xoshiro256PlusPlus};
 use bnb_hashring::hash::mix64;
 use bnb_queueing::events::Time;
+use bnb_queueing::lazy::ignore_refill;
 use bnb_queueing::server::Admission;
 use bnb_queueing::{LazyBoard, LazyStats};
 use bnb_router::{LoadView, PlacementEngine};
@@ -78,6 +107,15 @@ pub(crate) const ARRIVAL_STREAM: u64 = 0x6172_7276; // "arrv"
 pub(crate) const SERVICE_STREAM: u64 = 0x7372_7663; // "srvc"
 /// Stream id of the churn victim-selection RNG.
 pub(crate) const CHURN_STREAM: u64 = 0x6368_726E; // "chrn"
+
+/// Fleet record footprint, in bytes, above which a run takes the
+/// lookahead arm: 1 MiB, 8192 records of 128 bytes — the order of one
+/// core's private L2. Below it the records mostly stay cached, and the
+/// extra loads only cost instructions.
+const LOOKAHEAD_FOOTPRINT: usize = 1 << 20;
+
+/// How many requests ahead the d = 2 arm loads candidate records.
+const LOOKAHEAD_REQUESTS: usize = 4;
 
 /// Periodic churn: every `interval` time units (starting at `start`),
 /// one random alive server leaves and a fresh server of the same speed
@@ -127,8 +165,11 @@ pub(crate) trait DepartureBoard {
     /// Pops the earliest departure as `(time, slot)`.
     fn pop(&mut self) -> Option<(Time, u32)>;
     /// The exact time of the earliest pending departure, `INFINITY`
-    /// when none is pending.
-    fn front(&mut self) -> Time;
+    /// when none is pending. If finding it refills the board's near
+    /// window, `on_refill` is called with the slot of every departure
+    /// the refill moved there — the next departures to pop, for the
+    /// loop's lookahead. A board without such a window never calls it.
+    fn front(&mut self, on_refill: impl FnMut(u32)) -> Time;
     /// The board's internals counters, if it keeps any.
     fn stats(&self) -> Option<&LazyStats>;
 }
@@ -149,8 +190,8 @@ impl DepartureBoard for LazyBoard {
     }
 
     #[inline]
-    fn front(&mut self) -> Time {
-        self.min_time_bound().unwrap_or(f64::INFINITY)
+    fn front(&mut self, on_refill: impl FnMut(u32)) -> Time {
+        self.min_time_bound(on_refill).unwrap_or(f64::INFINITY)
     }
 
     fn stats(&self) -> Option<&LazyStats> {
@@ -192,6 +233,9 @@ pub struct ClusterSim {
     /// Departures popped after their server left: dropped, having only
     /// advanced the clock.
     stale_departures: u64,
+    /// Fleet records the lookahead loaded before the loop needed them,
+    /// from both sources (zero on a fleet below the gate).
+    lookahead_touches: u64,
 }
 
 impl ClusterSim {
@@ -242,6 +286,7 @@ impl ClusterSim {
             lazy_stats: LazyStats::new(),
             next_free_bypasses: 0,
             stale_departures: 0,
+            lookahead_touches: 0,
             spec,
         }
     }
@@ -260,8 +305,9 @@ impl ClusterSim {
     /// distributions and trace events, the departure board's internals
     /// counters (ring inserts, stale pops, rebuilds, far-side refills),
     /// next-free bypasses, departures dropped because their server
-    /// churned out (`sim.stale_departures`), admissions that overflowed
-    /// a server's inline ring (`fleet.fifo_spills`), and
+    /// churned out (`sim.stale_departures`), fleet records the
+    /// lookahead loaded early (`sim.lookahead_touches`), admissions that
+    /// overflowed a server's inline ring (`fleet.fifo_spills`), and
     /// arrival-thinning counts — into one exportable snapshot. Meaningful after [`ClusterSim::run`];
     /// the internals counters are live (always on) even when the spans
     /// were never enabled.
@@ -269,11 +315,14 @@ impl ClusterSim {
     pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
         self.tele.harvest(
             &self.lazy_stats,
-            self.next_free_bypasses,
-            self.stale_departures,
-            self.fleet.fifo_spills(),
+            &[
+                ("sim.arrived", self.arrived),
+                ("sim.next_free_bypass", self.next_free_bypasses),
+                ("sim.stale_departures", self.stale_departures),
+                ("sim.lookahead_touches", self.lookahead_touches),
+                ("fleet.fifo_spills", self.fleet.fifo_spills()),
+            ],
             self.arrivals.thinning_counts(),
-            self.arrived,
         )
     }
 
@@ -284,16 +333,17 @@ impl ClusterSim {
         self.run_on::<LazyBoard>()
     }
 
-    /// [`ClusterSim::run`] on departure board `B`. Placement is
-    /// dispatched here, once per run.
+    /// [`ClusterSim::run`] on departure board `B`. Placement and the
+    /// lookahead gate are dispatched here, once per run.
     fn run_on<B: DepartureBoard>(&mut self) -> ClusterMetrics {
         if let Some(result) = &self.result {
             return result.clone();
         }
-        let horizon = if matches!(self.spec.placement, PlacementSpec::DChoice { d: 2 }) {
-            self.drive::<B, true>()
-        } else {
-            self.drive::<B, false>()
+        let d2 = matches!(self.spec.placement, PlacementSpec::DChoice { d: 2 });
+        let horizon = match (d2, self.lookahead()) {
+            (true, true) => self.drive::<B, true, true>(),
+            (true, false) => self.drive::<B, true, false>(),
+            (false, _) => self.drive::<B, false, false>(),
         };
         let metrics = ClusterMetrics::collect(
             &self.fleet,
@@ -308,9 +358,17 @@ impl ClusterSim {
         metrics
     }
 
+    /// Whether a run takes the lookahead arm (see the module docs):
+    /// d = 2 placement on a fleet whose record array outgrows
+    /// [`LOOKAHEAD_FOOTPRINT`].
+    fn lookahead(&self) -> bool {
+        matches!(self.spec.placement, PlacementSpec::DChoice { d: 2 })
+            && std::mem::size_of_val(self.fleet.servers()) > LOOKAHEAD_FOOTPRINT
+    }
+
     /// The drive loop (see the module docs); returns the horizon, the
     /// time of the last event. `D2` selects the unrolled d = 2
-    /// placement arm.
+    /// placement arm, `AHEAD` (only with `D2`) the lookahead loads.
     ///
     /// One branch-predictable loop keeps arrival merging, placement,
     /// service sampling and completion scheduling together, and the
@@ -335,7 +393,8 @@ impl ClusterSim {
     /// bypass compares against it). The streams are independently
     /// seeded, so each stream's draw sequence is still its event-order
     /// sequence.
-    fn drive<B: DepartureBoard, const D2: bool>(&mut self) -> Time {
+    fn drive<B: DepartureBoard, const D2: bool, const AHEAD: bool>(&mut self) -> Time {
+        const { assert!(D2 || !AHEAD, "lookahead runs in the d = 2 arm only") };
         /// Arrival times pre-sampled per refill. Arrivals chain off
         /// their own stream only, so a block is bitwise the scalar
         /// sequence; the size just keeps the thinning loop hot (the
@@ -365,12 +424,26 @@ impl ClusterSim {
         // merge and the bypass test then cost one f64 compare each
         // instead of a board call.
         let mut dep_bound = f64::INFINITY;
+        // The lookahead's loaded values all fold into `sink`, which is
+        // consumed once after the loop, so the loads cannot be dropped.
+        let mut sink = 0u64;
+        let mut touches = 0u64;
         loop {
             if dep_bound < next_arrival && dep_bound <= next_churn {
                 let (time, server) = departures.pop().expect("front at dep_bound");
                 now = time;
                 self.depart(&mut departures, server as usize, now);
-                dep_bound = departures.front();
+                dep_bound = if AHEAD {
+                    // A lap refill names the next ~100 departures: load
+                    // both lines of their records now.
+                    let fleet = &self.fleet;
+                    departures.front(|slot| {
+                        sink ^= fleet.touch_record(slot as usize);
+                        touches += 1;
+                    })
+                } else {
+                    departures.front(ignore_refill)
+                };
                 continue;
             }
             if next_churn < next_arrival {
@@ -407,6 +480,14 @@ impl ClusterSim {
             };
             let tp = self.tele.place.enter();
             let target = if D2 {
+                if AHEAD {
+                    // Load the counters line of the candidates a few
+                    // requests ahead, so their misses overlap this one.
+                    if let Some((a, b)) = self.router.peek_d2(LOOKAHEAD_REQUESTS) {
+                        sink ^= LoadView::load(&self.fleet, a).0 ^ LoadView::load(&self.fleet, b).0;
+                        touches += 2;
+                    }
+                }
                 // Key-oblivious: reads each candidate's (queue_len,
                 // speed) from its fleet record, so the winner's record
                 // is already in cache for the join.
@@ -459,6 +540,8 @@ impl ClusterSim {
         if let Some(stats) = departures.stats() {
             self.lazy_stats.merge_from(stats);
         }
+        std::hint::black_box(sink);
+        self.lookahead_touches += touches;
         debug_assert_eq!(
             self.lazy_stats.overwrites, 0,
             "the loop schedules only slots with no pending departure"
@@ -544,7 +627,7 @@ mod tests {
             EventQueue::pop(self)
         }
 
-        fn front(&mut self) -> Time {
+        fn front(&mut self, _on_refill: impl FnMut(u32)) -> Time {
             self.peek().unwrap_or(f64::INFINITY)
         }
 
@@ -754,6 +837,79 @@ mod tests {
                 "{name}: stale departures must pop"
             );
             assert_eq!(m, heap_oracle(spec, 12), "{name}: heap oracle diverged");
+        }
+    }
+
+    #[test]
+    fn lookahead_runs_exactly_on_fleets_past_the_footprint_gate() {
+        // The gate in both directions: the one registry fleet whose
+        // records outgrow the footprint (`giant`, 131072 servers, d = 2)
+        // loads records ahead; every other scenario (at most 128
+        // servers) runs the loop without a single lookahead load.
+        for scenario in registry() {
+            let requests = (scenario.default_requests / SMOKE_DIVISOR).min(2_000);
+            let mut sim = ClusterSim::new((scenario.build)(3, requests), 3);
+            sim.run();
+            let wide = std::mem::size_of_val(sim.fleet().servers()) > LOOKAHEAD_FOOTPRINT;
+            assert_eq!(wide, scenario.id == "giant", "{}: footprint", scenario.id);
+            assert_eq!(sim.lookahead(), wide, "{}: gate", scenario.id);
+            let touches = sim.telemetry_snapshot().counter("sim.lookahead_touches");
+            if wide {
+                assert!(
+                    touches.is_some_and(|n| n > 0),
+                    "{}: {touches:?}",
+                    scenario.id
+                );
+            } else {
+                assert_eq!(touches, Some(0), "{}: loads below the gate", scenario.id);
+            }
+        }
+    }
+
+    #[test]
+    fn churned_wide_fleet_replays_the_heap_oracle() {
+        // No registry scenario churns a fleet past the lookahead gate.
+        // Here one does: churn retires busy servers mid-run, so the
+        // d = 2 arm's lookahead maps tokens through the alive list, and
+        // retired slots are loaded ahead and later pop as stale. The
+        // lookahead must not move a byte against the heap oracle (which
+        // reports no refills). Hash-then-probe on the same fleet takes
+        // the generic arm, which the gate keeps free of loads.
+        let speeds = CapacityVector::two_class(8_192, 1, 8_192, 8);
+        for placement in [
+            PlacementSpec::DChoice { d: 2 },
+            PlacementSpec::HashThenProbe { d: 2, vnodes: 4 },
+        ] {
+            let spec = ClusterSpec {
+                arrivals: ArrivalProcess::Poisson {
+                    rate: 0.9 * speeds.total() as f64,
+                },
+                speeds: speeds.clone(),
+                placement,
+                queue_capacity: Some(64),
+                churn: Some(ChurnConfig {
+                    start: 0.05,
+                    interval: 0.02,
+                }),
+                requests: 30_000,
+            };
+            let mut sim = ClusterSim::new(spec.clone(), 21);
+            let m = sim.run();
+            let snap = sim.telemetry_snapshot();
+            let count = |name: &str| snap.counter(name).unwrap_or(0);
+            let name = placement.name();
+            assert!(m.leaves >= 5, "{name}: churn must fire mid-run");
+            assert!(m.orphaned > 0, "{name}: a busy server must retire");
+            assert!(count("sim.stale_departures") > 0, "{name}: stale pops");
+            let d2 = matches!(placement, PlacementSpec::DChoice { d: 2 });
+            assert_eq!(sim.lookahead(), d2, "{name}: gate");
+            assert_eq!(
+                count("sim.lookahead_touches") > 0,
+                d2,
+                "{name}: lookahead loads"
+            );
+            assert_eq!(m.completed + m.dropped + m.orphaned, m.requests, "{name}");
+            assert_eq!(m, heap_oracle(spec, 21), "{name}: heap oracle diverged");
         }
     }
 

@@ -67,23 +67,20 @@ impl SimTelemetry {
         self.registry.is_enabled()
     }
 
-    /// Harvests the spans plus the departure board's internals,
-    /// next-free-bypass, stale-departure, fleet FIFO-spill and thinning
-    /// counters into one snapshot.
+    /// Harvests the spans plus the drive loop's own counters (the
+    /// arrival, next-free-bypass, stale-departure, lookahead and fleet
+    /// FIFO-spill counts, as `(name, value)` pairs), the departure
+    /// board's internals and the thinning counters into one snapshot.
     pub(crate) fn harvest(
         &self,
         lazy: &LazyStats,
-        next_free_bypasses: u64,
-        stale_departures: u64,
-        fifo_spills: u64,
+        counters: &[(&str, u64)],
         thinning: (u64, u64, u64),
-        arrived: u64,
     ) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        snap.add_counter("sim.arrived", arrived);
-        snap.add_counter("sim.next_free_bypass", next_free_bypasses);
-        snap.add_counter("sim.stale_departures", stale_departures);
-        snap.add_counter("fleet.fifo_spills", fifo_spills);
+        for &(name, value) in counters {
+            snap.add_counter(name, value);
+        }
         for span in [&self.arrival, &self.place, &self.schedule, &self.depart] {
             snap.add_span(span);
         }

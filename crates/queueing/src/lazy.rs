@@ -72,6 +72,13 @@
 //!   schedule below the cached key *becomes* the cache (it provably
 //!   lands in the cursor's bag); an overwrite of the cached slot fails
 //!   the full-key revalidation by construction.
+//! * **Lap refills can be observed.** A refill moves one lap's worth
+//!   of candidates — the next departures — into an empty near window.
+//!   [`LazyBoard::min_time_bound`] takes a hook called once per slot
+//!   a refill on the way moved, so a caller can start loading its own
+//!   per-slot state ahead of those pops; callers that do not look
+//!   ahead pass [`ignore_refill`]. The hook observes only; the board
+//!   does the same work either way.
 //!
 //! Determinism: pops are ordered by `(time, insertion sequence)` —
 //! byte-for-byte the order of [`EventQueue`](crate::EventQueue) and
@@ -314,6 +321,13 @@ fn ring_len(slots: usize) -> usize {
         .max(MIN_RING)
 }
 
+/// The refill hook of a caller that does not look ahead (see
+/// [`LazyBoard::min_time_bound`]). The board's own pops pass it too: one
+/// named function, not a closure per call site, so the front probe is
+/// compiled once for all of them.
+#[inline]
+pub fn ignore_refill(_slot: u32) {}
+
 /// A slot-keyed lazy-deletion event scheduler: at most one pending
 /// `(time, slot)` entry per slot, O(1) overwrite on reschedule, pops
 /// in `(time, insertion sequence)` order via candidate validation.
@@ -547,13 +561,15 @@ impl LazyBoard {
     /// Locates the front of the queue — the earliest live `(time,
     /// seq)` entry — as `(key, slot, position in the cursor's bag)`,
     /// sweeping stale candidates and advancing the cursor along the
-    /// way. Memoizes the result. Callers guarantee `len > 0`.
+    /// way. Memoizes the result. Callers guarantee `len > 0`. A lap
+    /// refill on the way reports its slots to `on_refill` (see
+    /// [`LazyBoard::min_time_bound`]).
     #[inline]
-    fn locate(&mut self) -> (u128, u32, u32) {
+    fn locate(&mut self, on_refill: &mut impl FnMut(u32)) -> (u128, u32, u32) {
         loop {
             let b = (self.glob as usize) & (BAGS - 1);
             if self.bags[b].is_empty() {
-                self.advance();
+                self.advance(on_refill);
                 continue;
             }
             if self.bags[b].len() > BAG_CAP && self.pops_since_rebuild > TARGET_FILL as u64 {
@@ -630,9 +646,9 @@ impl LazyBoard {
     /// Advances the cursor past a drained bag: one step while the near
     /// window still holds candidates, otherwise to the lap refill.
     #[inline]
-    fn advance(&mut self) {
+    fn advance(&mut self, on_refill: &mut impl FnMut(u32)) {
         if self.near == 0 {
-            self.refill();
+            self.refill(on_refill);
         } else {
             // Some bag ahead in this lap is non-empty, so the step
             // stays inside the lap.
@@ -648,8 +664,12 @@ impl LazyBoard {
     /// When the ring runs dry, sweeps the top list once and re-bases
     /// the window at its earliest lap — so a far-future cohort costs
     /// one sweep, not a lap-by-lap crawl.
+    ///
+    /// The near window was empty on entry, so every candidate in it on
+    /// exit was moved there by this refill: each one's slot is reported
+    /// to `on_refill`, in bag order.
     #[cold]
-    fn refill(&mut self) {
+    fn refill(&mut self, on_refill: &mut impl FnMut(u32)) {
         let mut scanned = 0;
         while self.near == 0 {
             if self.far == 0 {
@@ -694,6 +714,9 @@ impl LazyBoard {
         }
         self.stats.refill_scanned += scanned as u64;
         self.stats.refill_sweep.record(scanned as u64);
+        for &(_, slot) in self.bags.iter().flatten() {
+            on_refill(slot);
+        }
     }
 
     /// Sweeps the top list of a dry ring: re-bases the window at the
@@ -789,9 +812,10 @@ impl LazyBoard {
     }
 
     /// The validated front `(key, slot, bag position)`: the memoized
-    /// probe when it still holds — two compares — else a relocation.
+    /// probe when it still holds — two compares — else a relocation
+    /// (whose lap refills, if any, report to `on_refill`).
     #[inline]
-    fn front(&mut self) -> (u128, u32, u32) {
+    fn front(&mut self, on_refill: &mut impl FnMut(u32)) -> (u128, u32, u32) {
         debug_assert!(self.len > 0);
         let (key, s, p) = self.front;
         if key != IDLE_KEY {
@@ -807,7 +831,7 @@ impl LazyBoard {
                 return (key, s, p);
             }
         }
-        self.locate()
+        self.locate(on_refill)
     }
 
     /// Removes the validated front — `(key, slot, pos)` as returned by
@@ -832,7 +856,7 @@ impl LazyBoard {
         if self.len == 0 {
             return None;
         }
-        let (key, slot, pos) = self.front();
+        let (key, slot, pos) = self.front(&mut ignore_refill);
         Some(self.take_front(key, slot, pos))
     }
 
@@ -846,7 +870,7 @@ impl LazyBoard {
         if self.len == 0 {
             return None;
         }
-        let (key, slot, pos) = self.front();
+        let (key, slot, pos) = self.front(&mut ignore_refill);
         if unpack_time(key) >= bound {
             return None;
         }
@@ -884,17 +908,29 @@ impl LazyBoard {
     /// Time of the earliest pending entry, located through the bags
     /// (sweeping stale front candidates — hence `&mut`). The cluster's
     /// drive loop mirrors it in a register for its next-free bypass
-    /// test: `t < min_time_bound()` proves `t` beats every pending
+    /// test: `t < min_time_bound(..)` proves `t` beats every pending
     /// departure. The name is contractual — callers may rely on it as a
     /// lower bound — but the front candidate is validated, so the value
     /// returned is in fact exact.
+    ///
+    /// If locating the front drains the near window and refills it from
+    /// the far level, `on_refill` is called once with the slot of every
+    /// candidate the refill moved into the near window. Those slots are
+    /// the board's next departures — about `BAGS * GSLOT_FILL` of them,
+    /// the entries of the next lap — so a caller can start loading
+    /// per-slot state it will read when they pop. The hook only
+    /// observes: the board's state and pop order do not depend on it.
+    /// It sees only refills made here, not inside [`LazyBoard::pop`].
+    /// Every reported slot has a pending entry; a slot may repeat when a
+    /// superseded candidate's tag collides with its live one. A caller
+    /// that does not look ahead passes [`ignore_refill`].
     #[inline]
     #[must_use]
-    pub fn min_time_bound(&mut self) -> Option<Time> {
+    pub fn min_time_bound(&mut self, mut on_refill: impl FnMut(u32)) -> Option<Time> {
         if self.len == 0 {
             return None;
         }
-        let (key, _, _) = self.front();
+        let (key, _, _) = self.front(&mut on_refill);
         Some(unpack_time(key))
     }
 }
@@ -986,9 +1022,9 @@ mod tests {
         assert_eq!(b.slots(), 0);
         b.schedule(100, 4.0);
         assert_eq!(b.slots(), 101);
-        assert!(b.min_time_bound().is_some_and(|t| t <= 4.0));
+        assert!(b.min_time_bound(ignore_refill).is_some_and(|t| t <= 4.0));
         b.schedule(3, 1.0);
-        assert!(b.min_time_bound().is_some_and(|t| t <= 1.0));
+        assert!(b.min_time_bound(ignore_refill).is_some_and(|t| t <= 1.0));
         assert_eq!(b.pop(), Some((1.0, 3)));
         assert_eq!(b.pop(), Some((4.0, 100)));
     }
@@ -1176,6 +1212,79 @@ mod tests {
             b.stats().refill_scanned < 4 * n as u64,
             "the cohort was swept once, not once per lap"
         );
+    }
+
+    #[test]
+    fn refill_hook_reports_exactly_the_slots_moved_into_the_near_window() {
+        // A hold over many laps, then a drain into a far cohort parked
+        // past the ring (reached by a top sweep), probing the front
+        // through the hook before every pop as the cluster's drive loop
+        // does. A probe that refills must report exactly the near
+        // window's slots: the window was empty before the refill, and a
+        // hold leaves no stale candidates for the probe to sweep. A
+        // probe that does not refill reports nothing. A twin board
+        // probed without the hook pins the pop order.
+        let slots = 4096u32;
+        let cohort = slots..slots + 64;
+        let mut b = LazyBoard::with_slots(cohort.end as usize);
+        let mut twin = b.clone();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut exp = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            -(-((state >> 11) as f64 / (1u64 << 53) as f64)).ln_1p()
+        };
+        let schedule = |b: &mut LazyBoard, twin: &mut LazyBoard, slot: u32, t: f64| {
+            b.schedule(slot, t);
+            twin.schedule(slot, t);
+        };
+        for slot in 0..slots {
+            schedule(&mut b, &mut twin, slot, exp());
+        }
+        for slot in cohort.clone() {
+            schedule(&mut b, &mut twin, slot, 1e6 + f64::from(slot));
+        }
+        let (mut refills, mut checked, mut cohort_reported) = (0u64, 0usize, false);
+        for pops in 0.. {
+            let (scanned, rebuilds) = (b.stats().refill_scanned, b.stats().rebuild_scans);
+            let mut reported = Vec::new();
+            let bound = b.min_time_bound(|slot| reported.push(slot));
+            assert_eq!(
+                bound,
+                twin.min_time_bound(ignore_refill),
+                "the hook moved the front"
+            );
+            if b.stats().refill_sweep.count() > refills {
+                refills = b.stats().refill_sweep.count();
+                assert!(!reported.is_empty(), "a refill reports what it moved");
+                // A bag-cap rebuild after the refill, in the same probe,
+                // redistributes the window; compare only when none ran.
+                if b.stats().rebuild_scans == rebuilds {
+                    let mut window: Vec<u32> = b.bags.iter().flatten().map(|&(_, s)| s).collect();
+                    window.sort_unstable();
+                    reported.sort_unstable();
+                    assert_eq!(reported, window, "a refill reports its near window");
+                    checked += 1;
+                }
+                cohort_reported |= reported.iter().any(|s| cohort.contains(s));
+            } else {
+                assert!(reported.is_empty(), "no refill, no report");
+                assert_eq!(b.stats().refill_scanned, scanned);
+            }
+            let popped = b.pop();
+            assert_eq!(popped, twin.pop(), "the hook moved the pop order");
+            let Some((t, slot)) = popped else { break };
+            if pops < 20 * slots && slot < slots {
+                schedule(&mut b, &mut twin, slot, t + exp());
+            }
+        }
+        assert!(
+            checked > 100,
+            "only {checked} of {refills} refills compared"
+        );
+        assert!(cohort_reported, "the top sweep into the cohort reported it");
+        assert_eq!(b.stats().stale_pops, 0, "a hold leaves nothing stale");
     }
 
     #[test]

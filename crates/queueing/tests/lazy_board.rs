@@ -22,7 +22,9 @@
 //! `pop_if_before` **window edges** (`bound == time` must not pop). A
 //! large-population drive adds the far side's regimes: cohorts parked
 //! past the ring (top sweeps and window re-bases) and time-scale jumps
-//! (mid-run geometry rebuilds).
+//! (mid-run geometry rebuilds). It runs a second time with the front
+//! probed through the refill hook before every pop, as the cluster's
+//! drive loop probes it, to show the hook leaves the pop stream alone.
 //!
 //! The last test guards the far side's cost without a timer: on a hold
 //! pattern, far-level candidates examined per pop stay a small constant
@@ -276,10 +278,38 @@ fn large_op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Probes the board's front through its refill hook, as the cluster's
+/// drive loop does before each pop: the bound must be the oracle's
+/// front, and every slot a refill reports must have a pending entry.
+fn probe_front(
+    step: usize,
+    board: &mut LazyBoard,
+    oracle: &mut Oracle,
+) -> Result<(), TestCaseError> {
+    let mut reported = Vec::new();
+    let bound = board.min_time_bound(|slot| reported.push(slot));
+    prop_assert_eq!(
+        bound.map(f64::to_bits),
+        oracle.peek().map(f64::to_bits),
+        "hooked front probe at step {}",
+        step
+    );
+    for slot in reported {
+        prop_assert!(
+            oracle.current[slot as usize] != IDLE,
+            "refill reported idle slot {} at step {}",
+            slot,
+            step
+        );
+    }
+    Ok(())
+}
+
 /// Drives a board over `slots` slots and the oracle through one op
 /// sequence, asserting identical `(time, slot)` pop streams, identical
 /// peeks and live counts after every op, and an identical drain tail.
-fn assert_matches_oracle(slots: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+/// With `hooked`, every pop is preceded by a [`probe_front`].
+fn assert_matches_oracle(slots: usize, ops: &[Op], hooked: bool) -> Result<(), TestCaseError> {
     let mut board = LazyBoard::with_slots(slots);
     let mut oracle = Oracle::new(slots);
     let mut last_pop = 0.0f64;
@@ -326,6 +356,9 @@ fn assert_matches_oracle(slots: usize, ops: &[Op]) -> Result<(), TestCaseError> 
             }
             Op::Pop(k) => {
                 for _ in 0..k {
+                    if hooked {
+                        probe_front(step, &mut board, &mut oracle)?;
+                    }
                     let got = check_pop(step, oracle.pop(), board.pop())?;
                     if let Some(t) = oracle.peek() {
                         last_pop = last_pop.max(t);
@@ -338,6 +371,9 @@ fn assert_matches_oracle(slots: usize, ops: &[Op]) -> Result<(), TestCaseError> 
             Op::PopBefore { delta, max } => {
                 let bound = last_pop + delta;
                 for _ in 0..max {
+                    if hooked {
+                        probe_front(step, &mut board, &mut oracle)?;
+                    }
                     let got = check_pop(
                         step,
                         oracle.pop_if_before(bound),
@@ -359,6 +395,9 @@ fn assert_matches_oracle(slots: usize, ops: &[Op]) -> Result<(), TestCaseError> 
         );
     }
     loop {
+        if hooked {
+            probe_front(usize::MAX, &mut board, &mut oracle)?;
+        }
         let a = oracle.pop();
         if !check_pop(usize::MAX, a, board.pop())? {
             break;
@@ -379,7 +418,7 @@ proptest! {
     fn lazy_board_matches_lazy_heap_oracle(
         ops in prop::collection::vec(op_strategy(), 1..300)
     ) {
-        assert_matches_oracle(SLOTS, &ops)?;
+        assert_matches_oracle(SLOTS, &ops, false)?;
     }
 
     /// Sustained overwrite storms with no relief: one hot slot is
@@ -397,7 +436,7 @@ proptest! {
             ops.push(Op::Pop(p));
         }
         ops.push(Op::Pop(10_000));
-        assert_matches_oracle(SLOTS, &ops)?;
+        assert_matches_oracle(SLOTS, &ops, false)?;
     }
 
     /// Entries pinned to the window edge: a monotone clock pops with
@@ -424,7 +463,7 @@ proptest! {
             ops.push(Op::PopBefore { delta: t, max: 2 });
         }
         ops.push(Op::Pop(10_000));
-        assert_matches_oracle(SLOTS, &ops)?;
+        assert_matches_oracle(SLOTS, &ops, false)?;
     }
 }
 
@@ -439,7 +478,18 @@ proptest! {
     fn large_population_matches_lazy_heap_oracle(
         ops in prop::collection::vec(large_op_strategy(), 8..40)
     ) {
-        assert_matches_oracle(LARGE_SLOTS, &ops)?;
+        assert_matches_oracle(LARGE_SLOTS, &ops, false)?;
+    }
+
+    /// The same large-population drive with every pop preceded by a
+    /// front probe through the refill hook: the hook only observes, so
+    /// the pop stream is still the oracle's, and every slot a refill
+    /// reports has a pending entry.
+    #[test]
+    fn large_population_with_refill_hook_matches_lazy_heap_oracle(
+        ops in prop::collection::vec(large_op_strategy(), 8..40)
+    ) {
+        assert_matches_oracle(LARGE_SLOTS, &ops, true)?;
     }
 }
 

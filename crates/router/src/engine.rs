@@ -453,6 +453,29 @@ impl PlacementEngine {
         best
     }
 
+    /// The two candidate slots an upcoming `DChoice { d: 2 }` placement
+    /// will compare, `k` requests after the next one (`k = 0` is the
+    /// next request), read from the pre-sampled candidate block and
+    /// mapped through the alive list — valid if the membership does not
+    /// change first. `None` past the current block, or under any other
+    /// policy. Consumes no token and draws nothing, so a caller can load
+    /// those records early without moving any placement.
+    #[inline]
+    #[must_use]
+    pub fn peek_d2(&self, k: usize) -> Option<(usize, usize)> {
+        if !matches!(self.spec, PlacementSpec::DChoice { d: 2 }) {
+            return None;
+        }
+        let pos = self.cand_pos + 2 * k;
+        let tokens = self.cand_buf.get(pos..pos + 2)?;
+        let (a, b) = (tokens[0], tokens[1]);
+        Some(if self.alive_identity {
+            (a, b)
+        } else {
+            (self.alive[a], self.alive[b])
+        })
+    }
+
     /// The unrolled `d = 2` placement of Algorithm 1 — the dominant
     /// configuration, called per request by both
     /// [`PlacementEngine::place`] and the cluster drive loop's d = 2 arm.
@@ -558,7 +581,7 @@ fn reservoir_argmin<K: Ord>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::DenseView;
+    use crate::view::{DenseView, Member};
     use bnb_hashring::hash::mix64;
 
     /// A plain single-threaded load mirror standing in for the cluster
@@ -625,6 +648,52 @@ mod tests {
         for i in 0..2_000u64 {
             assert_eq!(a.place(&fleet, i), b.place(&fleet, i), "request {i}");
         }
+    }
+
+    #[test]
+    fn peek_d2_names_the_upcoming_candidates_without_drawing() {
+        // A churned membership (slots != tokens): peeks map tokens
+        // through the alive list, name the pair the k-th later
+        // placement compares, and leave every placement as an engine
+        // that never peeks makes it.
+        let mut fleet = TestFleet::new(&[1, 8, 1, 8, 1, 8, 1, 8, 1, 8, 1, 8]);
+        let alive = [1, 2, 4, 7, 8, 11];
+        let m = Membership::new(
+            alive
+                .iter()
+                .map(|&slot| Member {
+                    slot,
+                    id: slot as u64,
+                    speed: fleet.loads[slot].1,
+                })
+                .collect(),
+        );
+        let spec = PlacementSpec::DChoice { d: 2 };
+        let (mut peeking, mut plain) = (
+            PlacementEngine::new(spec, &m, 5),
+            PlacementEngine::new(spec, &m, 5),
+        );
+        assert_eq!(peeking.peek_d2(0), None, "no block sampled yet");
+        let mut peeks: Vec<[Option<(usize, usize)>; 4]> = Vec::new();
+        let mut seen = 0;
+        for i in 0..2_000usize {
+            peeks.push(std::array::from_fn(|k| peeking.peek_d2(k)));
+            let target = peeking.place(&fleet, 0);
+            assert_eq!(target, plain.place(&fleet, 0), "request {i}");
+            assert!(alive.contains(&target));
+            // Every earlier peek at this request named its pair.
+            for k in 0..4.min(i + 1) {
+                if let Some((a, b)) = peeks[i - k][k] {
+                    assert!(alive.contains(&a) && alive.contains(&b));
+                    assert!(target == a || target == b, "request {i}, peek {k}");
+                    seen += 1;
+                }
+            }
+            fleet.join(target);
+        }
+        assert!(seen > 7_000, "peeks name most requests, got {seen}");
+        let ring = PlacementEngine::new(PlacementSpec::ConsistentHash { vnodes: 4 }, &m, 5);
+        assert_eq!(ring.peek_d2(0), None, "only d = 2 choice peeks");
     }
 
     #[test]
