@@ -24,9 +24,20 @@
 
 use bnb_core::Load;
 use bnb_queueing::events::Time;
-use bnb_queueing::server::Admission;
 use bnb_router::{LoadView, Member, Membership};
 use std::collections::VecDeque;
+
+/// Outcome of offering a job to a server through [`Fleet::try_join`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// The server was idle; the job starts service immediately (the
+    /// caller must schedule its departure).
+    StartedService,
+    /// The job joined a busy server's queue.
+    Queued,
+    /// The queue was at capacity; the job was dropped and counted.
+    Dropped,
+}
 
 /// Admission times a server holds inline, in its own record. Sized so
 /// the ring fills the record's second cache line exactly; deeper

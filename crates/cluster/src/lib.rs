@@ -7,10 +7,11 @@
 //! The paper's motivation (§1) is that real systems present non-uniform
 //! bins: Chord-style P2P overlays where peers own unequal arcs, and
 //! server fleets where machines differ in "speed, bandwidth or
-//! compression ratio". The leaf crates each model half of that story —
-//! `bnb-hashring` the placement geometry, `bnb-queueing` the service
-//! dynamics, `bnb-core` the abstract allocation game. This crate wires
-//! them into one running system:
+//! compression ratio". The leaf crates each hold one piece of that
+//! story — `bnb-hashring` the placement geometry, `bnb-core` the
+//! abstract allocation game, `bnb-queueing` the event schedulers. This
+//! crate wires them into one running system, the workspace's one
+//! queueing simulator:
 //!
 //! * [`arrivals`] — Poisson, flash-crowd and ramped-diurnal request
 //!   processes, generated by the batched [`ArrivalSampler`] on a
@@ -22,8 +23,9 @@
 //! * [`placement`] — pluggable routing, now served by the standalone
 //!   [`bnb_router`] data plane: the paper's d-choice Algorithm 1 over
 //!   non-uniform capacities (block pre-sampled candidates),
-//!   consistent-hash successor placement, weighted rendezvous, and the
-//!   Byers-style hash-then-probe hybrid, driven as a
+//!   consistent-hash successor placement, weighted rendezvous, the
+//!   Byers-style hash-then-probe hybrid, and the plain-JSQ and
+//!   uniform-sampling d-choice ablations of extension E6, driven as a
 //!   [`bnb_router::PlacementEngine`] over the fleet's per-server records,
 //! * [`sim`] — the deterministic serial engine: one drive loop for
 //!   every placement policy, arrival process and churn schedule, with
@@ -81,7 +83,7 @@ pub mod telemetry;
 
 pub use arrivals::{ArrivalProcess, ArrivalSampler};
 pub use builder::{Sim, SimBuilder};
-pub use fleet::{ClusterServer, Fleet};
+pub use fleet::{Admission, ClusterServer, Fleet};
 pub use metrics::ClusterMetrics;
 pub use placement::{PlacementEngine, PlacementSpec};
 pub use scenario::{find_scenario, registry, Scenario, SMOKE_DIVISOR};

@@ -257,7 +257,7 @@ impl ClusterMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnb_queueing::server::Admission;
+    use crate::fleet::Admission;
 
     fn tiny_metrics() -> ClusterMetrics {
         let mut fleet = Fleet::new(&[1, 4], Some(8));

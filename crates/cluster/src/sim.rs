@@ -83,7 +83,7 @@
 //! byte-identical output.
 
 use crate::arrivals::{ArrivalProcess, ArrivalSampler};
-use crate::fleet::Fleet;
+use crate::fleet::{Admission, Fleet};
 use crate::metrics::ClusterMetrics;
 use crate::placement::PlacementSpec;
 use crate::telemetry::SimTelemetry;
@@ -92,7 +92,6 @@ use bnb_distributions::{derive_seed, ExponentialBlock, Xoshiro256PlusPlus};
 use bnb_hashring::hash::mix64;
 use bnb_queueing::events::Time;
 use bnb_queueing::lazy::ignore_refill;
-use bnb_queueing::server::Admission;
 use bnb_queueing::{LazyBoard, LazyStats};
 use bnb_router::{LoadView, PlacementEngine};
 use bnb_stats::Mergeable;
@@ -960,25 +959,106 @@ mod tests {
 
     #[test]
     fn overload_drops_instead_of_diverging() {
-        let speeds = CapacityVector::uniform(8, 2);
-        let spec = ClusterSpec {
-            arrivals: ArrivalProcess::Poisson {
-                rate: 2.0 * speeds.total() as f64,
-            },
-            speeds,
-            placement: PlacementSpec::DChoice { d: 2 },
-            queue_capacity: Some(8),
-            churn: None,
-            requests: 20_000,
+        // A uniform fleet and a mixed one (on which the sampled
+        // families actually differ), each under every d-choice family.
+        let fleets = [
+            CapacityVector::uniform(8, 2),
+            CapacityVector::two_class(4, 1, 4, 3),
+        ];
+        let placements = [
+            PlacementSpec::DChoice { d: 2 },
+            PlacementSpec::DChoice { d: 1 },
+            PlacementSpec::ShortestQueue { d: 2 },
+            PlacementSpec::UniformDChoice { d: 2 },
+        ];
+        for (speeds, placement) in fleets
+            .iter()
+            .flat_map(|s| placements.iter().map(move |&p| (s.clone(), p)))
+        {
+            let spec = ClusterSpec {
+                arrivals: ArrivalProcess::Poisson {
+                    rate: 2.0 * speeds.total() as f64,
+                },
+                speeds,
+                placement,
+                queue_capacity: Some(8),
+                churn: None,
+                requests: 20_000,
+            };
+            let name = placement.name();
+            let m = run(spec, 5);
+            assert!(
+                m.dropped > 4_000,
+                "{name}: ρ=2 must shed heavily, got {}",
+                m.dropped
+            );
+            assert!(m.max_queue_len <= 8, "{name}");
+            assert_eq!(m.completed + m.dropped, 20_000, "{name}");
+        }
+    }
+
+    #[test]
+    fn load_aware_placement_sheds_less_than_random_under_overload() {
+        // Mild overload on short queues: Algorithm 1 finds the free
+        // slots that random placement wastes, so it drops fewer jobs.
+        let dropped = |placement| {
+            let speeds = CapacityVector::two_class(20, 1, 20, 8);
+            let spec = ClusterSpec {
+                arrivals: ArrivalProcess::Poisson {
+                    rate: 1.2 * speeds.total() as f64,
+                },
+                speeds,
+                placement,
+                queue_capacity: Some(4),
+                churn: None,
+                requests: 60_000,
+            };
+            run(spec, 23).dropped
         };
-        let m = run(spec, 5);
+        let smart = dropped(PlacementSpec::DChoice { d: 2 });
+        let random = dropped(PlacementSpec::DChoice { d: 1 });
         assert!(
-            m.dropped > 4_000,
-            "ρ=2 must shed heavily, got {}",
-            m.dropped
+            smart < random,
+            "Algorithm 1 dropped {smart}, random dropped {random}"
         );
-        assert!(m.max_queue_len <= 8);
-        assert_eq!(m.completed + m.dropped, 20_000);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Whatever the speeds, utilisation and d-choice family, every
+        /// request completes on unbounded queues, and the production
+        /// run replays on the heap oracle byte for byte.
+        #[test]
+        fn sampled_policies_conserve_and_replay_the_heap_oracle(
+            speeds in proptest::collection::vec(1u64..8, 1..12),
+            rho_pct in 10u32..95,
+            d in 1usize..4,
+            family in 0usize..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let placement = [
+                PlacementSpec::DChoice { d },
+                PlacementSpec::ShortestQueue { d },
+                PlacementSpec::UniformDChoice { d },
+            ][family];
+            let speeds = CapacityVector::from_vec(speeds);
+            let spec = ClusterSpec {
+                arrivals: ArrivalProcess::Poisson {
+                    rate: f64::from(rho_pct) / 100.0 * speeds.total() as f64,
+                },
+                speeds,
+                placement,
+                queue_capacity: None,
+                churn: None,
+                requests: 500,
+            };
+            let m = run(spec.clone(), seed);
+            proptest::prop_assert_eq!(m.completed, 500);
+            proptest::prop_assert!(m.horizon.is_finite() && m.horizon > 0.0);
+            proptest::prop_assert!(m.max_queue_len >= 1);
+            proptest::prop_assert_eq!(&m, &heap_oracle(spec, seed));
+        }
     }
 
     #[test]

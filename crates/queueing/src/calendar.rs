@@ -131,8 +131,7 @@ struct Slot<E> {
 /// Implements [`EventScheduler`] with the same `(time, insertion
 /// sequence)` pop order as the binary-heap
 /// [`EventQueue`](crate::EventQueue), at amortised `O(1)` per operation
-/// for simulation-shaped workloads. This is the default scheduler of
-/// [`QueueSystem`](crate::QueueSystem).
+/// for simulation-shaped workloads.
 ///
 /// Payloads must be `Copy`: entries live in the recycled slab arena, and
 /// popping copies the event out of its slot as the slot moves to the
@@ -675,20 +674,6 @@ impl<E: Copy> EventScheduler<E> for CalendarQueue<E> {
         Some(self.take_ring())
     }
 
-    fn pop_if_before(&mut self, bound: Time) -> Option<(Time, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.ring.is_empty() {
-            self.refill_ring();
-        }
-        let &(t, _) = self.ring.front().expect("ring was just refilled");
-        if t >= bound {
-            return None;
-        }
-        Some(self.take_ring())
-    }
-
     fn peek(&self) -> Option<Time> {
         if self.len == 0 {
             return None;
@@ -770,22 +755,6 @@ mod tests {
         q.schedule(-5.0, 2);
         assert_eq!(q.peek(), Some(-5.0));
         assert_eq!(drain(&mut q), vec![(-5.0, 2), (100.0, 0), (200.0, 1)]);
-    }
-
-    #[test]
-    fn pop_if_before_respects_the_bound_and_ties() {
-        let mut q: CalendarQueue<u64> = CalendarQueue::new();
-        q.schedule(1.0, 0);
-        q.schedule(2.0, 1);
-        q.schedule(1e10, 2); // overflow ladder
-        assert_eq!(q.pop_if_before(0.5), None, "nothing before 0.5");
-        assert_eq!(q.pop_if_before(1.0), None, "ties are not popped");
-        assert_eq!(q.pop_if_before(1.5), Some((1.0, 0)));
-        assert_eq!(q.pop_if_before(3.0), Some((2.0, 1)));
-        assert_eq!(q.pop_if_before(1e9), None, "ladder event is later");
-        assert_eq!(q.pop_if_before(2e10), Some((1e10, 2)));
-        assert_eq!(q.pop_if_before(f64::MAX), None, "empty");
-        assert_eq!(q.len(), 0);
     }
 
     #[test]

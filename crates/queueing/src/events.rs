@@ -19,20 +19,8 @@ use std::collections::BinaryHeap;
 /// server speeds are jobs-per-unit-time).
 pub type Time = f64;
 
-/// A scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Event {
-    /// A new job enters the system.
-    Arrival,
-    /// The job at the head of `server`'s queue completes.
-    Departure {
-        /// Index of the completing server.
-        server: usize,
-    },
-}
-
-/// A deterministic future-event list: the scheduling interface of every
-/// discrete-event simulator in this workspace.
+/// A deterministic future-event list: the contract the binary heap and
+/// the calendar queue share, so tests and benchmarks can drive either.
 ///
 /// Implementations must honour the module-level determinism contract:
 /// [`pop`](EventScheduler::pop) returns events ordered by `(time,
@@ -56,23 +44,6 @@ pub trait EventScheduler<E> {
 
     /// The time of the earliest pending event, without removing it.
     fn peek(&self) -> Option<Time>;
-
-    /// Pops the earliest event only if its time is **strictly before**
-    /// `bound`; otherwise leaves the schedule untouched and returns
-    /// `None`.
-    ///
-    /// This is how a simulator merges an externally generated event
-    /// stream (e.g. pre-sampled arrival times, which then never enter
-    /// the scheduler at all) with the scheduled one: ties go to the
-    /// external stream, and implementations can answer with a single
-    /// internal scan instead of a `peek` plus a `pop`.
-    fn pop_if_before(&mut self, bound: Time) -> Option<(Time, E)> {
-        if self.peek().is_some_and(|t| t < bound) {
-            self.pop()
-        } else {
-            None
-        }
-    }
 
     /// Number of pending events.
     fn len(&self) -> usize;
@@ -116,16 +87,12 @@ impl<E> PartialOrd for Scheduled<E> {
 }
 
 /// The binary-heap [`EventScheduler`]: `O(log n)` schedule/pop, the
-/// reference implementation of the determinism contract.
-///
-/// [`QueueSystem`](crate::QueueSystem) defaults to the
-/// [`CalendarQueue`](crate::CalendarQueue) for speed; the heap remains
-/// the oracle the differential tests compare against (`bnb-cluster`'s
-/// drive loop replays on it as a departure board), and
-/// richer simulators can still plug in their own payload type here and
-/// inherit the same earliest-first, FIFO-on-ties guarantee.
+/// reference implementation of the determinism contract and the oracle
+/// the differential tests compare against (`bnb-cluster`'s drive loop
+/// replays on it as a departure board). Any payload type rides along
+/// with the same earliest-first, FIFO-on-ties guarantee.
 #[derive(Debug, Default)]
-pub struct EventQueue<E = Event> {
+pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
 }
@@ -213,9 +180,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(3.0, Event::Arrival);
-        q.schedule(1.0, Event::Departure { server: 7 });
-        q.schedule(2.0, Event::Arrival);
+        q.schedule(3.0, 0u32);
+        q.schedule(1.0, 7);
+        q.schedule(2.0, 0);
         let times: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();
         assert_eq!(times, vec![1.0, 2.0, 3.0]);
     }
@@ -223,16 +190,11 @@ mod tests {
     #[test]
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
-        q.schedule(1.0, Event::Departure { server: 0 });
-        q.schedule(1.0, Event::Departure { server: 1 });
-        q.schedule(1.0, Event::Departure { server: 2 });
-        let servers: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::Departure { server } => server,
-                Event::Arrival => usize::MAX,
-            })
-            .collect();
-        assert_eq!(servers, vec![0, 1, 2]);
+        q.schedule(1.0, 0u32);
+        q.schedule(1.0, 1);
+        q.schedule(1.0, 2);
+        let slots: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(slots, vec![0, 1, 2]);
     }
 
     #[test]
@@ -240,7 +202,7 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek(), None);
-        q.schedule(1.0, Event::Arrival);
+        q.schedule(1.0, ());
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek(), Some(1.0));
         q.pop();
@@ -275,13 +237,13 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn nan_time_rejected() {
         let mut q = EventQueue::new();
-        q.schedule(f64::NAN, Event::Arrival);
+        q.schedule(f64::NAN, ());
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn infinite_time_rejected_like_the_calendar() {
         let mut q = EventQueue::new();
-        q.schedule(f64::INFINITY, Event::Arrival);
+        q.schedule(f64::INFINITY, ());
     }
 }

@@ -766,7 +766,6 @@ impl LazyBoard {
                 .map(|&k| (k >> 64) as u64),
         );
         debug_assert_eq!(scratch.len(), self.len);
-        scratch.sort_unstable();
         // Brown's width estimate, slot-keyed integer edition: the gap
         // that matters is among the earliest ~TARGET_FILL entries (the
         // full span is stretched arbitrarily by service-time tails).
@@ -774,11 +773,14 @@ impl LazyBoard {
         // bag indices — ~GSLOT_FILL entries per bag. Tie storms
         // collapse the spread to ~0: the `.max(2)` floor then shifts
         // everything into one bag, where the argmin (and its tie path)
-        // alone carries the day.
+        // alone carries the day. Only the k-th smallest key and the
+        // minimum matter, so select them rather than sort every key.
         let k = scratch.len().min(TARGET_FILL);
-        let spread = (scratch[k - 1] - scratch[0]) / (k as u64 / GSLOT_FILL).max(1);
+        let (head, &mut kth, _) = scratch.select_nth_unstable(k - 1);
+        let first = head.iter().copied().fold(kth, u64::min);
+        let spread = (kth - first) / (k as u64 / GSLOT_FILL).max(1);
         self.shift = spread.max(2).ilog2();
-        self.glob = scratch[0] >> self.shift;
+        self.glob = first >> self.shift;
         let base = self.glob / BAGS as u64;
         self.lap_end = (base + 1) * BAGS as u64;
         self.scratch = scratch;
@@ -1079,6 +1081,32 @@ mod tests {
         }
         assert_eq!(b.pop(), None);
         assert!(b.stats().rebuild_scans >= 1, "the cap must have fired");
+    }
+
+    #[test]
+    fn rebuild_geometry_matches_a_full_sort_on_reversed_keys() {
+        // More live keys than TARGET_FILL, scheduled latest first, so
+        // the earliest keys sit at the end of the slot array. The
+        // rebuild's selection must find the same head as sorting every
+        // key, and the board must still pop in exact order.
+        let n = 5 * TARGET_FILL + 3;
+        let mut b = LazyBoard::with_slots(n);
+        for s in 0..n {
+            b.schedule(s as u32, 7.0 + (n - 1 - s) as f64 * 0.37);
+        }
+        b.rebuild();
+        let mut sorted: Vec<u64> = (0..n)
+            .map(|s| monotone_bits(7.0 + (n - 1 - s) as f64 * 0.37))
+            .collect();
+        sorted.sort_unstable();
+        let k = TARGET_FILL;
+        let spread = (sorted[k - 1] - sorted[0]) / (k as u64 / GSLOT_FILL).max(1);
+        assert_eq!(b.shift, spread.max(2).ilog2());
+        assert_eq!(b.glob, sorted[0] >> b.shift);
+        for s in (0..n).rev() {
+            assert_eq!(b.pop(), Some((7.0 + (n - 1 - s) as f64 * 0.37, s as u32)));
+        }
+        assert_eq!(b.pop(), None);
     }
 
     #[test]

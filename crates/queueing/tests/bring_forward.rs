@@ -61,18 +61,6 @@ impl Oracle {
         self.heap.pop().map(|Reverse(Key(t, s))| (t, s))
     }
 
-    fn pop_if_before(&mut self, bound: f64) -> Option<(f64, u64)> {
-        if self
-            .heap
-            .peek()
-            .is_some_and(|Reverse(Key(t, _))| *t < bound)
-        {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     fn peek(&self) -> Option<f64> {
         self.heap.peek().map(|Reverse(Key(t, _))| *t)
     }
@@ -87,10 +75,8 @@ enum Op {
     /// the last pop — the shape that fills the ring and forces spills
     /// into the pending buffer.
     SpillStorm { base: f64, width: f64, count: usize },
-    /// Pop up to this many events unconditionally.
+    /// Pop up to this many events.
     Pop(usize),
-    /// Pop events strictly before `last_pop + delta`, up to `max`.
-    PopBefore { delta: f64, max: usize },
 }
 
 /// Times biased towards the regimes the ring + pending buffer see:
@@ -119,8 +105,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(base, width, count)| { Op::SpillStorm { base, width, count } }),
         (0usize..6).prop_map(Op::Pop),
         (0usize..6).prop_map(Op::Pop),
-        (0.0f64..30.0, 1usize..8).prop_map(|(delta, max)| Op::PopBefore { delta, max }),
-        (0.0f64..30.0, 1usize..8).prop_map(|(delta, max)| Op::PopBefore { delta, max }),
     ]
 }
 
@@ -185,17 +169,6 @@ fn assert_matches_oracle(ops: &[Op]) -> Result<(), TestCaseError> {
                     }
                 }
             }
-            Op::PopBefore { delta, max } => {
-                let bound = last_pop + delta;
-                for _ in 0..max {
-                    let got =
-                        check_pop(step, oracle.pop_if_before(bound), cal.pop_if_before(bound))?;
-                    if !got {
-                        break;
-                    }
-                    last_pop = bound.min(last_pop.max(oracle.peek().unwrap_or(last_pop)));
-                }
-            }
         }
         prop_assert_eq!(
             oracle.heap.len(),
@@ -223,8 +196,8 @@ fn assert_matches_oracle(ops: &[Op]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary interleavings of scatter, spill storms and both pop
-    /// flavours: the calendar's three stores jointly emit the oracle's
+    /// Arbitrary interleavings of scatter, spill storms and pops: the
+    /// calendar's three stores jointly emit the oracle's
     /// exact `(time, seq)` stream.
     #[test]
     fn ring_wheel_and_pending_match_heap_oracle(
@@ -235,7 +208,7 @@ proptest! {
 
     /// Repeated spill storms with no relief: every burst overfills the
     /// ring, spilling the tail into the pending buffer, and interleaved
-    /// bounded pops force refills that drain pending mid-storm.
+    /// pops force refills that drain pending mid-storm.
     #[test]
     fn sustained_spill_storms_stay_exact(
         bursts in prop::collection::vec((0.0f64..10.0, 8usize..48), 2..16),
@@ -245,31 +218,6 @@ proptest! {
         for (&(base, count), &p) in bursts.iter().zip(&drain_between) {
             ops.push(Op::SpillStorm { base, width: 0.5, count });
             ops.push(Op::Pop(p));
-        }
-        ops.push(Op::Pop(10_000));
-        assert_matches_oracle(&ops)?;
-    }
-
-    /// Events pinned to the bucket-window edge: a monotone clock pops
-    /// with `pop_if_before` at exactly the times events sit on, so the
-    /// strictly-before contract is tested where `bound == time` — once
-    /// with the event in the ring, once parked in pending, once on the
-    /// wheel.
-    #[test]
-    fn window_edge_bounds_are_strictly_before(
-        edges in prop::collection::vec(0.25f64..16.0, 4..40),
-        dup in prop::collection::vec(1usize..4, 4..40),
-    ) {
-        let mut ops = Vec::new();
-        let mut t = 0.0;
-        for (&gap, &k) in edges.iter().zip(&dup) {
-            t += gap;
-            for _ in 0..k {
-                ops.push(Op::Schedule(t));
-            }
-            // `last_pop` trails `t`, so `delta` chosen as the running
-            // time puts the bound on or near the scheduled instant.
-            ops.push(Op::PopBefore { delta: t, max: 2 });
         }
         ops.push(Op::Pop(10_000));
         assert_matches_oracle(&ops)?;

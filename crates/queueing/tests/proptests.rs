@@ -1,8 +1,6 @@
-//! Property-based tests of the queueing substrate.
+//! Property-based tests of the binary-heap event queue.
 
-use bnb_core::{CapacityVector, Selection};
-use bnb_queueing::events::{Event, EventQueue};
-use bnb_queueing::{QueueSystem, RoutingPolicy, SystemConfig};
+use bnb_queueing::events::EventQueue;
 use proptest::prelude::*;
 
 proptest! {
@@ -14,63 +12,24 @@ proptest! {
     fn event_queue_orders_any_schedule(times in prop::collection::vec(0.0f64..1000.0, 1..200)) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, Event::Departure { server: i });
+            q.schedule(t, i);
         }
         let mut last_time = f64::NEG_INFINITY;
         let mut seen_at_time: Vec<usize> = Vec::new();
         let mut last_seq_time = f64::NEG_INFINITY;
-        while let Some((t, e)) = q.pop() {
+        while let Some((t, i)) = q.pop() {
             prop_assert!(t >= last_time, "time went backwards");
             if (t - last_seq_time).abs() < f64::EPSILON {
                 // FIFO among ties: indices increase.
-                if let Event::Departure { server } = e {
-                    if let Some(&prev) = seen_at_time.last() {
-                        prop_assert!(server > prev, "tie order violated");
-                    }
-                    seen_at_time.push(server);
+                if let Some(&prev) = seen_at_time.last() {
+                    prop_assert!(i > prev, "tie order violated");
                 }
             } else {
                 seen_at_time.clear();
-                if let Event::Departure { server } = e {
-                    seen_at_time.push(server);
-                }
                 last_seq_time = t;
             }
+            seen_at_time.push(i);
             last_time = t;
         }
-    }
-
-    /// Whatever the speeds, utilisation and policy, every arrival is
-    /// eventually served and the metrics are finite and consistent.
-    #[test]
-    fn all_arrivals_complete(
-        speeds in prop::collection::vec(1u64..8, 1..12),
-        rho_pct in 10u32..95,
-        d in 1usize..4,
-        policy_idx in 0usize..3,
-        seed in any::<u64>(),
-    ) {
-        let routing = [
-            RoutingPolicy::ShortestNormalizedQueue,
-            RoutingPolicy::ShortestQueue,
-            RoutingPolicy::Random,
-        ][policy_idx];
-        let speeds = CapacityVector::from_vec(speeds);
-        let config = SystemConfig {
-            d: d.min(speeds.n()).max(1),
-            routing,
-            selection: Selection::ProportionalToCapacity,
-            rho: rho_pct as f64 / 100.0,
-            queue_capacity: None,
-        };
-        let mut sys = QueueSystem::new(&speeds, config, seed);
-        let arrivals = 500u64;
-        let metrics = sys.run_arrivals(arrivals);
-        prop_assert_eq!(metrics.completed, arrivals);
-        prop_assert!(metrics.horizon.is_finite() && metrics.horizon > 0.0);
-        prop_assert!(metrics.mean_queue_len >= 0.0);
-        prop_assert!(metrics.max_queue_len >= 1);
-        // Per-server queues are empty after a full drain.
-        prop_assert!(sys.servers().iter().all(|s| s.queue_len() == 0));
     }
 }

@@ -1,7 +1,8 @@
 //! The placement engine: one policy's routing state, generic over any
 //! [`LoadView`].
 //!
-//! Four families, spanning the paper's motivation end to end:
+//! Four families, spanning the paper's motivation end to end, plus two
+//! d-choice ablations:
 //!
 //! * [`PlacementSpec::DChoice`] — the paper's Algorithm 1 as a router:
 //!   `d` candidates drawn proportionally to speed through the same
@@ -21,6 +22,10 @@
 //!   to `d` ring points and join the successor with the fewest jobs in
 //!   system; the hybrid that keeps lookup locality *and* the
 //!   `ln ln n / ln d` tail.
+//! * [`PlacementSpec::ShortestQueue`] and [`PlacementSpec::UniformDChoice`]
+//!   — Algorithm 1 with one ingredient removed: the speed-blind
+//!   fewest-jobs compare over speed-proportional candidates, and the
+//!   normalised compare over uniformly drawn candidates.
 //!
 //! A [`PlacementEngine`] owns the derived structures (alias table,
 //! ring, rendezvous scores) **and its own RNG streams**: candidate
@@ -72,14 +77,15 @@ pub struct PlacementEngine {
     alive_identity: bool,
     /// Gather scratch of the batched scan kernel (`d > 2`).
     scratch: ScanScratch,
-    /// `DChoice`: alias table over alive speeds.
+    /// Sampled policies: alias table over alive speeds (unit weights
+    /// for `UniformDChoice`).
     alias: Option<AliasTable>,
     /// Ring policies: membership ring over alive servers' stable ids,
     /// rebuilt incrementally on churn.
     ring: Option<MembershipRing>,
     /// `Rendezvous`: HRW scores over alive speeds.
     rdv: Option<Rendezvous>,
-    /// Dedicated candidate-sampling stream (`DChoice` only).
+    /// Dedicated candidate-sampling stream (sampled policies only).
     place_rng: Xoshiro256PlusPlus,
     /// Dedicated residual-tie-break stream (load-aware policies).
     tie_rng: Xoshiro256PlusPlus,
@@ -118,7 +124,10 @@ impl PlacementEngine {
         stream: u64,
     ) -> Self {
         match spec {
-            PlacementSpec::DChoice { d } | PlacementSpec::HashThenProbe { d, .. } => {
+            PlacementSpec::DChoice { d }
+            | PlacementSpec::ShortestQueue { d }
+            | PlacementSpec::UniformDChoice { d }
+            | PlacementSpec::HashThenProbe { d, .. } => {
                 assert!(
                     (1..=MAX_D).contains(&d),
                     "d must be in 1..={MAX_D}, got {d}"
@@ -172,11 +181,14 @@ impl PlacementEngine {
         self.alive_identity = self.alive.iter().enumerate().all(|(i, &s)| i == s);
         self.cand_pos = self.cand_buf.len();
         match self.spec {
-            PlacementSpec::DChoice { d } => {
+            PlacementSpec::DChoice { d }
+            | PlacementSpec::ShortestQueue { d }
+            | PlacementSpec::UniformDChoice { d } => {
+                let uniform = matches!(self.spec, PlacementSpec::UniformDChoice { .. });
                 let weights: Vec<f64> = membership
                     .members()
                     .iter()
-                    .map(|m| m.speed as f64)
+                    .map(|m| if uniform { 1.0 } else { m.speed as f64 })
                     .collect();
                 self.alias = Some(AliasTable::new(&weights));
                 // Resize in place: churn rebuilds must not reallocate
@@ -203,11 +215,17 @@ impl PlacementEngine {
         }
     }
 
-    /// Whether this policy reads the request key at all (`DChoice` is
-    /// key-oblivious, so callers can skip hashing a key for it).
+    /// Whether this policy reads the request key at all (the sampled
+    /// d-choice families are key-oblivious, so callers can skip hashing
+    /// a key for them).
     #[must_use]
     pub fn needs_key(&self) -> bool {
-        !matches!(self.spec, PlacementSpec::DChoice { .. })
+        matches!(
+            self.spec,
+            PlacementSpec::ConsistentHash { .. }
+                | PlacementSpec::Rendezvous
+                | PlacementSpec::HashThenProbe { .. }
+        )
     }
 
     /// Routes a request with hash `key` against the given load view,
@@ -226,21 +244,13 @@ impl PlacementEngine {
     #[must_use]
     pub fn place(&mut self, view: &impl LoadView, key: u64) -> usize {
         match self.spec {
-            PlacementSpec::DChoice { d } => {
+            PlacementSpec::DChoice { d } | PlacementSpec::UniformDChoice { d } => {
                 if d == 2 {
                     // The dominant configuration, unrolled; the
                     // cluster's drive loop calls it directly.
                     return self.place_d2(view);
                 }
-                if self.cand_pos + d > self.cand_buf.len() {
-                    // Refill the candidate block: identical draw order
-                    // to d successive scalar samples per request.
-                    let alias = self.alias.as_ref().expect("alias built for DChoice");
-                    alias.sample_batch(&mut self.place_rng, &mut self.cand_buf);
-                    self.cand_pos = 0;
-                }
-                let pos = self.cand_pos;
-                self.cand_pos += d;
+                let pos = self.take_candidates(d);
                 // Algorithm 1 over the candidate *set* through the
                 // batched scan kernel: chunked gather of the loads,
                 // then the same dedup + reservoir argmin
@@ -254,6 +264,16 @@ impl PlacementEngine {
                     kernel::gather(view, tokens, |t| self.alive[t], &mut self.scratch);
                 }
                 kernel::argmin_algo1(tokens, &self.scratch, &mut self.tie_rng)
+            }
+            PlacementSpec::ShortestQueue { d } => {
+                let pos = self.take_candidates(d);
+                let (alive, identity) = (&self.alive, self.alive_identity);
+                reservoir_argmin(
+                    &self.cand_buf[pos..pos + d],
+                    &mut self.tie_rng,
+                    |t| if identity { t } else { alive[t] },
+                    |s| view.queue_len(s),
+                )
             }
             PlacementSpec::ConsistentHash { .. } => {
                 let ring = self.ring.as_ref().expect("ring built for ConsistentHash");
@@ -311,8 +331,8 @@ impl PlacementEngine {
     /// can serve placement from many threads at once. The caller
     /// supplies the randomness: a short-lived `rng` per request,
     /// consumed for candidate sampling first and residual tie-breaks
-    /// second (`DChoice`), or tie-breaks only (`HashThenProbe`); the
-    /// key-pure policies draw nothing.
+    /// second (the sampled d-choice families), or tie-breaks only
+    /// (`HashThenProbe`); the key-pure policies draw nothing.
     ///
     /// This produces a *different trace* from [`PlacementEngine::place`]
     /// (which block pre-samples from the engine's own streams): a
@@ -338,7 +358,7 @@ impl PlacementEngine {
         rng: &mut Xoshiro256PlusPlus,
     ) -> usize {
         match self.spec {
-            PlacementSpec::DChoice { d } => {
+            PlacementSpec::DChoice { d } | PlacementSpec::UniformDChoice { d } => {
                 let alias = self.alias.as_ref().expect("alias built for DChoice");
                 if d == 2 {
                     let (a, b) = (alias.sample(rng), alias.sample(rng));
@@ -371,6 +391,20 @@ impl PlacementEngine {
                 }
                 self.argmin_algo1_stateless(view, &tokens[..d], rng)
             }
+            PlacementSpec::ShortestQueue { d } => {
+                let alias = self.alias.as_ref().expect("alias built for ShortestQueue");
+                let mut tokens = [0usize; MAX_D];
+                for token in tokens[..d].iter_mut() {
+                    *token = alias.sample(rng);
+                }
+                let (alive, identity) = (&self.alive, self.alive_identity);
+                reservoir_argmin(
+                    &tokens[..d],
+                    rng,
+                    |t| if identity { t } else { alive[t] },
+                    |s| view.queue_len(s),
+                )
+            }
             PlacementSpec::ConsistentHash { .. } => {
                 let ring = self.ring.as_ref().expect("ring built for ConsistentHash");
                 self.alive[ring.ring().successor(key)]
@@ -397,6 +431,25 @@ impl PlacementEngine {
                 )
             }
         }
+    }
+
+    /// Consumes the next request's `d` pre-sampled candidate tokens,
+    /// returning their offset in `cand_buf`. An exhausted block is
+    /// refilled first, in the draw order of `d` successive scalar
+    /// samples per request.
+    #[inline]
+    fn take_candidates(&mut self, d: usize) -> usize {
+        if self.cand_pos + d > self.cand_buf.len() {
+            let alias = self
+                .alias
+                .as_ref()
+                .expect("alias built for sampled policies");
+            alias.sample_batch(&mut self.place_rng, &mut self.cand_buf);
+            self.cand_pos = 0;
+        }
+        let pos = self.cand_pos;
+        self.cand_pos += d;
+        pos
     }
 
     /// Algorithm 1's dedup-prefix reservoir argmin over `d` candidate
@@ -697,6 +750,74 @@ mod tests {
     }
 
     #[test]
+    fn shortest_queue_ignores_speed() {
+        // An idle slow server and a fast one holding 4 jobs. Same seed,
+        // same speed-proportional alias: the two engines draw the same
+        // candidate pairs. Algorithm 1 joins the fast server (post-join
+        // 5/8 < 1/1); plain JSQ joins the emptier slow one.
+        let mut fleet = TestFleet::new(&[1, 8]);
+        for _ in 0..4 {
+            fleet.join(1);
+        }
+        let m = fleet.membership();
+        let mut jsq = PlacementEngine::new(PlacementSpec::ShortestQueue { d: 2 }, &m, 3);
+        let mut algo1 = PlacementEngine::new(PlacementSpec::DChoice { d: 2 }, &m, 3);
+        assert!(!jsq.needs_key());
+        let mut split = 0;
+        for r in 0..2_000 {
+            let (a, b) = (jsq.place(&fleet, 0), algo1.place(&fleet, 0));
+            if a != b {
+                assert_eq!((a, b), (0, 1), "request {r}");
+                split += 1;
+            }
+        }
+        // Mixed pairs arrive with probability 2·(1/9)·(8/9) ≈ 0.198.
+        assert!((300..500).contains(&split), "mixed pairs: {split}");
+    }
+
+    #[test]
+    fn shortest_queue_breaks_ties_over_distinct_candidates() {
+        // Two idle servers of speeds 1 and 3, three candidates per
+        // request: every request is a full tie. Uniform over the
+        // distinct candidates, slot 0 wins with probability
+        // P(all three are 0) + P(mixed)/2 = 1/64 + (36/64)/2 = 19/64;
+        // a tie over the multiset would give it E[#0s]/3 = 1/4.
+        let fleet = TestFleet::new(&[1, 3]);
+        let mut engine = PlacementEngine::new(
+            PlacementSpec::ShortestQueue { d: 3 },
+            &fleet.membership(),
+            4,
+        );
+        let n = 40_000;
+        let zeros = (0..n).filter(|_| engine.place(&fleet, 0) == 0).count();
+        let share = zeros as f64 / n as f64;
+        assert!((share - 19.0 / 64.0).abs() < 0.01, "slot 0 share {share}");
+    }
+
+    #[test]
+    fn uniform_d_choice_samples_uniformly() {
+        // On an empty two-class fleet with one candidate, the pick is
+        // the draw: every slot near 1/8, where speed-proportional
+        // sampling would give each fast slot 8/36.
+        let fleet = two_class_fleet();
+        let mut engine = PlacementEngine::new(
+            PlacementSpec::UniformDChoice { d: 1 },
+            &fleet.membership(),
+            6,
+        );
+        assert!(!engine.needs_key());
+        let n = 40_000;
+        let mut counts = [0u32; 8];
+        for _ in 0..n {
+            counts[engine.place(&fleet, 0)] += 1;
+        }
+        for (slot, &c) in counts.iter().enumerate() {
+            let share = f64::from(c) / f64::from(n);
+            assert!((share - 0.125).abs() < 0.01, "slot {slot}: {share}");
+        }
+    }
+
+    #[test]
     fn distinct_streams_diverge() {
         // Cloned router handles route on distinct RNG streams: same
         // (spec, seed), different candidate draws.
@@ -814,6 +935,10 @@ mod tests {
         for spec in [
             PlacementSpec::DChoice { d: 2 },
             PlacementSpec::DChoice { d: 4 },
+            PlacementSpec::ShortestQueue { d: 2 },
+            PlacementSpec::ShortestQueue { d: 3 },
+            PlacementSpec::UniformDChoice { d: 2 },
+            PlacementSpec::UniformDChoice { d: 3 },
             PlacementSpec::ConsistentHash { vnodes: 8 },
             PlacementSpec::Rendezvous,
             PlacementSpec::HashThenProbe { d: 3, vnodes: 8 },

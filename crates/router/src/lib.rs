@@ -1,9 +1,10 @@
 //! # bnb-router
 //!
 //! The placement **data plane** of the *Balls into non-uniform bins*
-//! reproduction, as an embeddable library: the four placement policies
+//! reproduction, as an embeddable library: the placement policies
 //! (the paper's Algorithm 1 d-choice, consistent-hash successor,
-//! weighted rendezvous, and Byers-style hash-then-probe), the per-slot
+//! weighted rendezvous, Byers-style hash-then-probe, and two d-choice
+//! ablations: speed-blind JSQ and uniform sampling), the per-slot
 //! `(jobs_in_system, speed)` load view they compare against, and the
 //! radix-successor hash ring — behind one [`Router`] trait a live load
 //! balancer can program against, with **no simulator dependencies**

@@ -10,6 +10,19 @@ pub enum PlacementSpec {
         /// Candidates per request, `1..=MAX_D`.
         d: usize,
     },
+    /// Speed-blind JSQ(d): candidates proportional to speed, join the
+    /// one with the fewest jobs in system; ties uniform over distinct
+    /// candidates.
+    ShortestQueue {
+        /// Candidates per request, `1..=MAX_D`.
+        d: usize,
+    },
+    /// Algorithm 1's compare over candidates drawn uniformly, ignoring
+    /// speed when sampling.
+    UniformDChoice {
+        /// Candidates per request, `1..=MAX_D`.
+        d: usize,
+    },
     /// Consistent-hash successor placement (load-oblivious).
     ConsistentHash {
         /// Virtual nodes per server on the ring.
@@ -33,6 +46,8 @@ impl PlacementSpec {
     pub fn name(&self) -> &'static str {
         match self {
             PlacementSpec::DChoice { .. } => "d-choice",
+            PlacementSpec::ShortestQueue { .. } => "shortest-queue",
+            PlacementSpec::UniformDChoice { .. } => "uniform-d-choice",
             PlacementSpec::ConsistentHash { .. } => "consistent-hash",
             PlacementSpec::Rendezvous => "rendezvous",
             PlacementSpec::HashThenProbe { .. } => "hash-then-probe",
@@ -40,13 +55,16 @@ impl PlacementSpec {
     }
 
     /// This spec with its probe count replaced by `d`, where the policy
-    /// has one (`DChoice`, `HashThenProbe`); the load-oblivious policies
-    /// are returned unchanged. This is how the d-sweep runner varies `d`
-    /// across a scenario without rebuilding its traffic recipe.
+    /// has one (the d-choice families and `HashThenProbe`); the
+    /// load-oblivious policies are returned unchanged. This is how the
+    /// d-sweep runner varies `d` across a scenario without rebuilding
+    /// its traffic recipe.
     #[must_use]
     pub fn with_d(self, d: usize) -> Self {
         match self {
             PlacementSpec::DChoice { .. } => PlacementSpec::DChoice { d },
+            PlacementSpec::ShortestQueue { .. } => PlacementSpec::ShortestQueue { d },
+            PlacementSpec::UniformDChoice { .. } => PlacementSpec::UniformDChoice { d },
             PlacementSpec::HashThenProbe { vnodes, .. } => {
                 PlacementSpec::HashThenProbe { d, vnodes }
             }
@@ -57,9 +75,9 @@ impl PlacementSpec {
     /// Whether [`PlacementSpec::with_d`] actually varies this policy.
     #[must_use]
     pub fn has_d(&self) -> bool {
-        matches!(
+        !matches!(
             self,
-            PlacementSpec::DChoice { .. } | PlacementSpec::HashThenProbe { .. }
+            PlacementSpec::ConsistentHash { .. } | PlacementSpec::Rendezvous
         )
     }
 }

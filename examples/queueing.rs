@@ -8,28 +8,30 @@
 //! cargo run --release --example queueing
 //! ```
 
-use balls_into_bins::core::{CapacityVector, Selection};
-use balls_into_bins::queueing::{QueueSystem, RoutingPolicy, SystemConfig};
+use balls_into_bins::cluster::{ArrivalProcess, ClusterSpec, PlacementSpec, SimBuilder};
+use balls_into_bins::core::CapacityVector;
 use balls_into_bins::stats::TextTable;
 
-fn run(rho: f64, d: usize, routing: RoutingPolicy, seed: u64) -> (f64, f64) {
+fn run(rho: f64, placement: PlacementSpec, seed: u64) -> (f64, f64) {
     let speeds = CapacityVector::two_class(100, 1, 100, 10);
-    let config = SystemConfig {
-        d,
-        routing,
-        selection: Selection::ProportionalToCapacity,
-        rho,
+    let spec = ClusterSpec {
+        arrivals: ArrivalProcess::Poisson {
+            rate: rho * speeds.total() as f64,
+        },
+        speeds,
+        placement,
         queue_capacity: None,
+        churn: None,
+        requests: 300_000,
     };
-    let mut sys = QueueSystem::new(&speeds, config, seed);
-    let metrics = sys.run_arrivals(300_000);
-    (metrics.max_normalized_queue, metrics.mean_queue_len)
+    let metrics = SimBuilder::new(spec).seed(seed).build().run();
+    (metrics.max_normalized_queue, metrics.latency_mean)
 }
 
 fn main() {
     println!(
         "200 servers (speeds 1 and 10), Poisson arrivals, Exp(1) work,\n\
-         300k arrivals per cell; entries are max(q/c) | mean queue:\n"
+         300k arrivals per cell; entries are max(q/c) | mean sojourn:\n"
     );
     let mut table = TextTable::new(vec![
         "rho".into(),
@@ -38,9 +40,9 @@ fn main() {
         "d=2 normalised JSQ".into(),
     ]);
     for rho in [0.5, 0.7, 0.9, 0.95] {
-        let (r1, m1) = run(rho, 1, RoutingPolicy::Random, 1);
-        let (r2, m2) = run(rho, 2, RoutingPolicy::ShortestQueue, 2);
-        let (r3, m3) = run(rho, 2, RoutingPolicy::ShortestNormalizedQueue, 3);
+        let (r1, m1) = run(rho, PlacementSpec::DChoice { d: 1 }, 1);
+        let (r2, m2) = run(rho, PlacementSpec::ShortestQueue { d: 2 }, 2);
+        let (r3, m3) = run(rho, PlacementSpec::DChoice { d: 2 }, 3);
         table.row(vec![
             format!("{rho:.2}"),
             format!("{r1:.2} | {m1:.2}"),

@@ -12,9 +12,9 @@
 //!   cumulative) plus binomial/geometric/Zipf variates.
 //! * [`hashring`] — the consistent-hashing substrate: rings, arcs, the
 //!   Byers et al. d-point game, Chord finger tables.
-//! * [`queueing`] — the discrete-event queueing substrate: JSQ(d) over
-//!   heterogeneous-speed servers, finite queues, drop accounting.
-//! * [`router`] — the embeddable placement data plane: the four
+//! * [`queueing`] — the event schedulers the cluster simulator runs on:
+//!   the lazy departure board, the calendar queue, the heap oracle.
+//! * [`router`] — the embeddable placement data plane: the placement
 //!   policies behind one [`Router`](bnb_router::Router) trait, with
 //!   lock-free epoch-published fleet views for concurrent embedders.
 //! * [`cluster`] — the heterogeneous-cluster simulator: paper-faithful
@@ -75,18 +75,15 @@ pub use bnb_telemetry as telemetry;
 /// ```
 pub mod prelude {
     pub use bnb_cluster::{
-        find_scenario, ArrivalProcess, ArrivalSampler, ChurnConfig, ClusterMetrics, ClusterServer,
-        ClusterSim, ClusterSpec, Fleet, ReplicaAccumulator, Scenario, ShardedClusterSim, Sim,
-        SimBuilder,
+        find_scenario, Admission, ArrivalProcess, ArrivalSampler, ChurnConfig, ClusterMetrics,
+        ClusterServer, ClusterSim, ClusterSpec, Fleet, ReplicaAccumulator, Scenario,
+        ShardedClusterSim, Sim, SimBuilder,
     };
     pub use bnb_core::prelude::*;
     pub use bnb_hashring::{
         ByersGame, ChordOverlay, ChurnSimulator, HashRing, MembershipRing, Rendezvous,
     };
-    pub use bnb_queueing::{
-        Admission, EventQueue, EventScheduler, QueueMetrics, QueueSystem, RoutingPolicy, Server,
-        SystemConfig,
-    };
+    pub use bnb_queueing::{EventQueue, EventScheduler};
     pub use bnb_router::{
         FleetReader, FleetSnapshot, FleetView, LoadView, Member, Membership, PlacementEngine,
         PlacementSpec, Router, RouterBuilder, RouterHandle, ServerId,
