@@ -42,7 +42,8 @@
 //! * [`builder`] — the unified [`SimBuilder`] construction surface
 //!   over all of the above (scenario or spec, seed, telemetry,
 //!   worker count),
-//! * [`metrics`] — latency quantiles (O(n) selection, no sort),
+//! * [`metrics`] — latency quantiles (a radix histogram kept during
+//!   the run, one compaction pass and selects at its end, no sort),
 //!   per-server peaks and drop rates, rendered through `bnb-stats`,
 //! * [`scenario`] — the registry of named workloads behind the
 //!   `cluster-sim` CLI (`crates/experiments/src/bin/cluster_sim.rs`),

@@ -3,7 +3,7 @@
 
 use crate::fleet::Fleet;
 use bnb_queueing::events::Time;
-use bnb_stats::{quantiles_select, Histogram, Series, SeriesSet, TextTable};
+use bnb_stats::{Histogram, SampleSummary, Series, SeriesSet, TextTable};
 
 /// Everything a finished cluster run reports. All fields are exact
 /// functions of (scenario, seed), so two runs under the same seed render
@@ -43,27 +43,39 @@ pub struct ClusterMetrics {
 }
 
 impl ClusterMetrics {
-    /// Assembles the metrics from the drained fleet and the collected
-    /// latencies. `latencies` may arrive in any order; the three
-    /// quantiles are extracted by one nested `O(n)` selection sweep
-    /// ([`quantiles_select`]) rather than a full sort — on
-    /// multi-hundred-thousand-request runs the sort used to rival the
-    /// event loop itself — with values identical to the sort-based path
-    /// bit for bit, and the max/mean come from a single shared pass.
+    /// Assembles the metrics from the drained fleet and the run's
+    /// latencies, reading each server record once.
+    ///
+    /// The serial simulator passes the [`SampleSummary`] its drive loop
+    /// pushed every latency into, so the sum, max and radix histogram
+    /// are already in hand: the p50/p90/p99 cost one compaction pass
+    /// over the latencies and selects within the few radix buckets
+    /// holding them. A plain `Vec<f64>` in any order also works; it is
+    /// accumulated in vector order first. Either way the values equal
+    /// the sort-based type-7 quantiles bit for bit.
     #[must_use]
     pub fn collect(
         fleet: &Fleet,
-        latencies: Vec<f64>,
+        latencies: impl Into<SampleSummary>,
         requests: u64,
         orphaned: u64,
         joins: u64,
         leaves: u64,
         horizon: Time,
     ) -> Self {
+        let servers = fleet.servers();
+        let mut completed = Vec::with_capacity(servers.len());
+        let mut max_queue = Vec::with_capacity(servers.len());
+        let mut speed = Vec::with_capacity(servers.len());
+        for s in servers {
+            completed.push(s.completed());
+            max_queue.push(s.max_queue());
+            speed.push(s.speed());
+        }
         Self::from_parts(
-            fleet.servers().iter().map(|s| s.completed()).collect(),
-            fleet.servers().iter().map(|s| s.max_queue()).collect(),
-            fleet.servers().iter().map(|s| s.speed()).collect(),
+            completed,
+            max_queue,
+            speed,
             latencies,
             requests,
             fleet.total_dropped(),
@@ -80,7 +92,8 @@ impl ClusterMetrics {
     /// records, not `Fleet`s). [`ClusterMetrics::collect`] delegates
     /// here, so the two paths share every floating-point operation in
     /// the same order: identical inputs render bitwise-identical
-    /// metrics regardless of which engine produced them.
+    /// metrics regardless of which engine produced them. The latency
+    /// mean sums in push order (vector order for a `Vec<f64>`).
     ///
     /// # Panics
     /// Panics if the per-slot arrays disagree on length.
@@ -90,7 +103,7 @@ impl ClusterMetrics {
         per_server_completed: Vec<u64>,
         per_server_max_queue: Vec<u64>,
         per_server_speed: Vec<u64>,
-        mut latencies: Vec<f64>,
+        latencies: impl Into<SampleSummary>,
         requests: u64,
         dropped: u64,
         orphaned: u64,
@@ -100,18 +113,15 @@ impl ClusterMetrics {
     ) -> Self {
         assert_eq!(per_server_completed.len(), per_server_speed.len());
         assert_eq!(per_server_max_queue.len(), per_server_speed.len());
-        let (latency, latency_mean) = if latencies.is_empty() {
-            ([0.0; 4], 0.0)
-        } else {
-            // One pass for max and mean (selection below reorders, so
-            // run it first over the still-linear scan).
-            let (mut max, mut sum) = (f64::NEG_INFINITY, 0.0f64);
-            for &l in &latencies {
-                max = max.max(l);
-                sum += l;
+        let latencies = latencies.into();
+        let (latency, latency_mean) = match (latencies.max(), latencies.mean()) {
+            (Some(max), Some(mean)) => {
+                let [p50, p90, p99] = latencies
+                    .into_quantiles([0.50, 0.90, 0.99])
+                    .expect("non-empty");
+                ([p50, p90, p99, max], mean)
             }
-            let q = quantiles_select(&mut latencies, &[0.50, 0.90, 0.99]).expect("non-empty");
-            ([q[0], q[1], q[2], max], sum / latencies.len() as f64)
+            _ => ([0.0; 4], 0.0),
         };
         let max_normalized_queue = per_server_max_queue
             .iter()

@@ -94,7 +94,7 @@ use bnb_queueing::events::Time;
 use bnb_queueing::lazy::ignore_refill;
 use bnb_queueing::{LazyBoard, LazyStats};
 use bnb_router::{LoadView, PlacementEngine};
-use bnb_stats::Mergeable;
+use bnb_stats::{Mergeable, SampleSummary};
 use bnb_telemetry::{MetricsSnapshot, Registry};
 
 /// Stream id of the arrival-time RNG (gaps + thinning acceptances).
@@ -215,7 +215,9 @@ pub struct ClusterSim {
     orphaned: u64,
     joins: u64,
     leaves: u64,
-    latencies: Vec<f64>,
+    /// Every completed request's latency, with the running sum, max and
+    /// radix histogram that [`ClusterMetrics::collect`] summarises.
+    latencies: SampleSummary,
     /// Metrics of the finished run (computed once; reruns return it).
     result: Option<ClusterMetrics>,
     /// Per-component spans (inert unless [`crate::SimBuilder::telemetry`]
@@ -279,7 +281,7 @@ impl ClusterSim {
             orphaned: 0,
             joins: 0,
             leaves: 0,
-            latencies: Vec::new(),
+            latencies: SampleSummary::new(),
             result: None,
             tele: SimTelemetry::disabled(),
             lazy_stats: LazyStats::new(),

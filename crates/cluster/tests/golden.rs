@@ -12,6 +12,10 @@
 //! Covered: every registry scenario at the differential tests' request
 //! budget and two seeds, plus a d = 2 spec with churn (a combination no
 //! registry scenario has).
+//!
+//! The rendered table rounds to 6 decimals, so a last-bit change in a
+//! quantile or the mean would pass it. A second table pins the same
+//! runs by the bits of every `ClusterMetrics` field.
 
 use bnb_cluster::{
     registry, ArrivalProcess, ChurnConfig, ClusterMetrics, ClusterSpec, PlacementSpec, SimBuilder,
@@ -31,9 +35,45 @@ fn digest(text: &str) -> u64 {
     mix64(h)
 }
 
-fn rendered_digest(spec: ClusterSpec, seed: u64) -> u64 {
-    let m: ClusterMetrics = SimBuilder::new(spec).seed(seed).build().run();
+fn rendered_digest(m: &ClusterMetrics) -> u64 {
     digest(&(m.render_table() + &m.to_series_set("golden", "golden").to_plot_text()))
+}
+
+/// FNV-1a over the bits of every field, in declaration order.
+fn bits_digest(m: &ClusterMetrics) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for x in [
+        m.requests,
+        m.completed,
+        m.dropped,
+        m.orphaned,
+        m.joins,
+        m.leaves,
+    ] {
+        eat(x);
+    }
+    eat(m.horizon.to_bits());
+    m.latency.iter().for_each(|x| eat(x.to_bits()));
+    eat(m.latency_mean.to_bits());
+    eat(m.max_queue_len);
+    eat(m.max_normalized_queue.to_bits());
+    for v in [
+        &m.per_server_completed,
+        &m.per_server_max_queue,
+        &m.per_server_speed,
+    ] {
+        v.iter().for_each(|&x| eat(x));
+    }
+    mix64(h)
+}
+
+fn run(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
+    SimBuilder::new(spec).seed(seed).build().run()
 }
 
 /// `(scenario id, seed, digest)`.
@@ -58,15 +98,42 @@ const REGISTRY_GOLDEN: &[(&str, u64, u64)] = &[
     ("rendezvous", 0xF0_5ED, 0x01ad8511e9053494),
 ];
 
-#[test]
-fn registry_scenarios_match_their_golden_digests() {
+/// `(scenario id, seed, bits digest)`, same runs as [`REGISTRY_GOLDEN`].
+const REGISTRY_BITS: &[(&str, u64, u64)] = &[
+    ("uniform", 0xCA1E, 0x1c6677dc0509e7fd),
+    ("uniform", 0xF0_5ED, 0x3a47bee9a12f6a34),
+    ("two-class", 0xCA1E, 0x5925e2cfc7a0fbc9),
+    ("two-class", 0xF0_5ED, 0xe9be1876d6f461b6),
+    ("zipf", 0xCA1E, 0xa0c7abdd1e90d3b0),
+    ("zipf", 0xF0_5ED, 0x9abe483f25b6509f),
+    ("flash-crowd", 0xCA1E, 0xb4a68af494e7e57d),
+    ("flash-crowd", 0xF0_5ED, 0x3b7235cee71ce385),
+    ("diurnal", 0xCA1E, 0x24634b717e10e3b3),
+    ("diurnal", 0xF0_5ED, 0x922309ea9f5fa1f2),
+    ("churny-p2p", 0xCA1E, 0xfe8302efe6547492),
+    ("churny-p2p", 0xF0_5ED, 0x02647f54544fcbc0),
+    ("giant", 0xCA1E, 0x8e1bf19204ac8ad8),
+    ("giant", 0xF0_5ED, 0x8d50ff762b6a9831),
+    ("successor", 0xCA1E, 0x56a29a98a87b70a2),
+    ("successor", 0xF0_5ED, 0xa7516d9f79eef171),
+    ("rendezvous", 0xCA1E, 0xc7e8e34f9f532064),
+    ("rendezvous", 0xF0_5ED, 0x73bb5b05b4de19c5),
+];
+
+/// Runs every registry scenario at the golden budget and both seeds;
+/// returns a ready-to-paste table line for each run whose `digest`
+/// differs from `table`'s.
+fn registry_mismatches(
+    table: &[(&str, u64, u64)],
+    digest: fn(&ClusterMetrics) -> u64,
+) -> Vec<String> {
     let mut mismatches = Vec::new();
     let mut checked = 0;
     for scenario in registry() {
         let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
         for seed in [0xCA1E, 0xF0_5ED] {
-            let got = rendered_digest((scenario.build)(seed, requests), seed);
-            let want = REGISTRY_GOLDEN
+            let got = digest(&run((scenario.build)(seed, requests), seed));
+            let want = table
                 .iter()
                 .find(|(id, s, _)| *id == scenario.id && *s == seed)
                 .map(|&(_, _, d)| d);
@@ -76,15 +143,27 @@ fn registry_scenarios_match_their_golden_digests() {
             checked += 1;
         }
     }
+    assert_eq!(checked, table.len(), "one digest per scenario and seed");
+    mismatches
+}
+
+#[test]
+fn registry_scenarios_match_their_golden_digests() {
+    let mismatches = registry_mismatches(REGISTRY_GOLDEN, rendered_digest);
     assert!(
         mismatches.is_empty(),
         "rendered output moved:\n{}",
         mismatches.join("\n")
     );
-    assert_eq!(
-        checked,
-        REGISTRY_GOLDEN.len(),
-        "one digest per scenario and seed"
+}
+
+#[test]
+fn registry_scenarios_match_their_full_precision_digests() {
+    let mismatches = registry_mismatches(REGISTRY_BITS, bits_digest);
+    assert!(
+        mismatches.is_empty(),
+        "metric bits moved:\n{}",
+        mismatches.join("\n")
     );
 }
 
@@ -105,5 +184,7 @@ fn d2_with_churn_matches_its_golden_digest() {
         }),
         requests: 30_000,
     };
-    assert_eq!(rendered_digest(spec, 9), 0x74fcfd04159f0de9);
+    let m = run(spec, 9);
+    assert_eq!(rendered_digest(&m), 0x74fcfd04159f0de9);
+    assert_eq!(bits_digest(&m), 0x1d5df3db393dd156);
 }

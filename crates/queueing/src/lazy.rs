@@ -107,6 +107,7 @@
 
 use crate::events::Time;
 use crate::stats::LazyStats;
+use bnb_stats::monotone_bits;
 
 /// Authoritative key of an idle slot: `u128::MAX` compares above every
 /// live key (finite times map strictly below the all-ones prefix, and
@@ -153,15 +154,6 @@ const BAG_CAP: usize = 16;
 /// window must catch (one in this many); a sweep below it triggers a
 /// geometry rebuild, rate-limited like the bag-cap one.
 const SWEEP_YIELD: usize = 8;
-
-/// Remaps an `f64`'s bits so unsigned integer order matches
-/// `total_cmp` order (the classic radix-sort float map).
-#[inline]
-fn monotone_bits(t: Time) -> u64 {
-    let b = t.to_bits();
-    let mask = (((b as i64) >> 63) as u64) | (1 << 63);
-    b ^ mask
-}
 
 /// Inverts [`monotone_bits`]: recovers the event time from a key's
 /// upper half. The round trip is exact, so the board stores no raw

@@ -8,7 +8,9 @@
 //!
 //! * [`Summary`] — streaming mean / variance / min / max (Welford),
 //! * [`Histogram`] — fixed-width binned counts,
-//! * [`quantile()`] — exact quantiles of sorted samples,
+//! * [`quantile()`] — exact quantiles of sorted samples, and
+//!   [`SampleSummary`] — exact quantiles, max and mean of a sample
+//!   accumulated as it is pushed,
 //! * [`ConfidenceInterval`] — normal-approximation CIs on the mean,
 //! * [`Series`] / [`SeriesSet`] — labelled `(x, mean, stderr)` curves, the
 //!   exact artefact each paper figure is made of,
@@ -45,7 +47,7 @@ pub use chi2::{chi_square_statistic, chi_square_test, Chi2Outcome};
 pub use ci::ConfidenceInterval;
 pub use histogram::Histogram;
 pub use merge::{merge_ordered, Mergeable};
-pub use quantile::{median, quantile, quantile_select, quantiles_select};
+pub use quantile::{median, monotone_bits, quantile, quantile_select, SampleSummary};
 pub use series::{Series, SeriesSet};
 pub use summary::Summary;
 pub use table::TextTable;
