@@ -467,8 +467,7 @@ impl Fleet {
 /// placement code path a live embedding runs against a
 /// [`bnb_router::FleetSnapshot`]. Each `(queue_len, speed)` read comes
 /// from the candidate's own record, the line `try_join` writes next if
-/// it wins; the fleet exposes no dense slices, so the router takes its
-/// per-slot [`LoadView::load`] path.
+/// it wins.
 impl LoadView for Fleet {
     #[inline]
     fn load(&self, slot: usize) -> (u64, u64) {

@@ -10,8 +10,10 @@
 //! handling — moves a digest.
 //!
 //! Covered: every registry scenario at the differential tests' request
-//! budget and two seeds, plus a d = 2 spec with churn (a combination no
-//! registry scenario has).
+//! budget and two seeds, a d = 2 spec with churn (a combination no
+//! registry scenario has), and the placements no registry scenario runs
+//! end to end: every d-choice family at d > 2 on the serial engine, and
+//! the sharded engine's stateless placement.
 //!
 //! The rendered table rounds to 6 decimals, so a last-bit change in a
 //! quantile or the mean would pass it. A second table pins the same
@@ -187,4 +189,96 @@ fn d2_with_churn_matches_its_golden_digest() {
     let m = run(spec, 9);
     assert_eq!(rendered_digest(&m), 0x74fcfd04159f0de9);
     assert_eq!(bits_digest(&m), 0x1d5df3db393dd156);
+}
+
+/// A 16-server two-class fleet at ρ = 0.8 under `placement`: short
+/// queues and two speeds, so candidate sets often tie on normalised
+/// load and on speed, and the residual tie draw runs.
+fn pinned_spec(placement: PlacementSpec, churn: bool) -> ClusterSpec {
+    let speeds = CapacityVector::two_class(8, 1, 8, 8);
+    ClusterSpec {
+        arrivals: ArrivalProcess::Poisson {
+            rate: 0.8 * speeds.total() as f64,
+        },
+        speeds,
+        placement,
+        queue_capacity: Some(64),
+        churn: churn.then_some(ChurnConfig {
+            start: 5.0,
+            interval: 10.0,
+        }),
+        requests: 20_000,
+    }
+}
+
+/// `(placement, churn, sharded with one worker, bits digest)`.
+const PLACEMENT_BITS: &[(PlacementSpec, bool, bool, u64)] = &[
+    (
+        PlacementSpec::DChoice { d: 3 },
+        false,
+        false,
+        0x7c68795b51fb5f12,
+    ),
+    (
+        PlacementSpec::DChoice { d: 4 },
+        true,
+        false,
+        0x4cfbfb76ea5c3d0c,
+    ),
+    (
+        PlacementSpec::UniformDChoice { d: 3 },
+        false,
+        false,
+        0x8d9e3e0a6dd01fa4,
+    ),
+    (
+        PlacementSpec::ShortestQueue { d: 3 },
+        true,
+        false,
+        0xa689f0c69481d5de,
+    ),
+    (
+        PlacementSpec::HashThenProbe { d: 3, vnodes: 4 },
+        true,
+        false,
+        0x8194186d4d21bc0d,
+    ),
+    (
+        PlacementSpec::DChoice { d: 2 },
+        false,
+        true,
+        0x22fa485b2dc86275,
+    ),
+    (
+        PlacementSpec::DChoice { d: 3 },
+        true,
+        true,
+        0x875993cb07641962,
+    ),
+    (
+        PlacementSpec::HashThenProbe { d: 3, vnodes: 4 },
+        false,
+        true,
+        0xd727c0b3f506e279,
+    ),
+];
+
+#[test]
+fn wide_and_stateless_placements_match_their_golden_digests() {
+    let mut mismatches = Vec::new();
+    for &(placement, churn, sharded, want) in PLACEMENT_BITS {
+        let mut builder = SimBuilder::new(pinned_spec(placement, churn)).seed(0x5EED);
+        if sharded {
+            builder = builder.workers(1);
+        }
+        let got = bits_digest(&builder.build().run());
+        if got != want {
+            mismatches.push(format!("{placement:?}, {churn}, {sharded}: {got:#018x}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "metric bits moved:\n{}",
+        mismatches.join("\n")
+    );
 }

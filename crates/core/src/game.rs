@@ -458,6 +458,28 @@ mod tests {
     }
 
     #[test]
+    fn d2_fast_path_picks_the_shared_scans_bin() {
+        // From the same tie-stream state, `alloc_d2_paper` picks the bin
+        // Algorithm 1's shared scan picks on the same pair, duplicates
+        // included. It spends one draw per ball; the scan draws only on
+        // a residual tie, so the streams are compared per ball.
+        let caps = CapacityVector::two_class(4, 1, 4, 8);
+        let mut game = GameConfig::default().build(&caps, 17);
+        let mut drawn = 0;
+        for _ in 0..5_000 {
+            let c1 = game.sampler.sample(&mut game.rng);
+            let c2 = game.sampler.sample(&mut game.rng);
+            let mut scan_rng = game.tie_rng.clone();
+            let want = Policy::PaperProtocol.choose(&game.bins, &[c1, c2], &mut scan_rng);
+            drawn += usize::from(scan_rng != game.tie_rng);
+            let got = game.alloc_d2_paper(c1, c2);
+            assert_eq!(got, want);
+            game.bins.add_ball(got);
+        }
+        assert!(drawn > 500, "only {drawn} residual ties");
+    }
+
+    #[test]
     fn d1_first_choice_is_weighted_one_choice() {
         // With d = 1 and FirstChoice, allocation frequency must follow the
         // proportional selection probabilities.

@@ -1,4 +1,20 @@
 //! Allocation policies: given the `d` candidates, pick the receiving bin.
+//!
+//! [`argmin_distinct`] is the single implementation of Algorithm 1's
+//! candidate scan in the workspace: every minimising policy here, the
+//! weighted game, the Byers ring game (`bnb-hashring`) and every
+//! placement arm of the router (`bnb-router`) call it, with
+//! [`algorithm1_key`] as the key wherever the rule is Algorithm 1's.
+//! Three hand-unrolled `d = 2` fast paths stand beside it, each pinned to
+//! it by tests:
+//!
+//! * `Game::alloc_d2_paper` in `bnb-core`: from the same tie-stream
+//!   state it picks the scan's bin, but it spends exactly one tie draw
+//!   per ball (its own RNG contract, which keeps it branch-free);
+//! * `PlacementEngine::place_d2` in `bnb-router`;
+//! * the `d = 2` hash-then-probe arm of `bnb-router`'s engine.
+//!
+//! The two router paths consume exactly the scan's draws.
 
 use crate::bins::BinArray;
 use crate::load::Load;
@@ -52,80 +68,78 @@ impl Policy {
     ) -> usize {
         assert!(!candidates.is_empty(), "candidate set must be non-empty");
         match self {
-            Policy::PaperProtocol => {
-                choose_minimal(bins, candidates, rng, Criterion::PostLoadThenCapacity)
+            Policy::PaperProtocol => argmin_distinct(candidates, rng, |i| {
+                algorithm1_key(bins.balls(i), bins.capacity(i))
+            }),
+            Policy::LeastLoadedPost => {
+                argmin_distinct(candidates, rng, |i| bins.post_alloc_load(i))
             }
-            Policy::LeastLoadedPost => choose_minimal(bins, candidates, rng, Criterion::PostLoad),
-            Policy::LeastLoadedPrior => choose_minimal(bins, candidates, rng, Criterion::PriorLoad),
-            Policy::FewestBalls => choose_minimal(bins, candidates, rng, Criterion::BallCount),
+            Policy::LeastLoadedPrior => argmin_distinct(candidates, rng, |i| bins.load(i)),
+            Policy::FewestBalls => argmin_distinct(candidates, rng, |i| bins.balls(i)),
             Policy::RandomOfChosen => candidates[rng.next_below(candidates.len() as u64) as usize],
             Policy::FirstChoice => candidates[0],
         }
     }
 }
 
-/// Which quantity the minimising policies compare.
-#[derive(Clone, Copy)]
-enum Criterion {
-    PostLoadThenCapacity,
-    PostLoad,
-    PriorLoad,
-    BallCount,
+/// Algorithm 1's key for a bin holding `balls` balls (jobs) with
+/// capacity (speed) `capacity`: the post-allocation load
+/// `(balls + 1)/capacity` first, then the larger capacity, encoded as
+/// `u64::MAX − capacity` so one lexicographic minimum applies both
+/// rules.
+///
+/// # Panics
+/// Panics if `capacity == 0`.
+#[inline]
+#[must_use]
+pub fn algorithm1_key(balls: u64, capacity: u64) -> (Load, u64) {
+    (Load::new(balls + 1, capacity), u64::MAX - capacity)
 }
 
-/// Shared scan: find the best candidate under `criterion` with uniform
-/// tie-breaking over *distinct* bins (duplicates in `candidates` are
-/// collapsed, as the protocol operates on the set `B`).
+/// The candidate with the smallest `key`, ties broken uniformly over the
+/// *distinct* candidates that remain — Algorithm 1's scan once `key` is
+/// [`algorithm1_key`].
 ///
-/// Implemented as a single pass with reservoir-style tie resolution: we
-/// keep the current best and count how many distinct tied bins we have
-/// seen; a new tied bin replaces the incumbent with probability `1/k`.
-/// This avoids materialising `B_opt` on the heap in the hot loop.
+/// Duplicates collapse to one candidate (the protocol chooses from the
+/// set `B`): a candidate already seen earlier in the list is skipped
+/// without evaluating its key. Ties resolve in one pass, reservoir
+/// style: the `k`-th distinct candidate tying the incumbent replaces it
+/// with probability `1/k`, one `rng.next_below(k)` draw. No other draw
+/// is made, so a strict winner, a capacity tie-break or an
+/// all-duplicate list consumes nothing.
+///
+/// # Panics
+/// Panics if `candidates` is empty.
 #[inline]
-fn choose_minimal(
-    bins: &BinArray,
+pub fn argmin_distinct<K: Ord>(
     candidates: &[usize],
     rng: &mut Xoshiro256PlusPlus,
-    criterion: Criterion,
+    mut key: impl FnMut(usize) -> K,
 ) -> usize {
-    debug_assert!(!candidates.is_empty());
-
-    // Key for a candidate: smaller is better. For the paper protocol the
-    // secondary key prefers *larger* capacity, encoded by negating via
-    // (u64::MAX - capacity) so a single lexicographic min works.
-    #[inline]
-    fn key(bins: &BinArray, i: usize, criterion: Criterion) -> (Load, u64) {
-        match criterion {
-            Criterion::PostLoadThenCapacity => {
-                (bins.post_alloc_load(i), u64::MAX - bins.capacity(i))
-            }
-            Criterion::PostLoad => (bins.post_alloc_load(i), 0),
-            Criterion::PriorLoad => (bins.load(i), 0),
-            Criterion::BallCount => (Load::new(bins.balls(i), 1), 0),
-        }
-    }
-
+    assert!(!candidates.is_empty(), "candidate set must be non-empty");
     let mut best = candidates[0];
-    let mut best_key = key(bins, best, criterion);
+    let mut best_key = key(best);
     let mut ties: u64 = 1;
-    for idx in 1..candidates.len() {
-        let cand = candidates[idx];
-        // Set semantics: a bin already processed earlier in the candidate
-        // list contributes nothing new. With d ≤ MAX_D a linear scan of
-        // the prefix is cheaper than any hashing.
+    for (idx, &cand) in candidates.iter().enumerate().skip(1) {
+        // With d ≤ MAX_D a linear scan of the prefix is cheaper than any
+        // hashing.
         if candidates[..idx].contains(&cand) {
             continue;
         }
-        let k = key(bins, cand, criterion);
-        if k < best_key {
-            best = cand;
-            best_key = k;
-            ties = 1;
-        } else if k == best_key {
-            ties += 1;
-            if rng.next_below(ties) == 0 {
+        let k = key(cand);
+        match k.cmp(&best_key) {
+            std::cmp::Ordering::Less => {
                 best = cand;
+                best_key = k;
+                ties = 1;
             }
+            std::cmp::Ordering::Equal => {
+                ties += 1;
+                if rng.next_below(ties) == 0 {
+                    best = cand;
+                }
+            }
+            std::cmp::Ordering::Greater => {}
         }
     }
     best
@@ -198,6 +212,82 @@ mod tests {
         }
         for &c in &counts {
             assert!((9000..11000).contains(&c), "{counts:?}");
+        }
+    }
+
+    /// Whether `f` leaves `rng` where it found it.
+    fn draws_nothing(f: impl FnOnce(&mut Xoshiro256PlusPlus)) -> bool {
+        let mut r = rng();
+        f(&mut r);
+        r == rng()
+    }
+
+    #[test]
+    fn algorithm1_key_orders_by_post_load_then_speed() {
+        // Queue/speed pairs of eight servers.
+        let load = [
+            (3, 1),
+            (0, 1),
+            (5, 8),
+            (1, 8),
+            (2, 4),
+            (2, 4),
+            (0, 2),
+            (9, 2),
+        ];
+        let key = |i: usize| algorithm1_key(load[i].0, load[i].1);
+        // Post-join loads 4, 0.75, 0.25: slot 3 wins outright.
+        let mut r = rng();
+        assert_eq!(argmin_distinct(&[0, 2, 3], &mut r, key), 3);
+        // Slots 4, 2, 5 all post-join 0.75: slot 2's larger speed wins,
+        // and the capacity tie-break consumes no draw.
+        assert!(draws_nothing(|r| assert_eq!(
+            argmin_distinct(&[4, 2, 5], r, key),
+            2
+        )));
+    }
+
+    #[test]
+    fn capacity_tiebreak_draws_nothing() {
+        // Post-loads tie at 1 (the paper_protocol_capacity_tiebreak
+        // bins); the larger bin wins without touching the tie stream.
+        let mut bins = BinArray::new(vec![2, 4]);
+        bins.add_ball(0);
+        for _ in 0..3 {
+            bins.add_ball(1);
+        }
+        assert!(draws_nothing(|r| {
+            assert_eq!(Policy::PaperProtocol.choose(&bins, &[0, 1, 0], r), 1);
+        }));
+    }
+
+    #[test]
+    fn all_duplicate_candidates_draw_nothing() {
+        let bins = BinArray::new(vec![3, 3]);
+        for policy in [
+            Policy::PaperProtocol,
+            Policy::LeastLoadedPost,
+            Policy::LeastLoadedPrior,
+            Policy::FewestBalls,
+        ] {
+            assert!(draws_nothing(|r| {
+                assert_eq!(policy.choose(&bins, &[1, 1, 1, 1], r), 1);
+            }));
+        }
+    }
+
+    #[test]
+    fn residual_ties_split_uniformly_over_distinct_candidates() {
+        // Equal keys with repeats interleaved after the first tie: each
+        // distinct candidate wins a third of the time, whatever its
+        // multiplicity or position.
+        let mut r = rng();
+        let mut counts = [0u32; 3];
+        for _ in 0..30_000 {
+            counts[argmin_distinct(&[0, 1, 0, 2, 1], &mut r, |_| 0u64)] += 1;
+        }
+        for &c in &counts {
+            assert!((9_500..10_500).contains(&c), "{counts:?}");
         }
     }
 

@@ -13,7 +13,7 @@
 use crate::capacity::CapacityVector;
 use crate::choice::{draw_candidates, ChoiceMode, Selection, MAX_D};
 use crate::load::Load;
-use crate::policy::Policy;
+use crate::policy::{argmin_distinct, Policy};
 use bnb_distributions::{AliasTable, Xoshiro256PlusPlus};
 
 /// Bin state of the weighted game: capacities and accumulated ball mass.
@@ -178,48 +178,23 @@ impl WeightedGame {
         target
     }
 
-    /// Policy application with size-aware post-allocation loads.
+    /// Policy application with size-aware post-allocation loads: the
+    /// minimising policies run the shared scan of
+    /// [`crate::policy::argmin_distinct`] with `size` in place of the
+    /// unit ball.
     fn choose(&mut self, candidates: &[usize], size: u64) -> usize {
+        let (bins, rng) = (&self.bins, &mut self.rng);
         match self.policy {
-            Policy::RandomOfChosen => {
-                candidates[self.rng.next_below(candidates.len() as u64) as usize]
+            Policy::PaperProtocol => argmin_distinct(candidates, rng, |i| {
+                (bins.post_alloc_load(i, size), u64::MAX - bins.capacity(i))
+            }),
+            Policy::LeastLoadedPost => {
+                argmin_distinct(candidates, rng, |i| bins.post_alloc_load(i, size))
             }
+            Policy::LeastLoadedPrior => argmin_distinct(candidates, rng, |i| bins.load(i)),
+            Policy::FewestBalls => argmin_distinct(candidates, rng, |i| bins.mass(i)),
+            Policy::RandomOfChosen => candidates[rng.next_below(candidates.len() as u64) as usize],
             Policy::FirstChoice => candidates[0],
-            _ => {
-                // All minimising policies share the scan; keys differ.
-                let key = |bins: &WeightedBinArray, i: usize| -> (Load, u64) {
-                    match self.policy {
-                        Policy::PaperProtocol => {
-                            (bins.post_alloc_load(i, size), u64::MAX - bins.capacity(i))
-                        }
-                        Policy::LeastLoadedPost => (bins.post_alloc_load(i, size), 0),
-                        Policy::LeastLoadedPrior => (bins.load(i), 0),
-                        Policy::FewestBalls => (Load::new(bins.mass(i), 1), 0),
-                        Policy::RandomOfChosen | Policy::FirstChoice => unreachable!(),
-                    }
-                };
-                let mut best = candidates[0];
-                let mut best_key = key(&self.bins, best);
-                let mut ties = 1u64;
-                for idx in 1..candidates.len() {
-                    let cand = candidates[idx];
-                    if candidates[..idx].contains(&cand) {
-                        continue;
-                    }
-                    let k = key(&self.bins, cand);
-                    if k < best_key {
-                        best = cand;
-                        best_key = k;
-                        ties = 1;
-                    } else if k == best_key {
-                        ties += 1;
-                        if self.rng.next_below(ties) == 0 {
-                            best = cand;
-                        }
-                    }
-                }
-                best
-            }
         }
     }
 

@@ -18,7 +18,7 @@
 //! deterministic, regardless of thread count.
 
 use bnb_cluster::{find_scenario, registry, Scenario, SimBuilder, SMOKE_DIVISOR};
-use bnb_experiments::sweep_scenario_with_options;
+use bnb_experiments::sweep_scenario;
 use bnb_stats::svg::render_svg;
 use bnb_telemetry::{render_chrome_trace, render_prometheus, MetricsSnapshot, Registry};
 use std::path::PathBuf;
@@ -231,7 +231,7 @@ fn run_sweeps(args: &Args) -> ExitCode {
         let n_servers = (scenario.build)(args.seed, requests).speeds.n();
         let registry = args.telemetry.then(Registry::enabled);
         let start = Instant::now();
-        let (sweep, telemetry) = sweep_scenario_with_options(
+        let (sweep, telemetry) = sweep_scenario(
             scenario,
             &args.d_sweep,
             args.replicas,

@@ -66,23 +66,8 @@ pub struct ScenarioSweep {
 /// `derive_seed(master, cell_id, r)` and accumulators merge in replica
 /// order ([`merge_ordered`]).
 ///
-/// # Panics
-/// Panics if `replicas == 0`, `ds` is empty, or the scenario spec is
-/// invalid at some `d`.
-#[must_use]
-pub fn sweep_scenario(
-    scenario: &'static Scenario,
-    ds: &[usize],
-    replicas: u64,
-    requests: u64,
-    master: u64,
-) -> ScenarioSweep {
-    sweep_scenario_with_telemetry(scenario, ds, replicas, requests, master, None).0
-}
-
-/// [`sweep_scenario`] with optional telemetry: when `registry` is
-/// `Some`, every replica runs with the simulator spans and
-/// scheduler-internals counters enabled, and the per-replica
+/// When `registry` is `Some`, every replica runs with the simulator
+/// spans and scheduler-internals counters enabled, and the per-replica
 /// [`MetricsSnapshot`]s are merged **in replica order** (then in grid
 /// order across `d` cells) into one sweep-wide snapshot. Telemetry is
 /// schedule-invisible, so the `ScenarioSweep` half of the return is
@@ -90,37 +75,19 @@ pub fn sweep_scenario(
 /// are deterministic too, while its span histograms hold wall-clock
 /// nanoseconds and are not.
 ///
-/// # Panics
-/// Panics if `replicas == 0`, `ds` is empty, or the scenario spec is
-/// invalid at some `d`.
-#[must_use]
-pub fn sweep_scenario_with_telemetry(
-    scenario: &'static Scenario,
-    ds: &[usize],
-    replicas: u64,
-    requests: u64,
-    master: u64,
-    registry: Option<&Registry>,
-) -> (ScenarioSweep, Option<MetricsSnapshot>) {
-    sweep_scenario_with_options(scenario, ds, replicas, requests, master, registry, None)
-}
-
-/// [`sweep_scenario_with_telemetry`] with an engine choice: when
-/// `workers` is `Some(w)`, every replica runs on the space-sharded
+/// When `workers` is `Some(w)`, every replica runs on the space-sharded
 /// parallel engine with `w` workers instead of the serial one. The
 /// sharded engine is worker-count invariant, so the `ScenarioSweep`
-/// half of the return is bitwise identical at any `w` — and identical
-/// to the serial (`None`) run as well, engine differences permitting
-/// (the sharded engine's frozen-epoch placement is a different
-/// simulator, so metrics may legitimately differ from serial; they
-/// never differ between worker counts).
+/// half of the return is bitwise identical at any `w` (its
+/// frozen-epoch placement is a different simulator from the serial
+/// engine, so its metrics may legitimately differ from a `None` run).
 ///
 /// # Panics
 /// Panics if `replicas == 0`, `ds` is empty, `workers == Some(0)`, or
 /// the scenario spec is invalid at some `d`.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn sweep_scenario_with_options(
+pub fn sweep_scenario(
     scenario: &'static Scenario,
     ds: &[usize],
     replicas: u64,
@@ -260,8 +227,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_across_runs() {
         let sc = find_scenario("two-class").unwrap();
-        let a = sweep_scenario(sc, &[1, 2], 3, 2_000, 11);
-        let b = sweep_scenario(sc, &[1, 2], 3, 2_000, 11);
+        let a = sweep_scenario(sc, &[1, 2], 3, 2_000, 11, None, None).0;
+        let b = sweep_scenario(sc, &[1, 2], 3, 2_000, 11, None, None).0;
         assert_eq!(a.render_table(64), b.render_table(64));
         assert_eq!(
             a.to_series_set().to_plot_text(),
@@ -276,7 +243,7 @@ mod tests {
         // d = 1 (weighted random) piles up far deeper normalised queues
         // than d = 4 on the same traffic.
         let sc = find_scenario("two-class").unwrap();
-        let sweep = sweep_scenario(sc, &[1, 4], 4, 5_000, 3);
+        let sweep = sweep_scenario(sc, &[1, 4], 4, 5_000, 3, None, None).0;
         let d1 = sweep.points[0].acc.max_normalized_queue.mean();
         let d4 = sweep.points[1].acc.max_normalized_queue.mean();
         assert!(d4 < d1, "d=4 peak {d4} should be far below d=1 peak {d1}");
@@ -285,8 +252,8 @@ mod tests {
     #[test]
     fn sweep_on_the_sharded_engine_is_worker_count_invariant() {
         let sc = find_scenario("uniform").unwrap();
-        let (a, _) = sweep_scenario_with_options(sc, &[2], 2, 2_000, 5, None, Some(1));
-        let (b, _) = sweep_scenario_with_options(sc, &[2], 2, 2_000, 5, None, Some(3));
+        let (a, _) = sweep_scenario(sc, &[2], 2, 2_000, 5, None, Some(1));
+        let (b, _) = sweep_scenario(sc, &[2], 2, 2_000, 5, None, Some(3));
         assert_eq!(a.render_table(64), b.render_table(64));
         assert_eq!(
             a.to_series_set().to_plot_text(),
@@ -297,7 +264,7 @@ mod tests {
     #[test]
     fn replicas_differ_but_aggregate_cleanly() {
         let sc = find_scenario("uniform").unwrap();
-        let sweep = sweep_scenario(sc, &[2], 4, 2_000, 9);
+        let sweep = sweep_scenario(sc, &[2], 4, 2_000, 9, None, None).0;
         let acc = &sweep.points[0].acc;
         assert_eq!(acc.replicas, 4);
         // Replicas are independent runs: the per-replica max normalised

@@ -29,9 +29,6 @@ pub mod output;
 pub mod registry;
 pub mod runner;
 
-pub use cluster_sweep::{
-    sweep_scenario, sweep_scenario_with_options, sweep_scenario_with_telemetry, ScenarioSweep,
-    SweepPoint,
-};
+pub use cluster_sweep::{sweep_scenario, ScenarioSweep, SweepPoint};
 pub use ctx::Ctx;
 pub use registry::{extras_registry, find_figure, registry, FigureSpec};

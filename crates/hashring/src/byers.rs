@@ -4,13 +4,15 @@
 use crate::arcs::arc_probabilities;
 use crate::hash::request_point;
 use crate::ring::HashRing;
+use bnb_core::choice::MAX_D;
+use bnb_core::policy::argmin_distinct;
 use bnb_core::Selection;
 use bnb_distributions::Xoshiro256PlusPlus;
 
 /// The d-choice load-balancing game of Byers et al. on a hash ring:
 /// each request hashes to `d` points; the candidate peers are the
 /// points' successors; the request goes to a candidate with the fewest
-/// requests (ties broken uniformly).
+/// requests (ties broken uniformly over the distinct candidate peers).
 #[derive(Debug, Clone)]
 pub struct ByersGame {
     ring: HashRing,
@@ -24,10 +26,10 @@ impl ByersGame {
     /// Creates the game on the given ring with `d` probes per request.
     ///
     /// # Panics
-    /// Panics if `d == 0`.
+    /// Panics if `d` is outside `1..=MAX_D`.
     #[must_use]
     pub fn new(ring: HashRing, d: usize, seed: u64) -> Self {
-        assert!(d >= 1, "need at least one probe");
+        assert!((1..=MAX_D).contains(&d), "d must be in 1..={MAX_D}");
         let n = ring.n_peers();
         ByersGame {
             ring,
@@ -42,25 +44,13 @@ impl ByersGame {
     pub fn throw(&mut self, rng: &mut Xoshiro256PlusPlus) -> usize {
         let ball = self.next_ball;
         self.next_ball += 1;
-        let mut best = usize::MAX;
-        let mut best_load = u64::MAX;
-        let mut ties = 0u64;
-        for k in 0..self.d {
-            let peer = self
+        let mut probes = [0usize; MAX_D];
+        for (k, probe) in probes[..self.d].iter_mut().enumerate() {
+            *probe = self
                 .ring
                 .successor(request_point(self.seed, ball, k as u64));
-            let load = self.loads[peer];
-            if load < best_load || best == usize::MAX {
-                best = peer;
-                best_load = load;
-                ties = 1;
-            } else if load == best_load && peer != best {
-                ties += 1;
-                if rng.next_below(ties) == 0 {
-                    best = peer;
-                }
-            }
         }
+        let best = argmin_distinct(&probes[..self.d], rng, |peer| self.loads[peer]);
         self.loads[best] += 1;
         best
     }
@@ -175,6 +165,37 @@ mod tests {
             (ring_max - abstract_max).abs() < 0.6,
             "ring {ring_max} vs abstract {abstract_max}"
         );
+    }
+
+    #[test]
+    fn repeated_probe_does_not_bias_ties() {
+        // Fresh games (all loads 0) on one 2-peer ring (16 vnodes each,
+        // so the arcs are near even), one request each:
+        // among requests probing (A, B, A), the distinct peers A and B
+        // tie, so A must win half of them, not the 2/3 a second vote
+        // for A would give.
+        let ring = HashRing::new(2, 16, 5);
+        let mut rng = Xoshiro256PlusPlus::from_u64_seed(8);
+        let (mut aba, mut a_wins) = (0u32, 0u32);
+        for seed in 0..40_000u64 {
+            let probe = |k| ring.successor(request_point(seed, 0, k));
+            let (a, b) = (probe(0), probe(1));
+            if a == b || probe(2) != a {
+                continue;
+            }
+            aba += 1;
+            let mut game = ByersGame::new(ring.clone(), 3, seed);
+            a_wins += u32::from(game.throw(&mut rng) == a);
+        }
+        let share = f64::from(a_wins) / f64::from(aba);
+        assert!(aba > 5_000, "only {aba} (A, B, A) requests");
+        assert!((share - 0.5).abs() < 0.03, "A won {share} of {aba}");
+    }
+
+    #[test]
+    #[should_panic(expected = "d must be in 1..=")]
+    fn oversized_d_rejected() {
+        let _ = ByersGame::new(HashRing::new(4, 1, 0), MAX_D + 1, 0);
     }
 
     #[test]

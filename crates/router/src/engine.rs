@@ -30,21 +30,30 @@
 //! A [`PlacementEngine`] owns the derived structures (alias table,
 //! ring, rendezvous scores) **and its own RNG streams**: candidate
 //! sampling draws from a dedicated placement stream in pre-sampled
-//! blocks (through [`WeightedSampler::sample_batch`], the PR-2 batched
-//! machinery), and residual tie-breaks draw from a separate tie stream
-//! — so placement randomness is independent of whatever streams the
-//! embedder runs and a trace stays bitwise reproducible in
-//! `(spec, seed, stream)`. On churn the engine is rebuilt from the new
-//! [`Membership`]; ring policies rebuild **incrementally** through
-//! [`MembershipRing`], so membership changes re-hash only the joiners'
-//! points and never re-sort the survivors (and invalidate any
-//! unconsumed candidate block, which was drawn against the old alias
-//! table).
+//! blocks (through [`WeightedSampler::sample_batch`]), and residual
+//! tie-breaks draw from a separate tie stream — so placement randomness
+//! is independent of whatever streams the embedder runs and a trace
+//! stays bitwise reproducible in `(spec, seed, stream)`. On churn the
+//! engine is rebuilt from the new [`Membership`]; ring policies rebuild
+//! **incrementally** through [`MembershipRing`], so membership changes
+//! re-hash only the joiners' points and never re-sort the survivors (and
+//! invalidate any unconsumed candidate block, which was drawn against
+//! the old alias table).
+//!
+//! [`PlacementEngine::place`] and [`PlacementEngine::place_stateless`]
+//! share one arm per policy family; they differ only in where the
+//! candidate tokens and tie draws come from. Every load-aware arm
+//! compares its candidates through `bnb_core`'s
+//! [`argmin_distinct`], the one implementation of Algorithm 1's scan
+//! (smallest key, duplicates collapsed, residual ties by a 1/k
+//! reservoir). Two `d = 2` arms are unrolled beside it and pinned to it
+//! by tests: [`PlacementEngine::place_d2`] and the hash-then-probe
+//! pair.
 
-use crate::kernel::{self, ScanScratch};
 use crate::spec::PlacementSpec;
 use crate::view::{LoadView, Membership};
 use bnb_core::choice::MAX_D;
+use bnb_core::policy::{algorithm1_key, argmin_distinct};
 use bnb_distributions::{derive_seed, AliasTable, WeightedSampler, Xoshiro256PlusPlus};
 use bnb_hashring::churn::MembershipRing;
 use bnb_hashring::hash::request_point;
@@ -65,6 +74,24 @@ const CAND_REQUESTS_PER_BLOCK: usize = 512;
 /// churn changes the membership.
 #[derive(Debug, Clone)]
 pub struct PlacementEngine {
+    /// What a placement reads: the spec and the structures derived from
+    /// the membership.
+    routes: Routes,
+    /// Dedicated candidate-sampling stream (sampled policies only).
+    place_rng: Xoshiro256PlusPlus,
+    /// Dedicated residual-tie-break stream (load-aware policies).
+    tie_rng: Xoshiro256PlusPlus,
+    /// Pre-sampled candidate tokens, `d` per request; refilled in
+    /// blocks, invalidated by [`PlacementEngine::rebuild`].
+    cand_buf: Vec<usize>,
+    /// Next unconsumed token in `cand_buf`.
+    cand_pos: usize,
+}
+
+/// The spec and the structures derived from one membership: everything
+/// a placement reads and nothing it writes.
+#[derive(Debug, Clone)]
+struct Routes {
     spec: PlacementSpec,
     seed: u64,
     /// Alive server slots, in creation order; every derived structure
@@ -75,8 +102,6 @@ pub struct PlacementEngine {
     /// indirection entirely, cutting one dependent load off the
     /// token → slot → queue chain every candidate evaluation sits on.
     alive_identity: bool,
-    /// Gather scratch of the batched scan kernel (`d > 2`).
-    scratch: ScanScratch,
     /// Sampled policies: alias table over alive speeds (unit weights
     /// for `UniformDChoice`).
     alias: Option<AliasTable>,
@@ -85,15 +110,6 @@ pub struct PlacementEngine {
     ring: Option<MembershipRing>,
     /// `Rendezvous`: HRW scores over alive speeds.
     rdv: Option<Rendezvous>,
-    /// Dedicated candidate-sampling stream (sampled policies only).
-    place_rng: Xoshiro256PlusPlus,
-    /// Dedicated residual-tie-break stream (load-aware policies).
-    tie_rng: Xoshiro256PlusPlus,
-    /// Pre-sampled candidate tokens, `d` per request; refilled in
-    /// blocks, invalidated by [`PlacementEngine::rebuild`].
-    cand_buf: Vec<usize>,
-    /// Next unconsumed token in `cand_buf`.
-    cand_pos: usize,
 }
 
 impl PlacementEngine {
@@ -141,14 +157,15 @@ impl PlacementEngine {
             assert!(vnodes > 0, "need at least one vnode");
         }
         let mut engine = PlacementEngine {
-            spec,
-            seed,
-            alive: Vec::new(),
-            alive_identity: false,
-            scratch: ScanScratch::new(),
-            alias: None,
-            ring: None,
-            rdv: None,
+            routes: Routes {
+                spec,
+                seed,
+                alive: Vec::new(),
+                alive_identity: false,
+                alias: None,
+                ring: None,
+                rdv: None,
+            },
             place_rng: Xoshiro256PlusPlus::from_u64_seed(derive_seed(
                 seed,
                 PLACEMENT_STREAM,
@@ -165,7 +182,7 @@ impl PlacementEngine {
     /// The placement spec in force.
     #[must_use]
     pub fn spec(&self) -> PlacementSpec {
-        self.spec
+        self.routes.spec
     }
 
     /// Recomputes the derived structures after a membership change. Ring
@@ -175,44 +192,13 @@ impl PlacementEngine {
     /// candidates are discarded: they were drawn against the old
     /// membership's alias table.
     pub fn rebuild(&mut self, membership: &Membership) {
-        self.alive.clear();
-        self.alive
-            .extend(membership.members().iter().map(|m| m.slot));
-        self.alive_identity = self.alive.iter().enumerate().all(|(i, &s)| i == s);
-        self.cand_pos = self.cand_buf.len();
-        match self.spec {
-            PlacementSpec::DChoice { d }
-            | PlacementSpec::ShortestQueue { d }
-            | PlacementSpec::UniformDChoice { d } => {
-                let uniform = matches!(self.spec, PlacementSpec::UniformDChoice { .. });
-                let weights: Vec<f64> = membership
-                    .members()
-                    .iter()
-                    .map(|m| if uniform { 1.0 } else { m.speed as f64 })
-                    .collect();
-                self.alias = Some(AliasTable::new(&weights));
-                // Resize in place: churn rebuilds must not reallocate
-                // the candidate block every tick.
-                self.cand_buf.resize(d * CAND_REQUESTS_PER_BLOCK, 0);
-                self.cand_pos = self.cand_buf.len();
-            }
-            PlacementSpec::ConsistentHash { vnodes }
-            | PlacementSpec::HashThenProbe { vnodes, .. } => {
-                let ids: Vec<u64> = membership.members().iter().map(|m| m.id).collect();
-                match &mut self.ring {
-                    Some(ring) => ring.update(&ids),
-                    None => self.ring = Some(MembershipRing::new(self.seed, vnodes, &ids)),
-                }
-            }
-            PlacementSpec::Rendezvous => {
-                let weights: Vec<f64> = membership
-                    .members()
-                    .iter()
-                    .map(|m| m.speed as f64)
-                    .collect();
-                self.rdv = Some(Rendezvous::new(weights, self.seed));
-            }
+        self.routes.rebuild(membership);
+        if let Some(d) = self.routes.sampled_d() {
+            // Resize in place: churn rebuilds must not reallocate the
+            // candidate block every tick.
+            self.cand_buf.resize(d * CAND_REQUESTS_PER_BLOCK, 0);
         }
+        self.cand_pos = self.cand_buf.len();
     }
 
     /// Whether this policy reads the request key at all (the sampled
@@ -221,7 +207,7 @@ impl PlacementEngine {
     #[must_use]
     pub fn needs_key(&self) -> bool {
         matches!(
-            self.spec,
+            self.routes.spec,
             PlacementSpec::ConsistentHash { .. }
                 | PlacementSpec::Rendezvous
                 | PlacementSpec::HashThenProbe { .. }
@@ -243,38 +229,246 @@ impl PlacementEngine {
     #[inline]
     #[must_use]
     pub fn place(&mut self, view: &impl LoadView, key: u64) -> usize {
-        match self.spec {
-            PlacementSpec::DChoice { d } | PlacementSpec::UniformDChoice { d } => {
-                if d == 2 {
-                    // The dominant configuration, unrolled; the
-                    // cluster's drive loop calls it directly.
-                    return self.place_d2(view);
-                }
+        match self.routes.spec {
+            PlacementSpec::DChoice { d: 2 } | PlacementSpec::UniformDChoice { d: 2 } => {
+                // The dominant configuration, unrolled; the cluster's
+                // drive loop calls it directly.
+                self.place_d2(view)
+            }
+            PlacementSpec::DChoice { d }
+            | PlacementSpec::ShortestQueue { d }
+            | PlacementSpec::UniformDChoice { d } => {
                 let pos = self.take_candidates(d);
-                // Algorithm 1 over the candidate *set* through the
-                // batched scan kernel: chunked gather of the loads,
-                // then the same dedup + reservoir argmin
-                // (smallest post-join normalised queue, capacity
-                // tie-break, residual ties uniform — bit-identical RNG
-                // draws to the scalar scan it replaced).
                 let tokens = &self.cand_buf[pos..pos + d];
-                if self.alive_identity {
-                    kernel::gather(view, tokens, |t| t, &mut self.scratch);
-                } else {
-                    kernel::gather(view, tokens, |t| self.alive[t], &mut self.scratch);
+                self.routes.pick(view, key, tokens, &mut self.tie_rng)
+            }
+            _ => self.routes.pick(view, key, &[], &mut self.tie_rng),
+        }
+    }
+
+    /// Routes a request against `view` **without touching any engine
+    /// state** — `&self`, so a frozen engine shared through an `Arc`
+    /// can serve placement from many threads at once. The caller
+    /// supplies the randomness: a short-lived `rng` per request,
+    /// consumed for candidate sampling first and residual tie-breaks
+    /// second (the sampled d-choice families), or tie-breaks only
+    /// (`HashThenProbe`); the key-pure policies draw nothing.
+    ///
+    /// This produces a *different trace* from [`PlacementEngine::place`]
+    /// (which block pre-samples from the engine's own streams): a
+    /// stateless placement is a pure function of
+    /// `(spec, membership, key, rng state)` — independent of call
+    /// order, thread count and shard layout — which is exactly the
+    /// invariance the sharded cluster simulator's worker-count
+    /// byte-identity rests on. Selection semantics are
+    /// [`PlacementEngine::place`]'s: the same arm per policy family.
+    #[inline]
+    #[must_use]
+    pub fn place_stateless(
+        &self,
+        view: &impl LoadView,
+        key: u64,
+        rng: &mut Xoshiro256PlusPlus,
+    ) -> usize {
+        let Some(d) = self.routes.sampled_d() else {
+            return self.routes.pick(view, key, &[], rng);
+        };
+        let alias = self
+            .routes
+            .alias
+            .as_ref()
+            .expect("alias built for sampled policies");
+        let mut tokens = [0usize; MAX_D];
+        for token in &mut tokens[..d] {
+            *token = alias.sample(rng);
+        }
+        self.routes.pick(view, key, &tokens[..d], rng)
+    }
+
+    /// Consumes the next request's `d` pre-sampled candidate tokens,
+    /// returning their offset in `cand_buf`. An exhausted block is
+    /// refilled first, in the draw order of `d` successive scalar
+    /// samples per request.
+    #[inline]
+    fn take_candidates(&mut self, d: usize) -> usize {
+        if self.cand_pos + d > self.cand_buf.len() {
+            let alias = self
+                .routes
+                .alias
+                .as_ref()
+                .expect("alias built for sampled policies");
+            alias.sample_batch(&mut self.place_rng, &mut self.cand_buf);
+            self.cand_pos = 0;
+        }
+        let pos = self.cand_pos;
+        self.cand_pos += d;
+        pos
+    }
+
+    /// The two candidate slots an upcoming `DChoice { d: 2 }` placement
+    /// will compare, `k` requests after the next one (`k = 0` is the
+    /// next request), read from the pre-sampled candidate block and
+    /// mapped through the alive list — valid if the membership does not
+    /// change first. `None` past the current block, or under any other
+    /// policy. Consumes no token and draws nothing, so a caller can load
+    /// those records early without moving any placement.
+    #[inline]
+    #[must_use]
+    pub fn peek_d2(&self, k: usize) -> Option<(usize, usize)> {
+        if !matches!(self.routes.spec, PlacementSpec::DChoice { d: 2 }) {
+            return None;
+        }
+        let pos = self.cand_pos + 2 * k;
+        let tokens = self.cand_buf.get(pos..pos + 2)?;
+        let (a, b) = (tokens[0], tokens[1]);
+        Some(if self.routes.alive_identity {
+            (a, b)
+        } else {
+            (self.routes.alive[a], self.routes.alive[b])
+        })
+    }
+
+    /// The unrolled `d = 2` placement of Algorithm 1 — the dominant
+    /// configuration, called per request by both
+    /// [`PlacementEngine::place`] and the cluster drive loop's d = 2 arm.
+    /// Semantics (candidate draws, dedup, capacity tie-break, residual
+    /// tie-stream draw) are exactly the shared scan's, which the
+    /// equivalence tests pin.
+    ///
+    /// # Panics
+    /// Panics if the engine's policy is not `DChoice` (the alias table
+    /// is missing).
+    #[inline]
+    pub fn place_d2(&mut self, view: &impl LoadView) -> usize {
+        if self.cand_pos + 2 > self.cand_buf.len() {
+            // Refill the candidate block: identical draw order to two
+            // successive scalar samples per request.
+            let alias = self.routes.alias.as_ref().expect("alias built for DChoice");
+            alias.sample_batch(&mut self.place_rng, &mut self.cand_buf);
+            self.cand_pos = 0;
+        }
+        let pos = self.cand_pos;
+        self.cand_pos += 2;
+        let (a, b) = (self.cand_buf[pos], self.cand_buf[pos + 1]);
+        // On an unchurned fleet the token *is* the slot: skip the alive
+        // indirection and shorten the token → slot → queue load chain
+        // by a level (the common case — every no-churn scenario).
+        let (sa, sb) = if self.routes.alive_identity {
+            (a, b)
+        } else {
+            (self.routes.alive[a], self.routes.alive[b])
+        };
+        if a == b {
+            return sa;
+        }
+        // Algorithm 1's key, written out directly instead of through the
+        // `(Load, u64)` tuple `Ord`: smallest post-join normalised load
+        // `(q+1)/speed` by exact cross-multiplication, capacity
+        // tie-break towards the faster server, residual ties uniform —
+        // the identical order `algorithm1_key` induces, with two fewer
+        // data-dependent branches per request.
+        let ((qa, ca), (qb, cb)) = (view.load(sa), view.load(sb));
+        let lhs = (qa + 1) as u128 * cb as u128;
+        let rhs = (qb + 1) as u128 * ca as u128;
+        if lhs != rhs {
+            return if lhs < rhs { sa } else { sb };
+        }
+        if ca != cb {
+            return if ca > cb { sa } else { sb };
+        }
+        if self.tie_rng.next_below(2) == 0 {
+            sb
+        } else {
+            sa
+        }
+    }
+}
+
+impl Routes {
+    /// Rebuilds the derived structures for `membership`.
+    fn rebuild(&mut self, membership: &Membership) {
+        self.alive.clear();
+        self.alive
+            .extend(membership.members().iter().map(|m| m.slot));
+        self.alive_identity = self.alive.iter().enumerate().all(|(i, &s)| i == s);
+        match self.spec {
+            PlacementSpec::DChoice { .. }
+            | PlacementSpec::ShortestQueue { .. }
+            | PlacementSpec::UniformDChoice { .. } => {
+                let uniform = matches!(self.spec, PlacementSpec::UniformDChoice { .. });
+                let weights: Vec<f64> = membership
+                    .members()
+                    .iter()
+                    .map(|m| if uniform { 1.0 } else { m.speed as f64 })
+                    .collect();
+                self.alias = Some(AliasTable::new(&weights));
+            }
+            PlacementSpec::ConsistentHash { vnodes }
+            | PlacementSpec::HashThenProbe { vnodes, .. } => {
+                let ids: Vec<u64> = membership.members().iter().map(|m| m.id).collect();
+                match &mut self.ring {
+                    Some(ring) => ring.update(&ids),
+                    None => self.ring = Some(MembershipRing::new(self.seed, vnodes, &ids)),
                 }
-                kernel::argmin_algo1(tokens, &self.scratch, &mut self.tie_rng)
             }
-            PlacementSpec::ShortestQueue { d } => {
-                let pos = self.take_candidates(d);
-                let (alive, identity) = (&self.alive, self.alive_identity);
-                reservoir_argmin(
-                    &self.cand_buf[pos..pos + d],
-                    &mut self.tie_rng,
-                    |t| if identity { t } else { alive[t] },
-                    |s| view.queue_len(s),
-                )
+            PlacementSpec::Rendezvous => {
+                let weights: Vec<f64> = membership
+                    .members()
+                    .iter()
+                    .map(|m| m.speed as f64)
+                    .collect();
+                self.rdv = Some(Rendezvous::new(weights, self.seed));
             }
+        }
+    }
+
+    /// `d` of the families whose candidates are alias-table draws.
+    #[inline]
+    fn sampled_d(&self) -> Option<usize> {
+        match self.spec {
+            PlacementSpec::DChoice { d }
+            | PlacementSpec::ShortestQueue { d }
+            | PlacementSpec::UniformDChoice { d } => Some(d),
+            PlacementSpec::ConsistentHash { .. }
+            | PlacementSpec::Rendezvous
+            | PlacementSpec::HashThenProbe { .. } => None,
+        }
+    }
+
+    /// The fleet slot of alias token `token`.
+    #[inline]
+    fn slot(&self, token: usize) -> usize {
+        if self.alive_identity {
+            token
+        } else {
+            self.alive[token]
+        }
+    }
+
+    /// One placement, one arm per policy family. `tokens` are the
+    /// request's alias-table candidates (the sampled families; empty
+    /// otherwise) and `ties` the stream residual ties draw from.
+    /// Candidates are tokens (alias indices, ring peers); the alive list
+    /// maps distinct tokens to distinct slots, so deduplicating tokens
+    /// deduplicates servers.
+    #[inline]
+    fn pick(
+        &self,
+        view: &impl LoadView,
+        key: u64,
+        tokens: &[usize],
+        ties: &mut Xoshiro256PlusPlus,
+    ) -> usize {
+        match self.spec {
+            PlacementSpec::DChoice { .. } | PlacementSpec::UniformDChoice { .. } => {
+                self.slot(argmin_distinct(tokens, ties, |t| {
+                    let (queue, speed) = view.load(self.slot(t));
+                    algorithm1_key(queue, speed)
+                }))
+            }
+            PlacementSpec::ShortestQueue { .. } => self.slot(argmin_distinct(tokens, ties, |t| {
+                view.queue_len(self.slot(t))
+            })),
             PlacementSpec::ConsistentHash { .. } => {
                 let ring = self.ring.as_ref().expect("ring built for ConsistentHash");
                 self.alive[ring.ring().successor(key)]
@@ -293,8 +487,8 @@ impl PlacementEngine {
                 // the fewest jobs in system; ties uniform over distinct
                 // candidates.
                 if d == 2 {
-                    // The dominant probe count, unrolled with the same
-                    // dedup/tie semantics as the reservoir scan below.
+                    // The dominant probe count, unrolled with the shared
+                    // scan's dedup and draws.
                     let p0 = ring.successor(request_point(self.seed, key, 0));
                     let p1 = ring.successor(request_point(self.seed, key, 1));
                     let s0 = self.alive[p0];
@@ -306,329 +500,17 @@ impl PlacementEngine {
                     if q1 != q0 {
                         return if q1 < q0 { s1 } else { s0 };
                     }
-                    return if self.tie_rng.next_below(2) == 0 {
-                        s1
-                    } else {
-                        s0
-                    };
+                    return if ties.next_below(2) == 0 { s1 } else { s0 };
                 }
                 let mut probes = [0usize; MAX_D];
                 for (k, probe) in probes[..d].iter_mut().enumerate() {
                     *probe = ring.successor(request_point(self.seed, key, k as u64));
                 }
-                reservoir_argmin(
-                    &probes[..d],
-                    &mut self.tie_rng,
-                    |peer| self.alive[peer],
-                    |s| view.queue_len(s),
-                )
+                self.alive
+                    [argmin_distinct(&probes[..d], ties, |peer| view.queue_len(self.alive[peer]))]
             }
         }
     }
-
-    /// Routes a request against `view` **without touching any engine
-    /// state** — `&self`, so a frozen engine shared through an `Arc`
-    /// can serve placement from many threads at once. The caller
-    /// supplies the randomness: a short-lived `rng` per request,
-    /// consumed for candidate sampling first and residual tie-breaks
-    /// second (the sampled d-choice families), or tie-breaks only
-    /// (`HashThenProbe`); the key-pure policies draw nothing.
-    ///
-    /// This produces a *different trace* from [`PlacementEngine::place`]
-    /// (which block pre-samples from the engine's own streams): a
-    /// stateless placement is a pure function of
-    /// `(spec, membership, key, rng state)` — independent of call
-    /// order, thread count and shard layout — which is exactly the
-    /// invariance the sharded cluster simulator's worker-count
-    /// byte-identity rests on. Selection semantics are Algorithm 1's,
-    /// unchanged: speed-proportional candidates, smallest post-join
-    /// normalised queue by exact cross-multiplication, capacity
-    /// tie-break towards the faster server, residual ties uniform.
-    ///
-    /// # Panics
-    /// Panics if the engine was built for a different policy family
-    /// than its derived structures (impossible through the public
-    /// constructors).
-    #[inline]
-    #[must_use]
-    pub fn place_stateless(
-        &self,
-        view: &impl LoadView,
-        key: u64,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
-        match self.spec {
-            PlacementSpec::DChoice { d } | PlacementSpec::UniformDChoice { d } => {
-                let alias = self.alias.as_ref().expect("alias built for DChoice");
-                if d == 2 {
-                    let (a, b) = (alias.sample(rng), alias.sample(rng));
-                    let (sa, sb) = if self.alive_identity {
-                        (a, b)
-                    } else {
-                        (self.alive[a], self.alive[b])
-                    };
-                    if a == b {
-                        return sa;
-                    }
-                    let ((qa, ca), (qb, cb)) = if let Some((queues, speeds)) = view.dense() {
-                        ((queues[sa], speeds[sa]), (queues[sb], speeds[sb]))
-                    } else {
-                        (view.load(sa), view.load(sb))
-                    };
-                    let lhs = (qa + 1) as u128 * cb as u128;
-                    let rhs = (qb + 1) as u128 * ca as u128;
-                    if lhs != rhs {
-                        return if lhs < rhs { sa } else { sb };
-                    }
-                    if ca != cb {
-                        return if ca > cb { sa } else { sb };
-                    }
-                    return if rng.next_below(2) == 0 { sb } else { sa };
-                }
-                let mut tokens = [0usize; MAX_D];
-                for token in tokens[..d].iter_mut() {
-                    *token = alias.sample(rng);
-                }
-                self.argmin_algo1_stateless(view, &tokens[..d], rng)
-            }
-            PlacementSpec::ShortestQueue { d } => {
-                let alias = self.alias.as_ref().expect("alias built for ShortestQueue");
-                let mut tokens = [0usize; MAX_D];
-                for token in tokens[..d].iter_mut() {
-                    *token = alias.sample(rng);
-                }
-                let (alive, identity) = (&self.alive, self.alive_identity);
-                reservoir_argmin(
-                    &tokens[..d],
-                    rng,
-                    |t| if identity { t } else { alive[t] },
-                    |s| view.queue_len(s),
-                )
-            }
-            PlacementSpec::ConsistentHash { .. } => {
-                let ring = self.ring.as_ref().expect("ring built for ConsistentHash");
-                self.alive[ring.ring().successor(key)]
-            }
-            PlacementSpec::Rendezvous => {
-                let rdv = self.rdv.as_ref().expect("scores built for Rendezvous");
-                self.alive[rdv.owner(key)]
-            }
-            PlacementSpec::HashThenProbe { d, .. } => {
-                let ring = self
-                    .ring
-                    .as_ref()
-                    .expect("ring built for HashThenProbe")
-                    .ring();
-                let mut probes = [0usize; MAX_D];
-                for (k, probe) in probes[..d].iter_mut().enumerate() {
-                    *probe = ring.successor(request_point(self.seed, key, k as u64));
-                }
-                reservoir_argmin(
-                    &probes[..d],
-                    rng,
-                    |peer| self.alive[peer],
-                    |s| view.queue_len(s),
-                )
-            }
-        }
-    }
-
-    /// Consumes the next request's `d` pre-sampled candidate tokens,
-    /// returning their offset in `cand_buf`. An exhausted block is
-    /// refilled first, in the draw order of `d` successive scalar
-    /// samples per request.
-    #[inline]
-    fn take_candidates(&mut self, d: usize) -> usize {
-        if self.cand_pos + d > self.cand_buf.len() {
-            let alias = self
-                .alias
-                .as_ref()
-                .expect("alias built for sampled policies");
-            alias.sample_batch(&mut self.place_rng, &mut self.cand_buf);
-            self.cand_pos = 0;
-        }
-        let pos = self.cand_pos;
-        self.cand_pos += d;
-        pos
-    }
-
-    /// Algorithm 1's dedup-prefix reservoir argmin over `d` candidate
-    /// tokens, stateless edition: the exact cross-multiplied
-    /// `(q+1)/speed` order with capacity tie-break (the order
-    /// `kernel::argmin_algo1` evaluates through its gather scratch),
-    /// but reading loads per candidate through the view and drawing
-    /// residual ties from the caller's `rng`.
-    fn argmin_algo1_stateless(
-        &self,
-        view: &impl LoadView,
-        tokens: &[usize],
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> usize {
-        let slot_of = |t: usize| {
-            if self.alive_identity {
-                t
-            } else {
-                self.alive[t]
-            }
-        };
-        let mut best = slot_of(tokens[0]);
-        let (mut best_q, mut best_c) = view.load(best);
-        let mut ties = 1u64;
-        for idx in 1..tokens.len() {
-            if tokens[..idx].contains(&tokens[idx]) {
-                continue;
-            }
-            let cand = slot_of(tokens[idx]);
-            let (q, c) = view.load(cand);
-            // cand beats best iff (q+1)/c < (best_q+1)/best_c, by exact
-            // cross-multiplication; equal ratios tie-break to the
-            // faster server; full ties go to the 1/k reservoir.
-            let lhs = (q + 1) as u128 * best_c as u128;
-            let rhs = (best_q + 1) as u128 * c as u128;
-            match lhs.cmp(&rhs).then(best_c.cmp(&c)) {
-                std::cmp::Ordering::Less => {
-                    best = cand;
-                    best_q = q;
-                    best_c = c;
-                    ties = 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    ties += 1;
-                    if rng.next_below(ties) == 0 {
-                        best = cand;
-                        best_q = q;
-                        best_c = c;
-                    }
-                }
-                std::cmp::Ordering::Greater => {}
-            }
-        }
-        best
-    }
-
-    /// The two candidate slots an upcoming `DChoice { d: 2 }` placement
-    /// will compare, `k` requests after the next one (`k = 0` is the
-    /// next request), read from the pre-sampled candidate block and
-    /// mapped through the alive list — valid if the membership does not
-    /// change first. `None` past the current block, or under any other
-    /// policy. Consumes no token and draws nothing, so a caller can load
-    /// those records early without moving any placement.
-    #[inline]
-    #[must_use]
-    pub fn peek_d2(&self, k: usize) -> Option<(usize, usize)> {
-        if !matches!(self.spec, PlacementSpec::DChoice { d: 2 }) {
-            return None;
-        }
-        let pos = self.cand_pos + 2 * k;
-        let tokens = self.cand_buf.get(pos..pos + 2)?;
-        let (a, b) = (tokens[0], tokens[1]);
-        Some(if self.alive_identity {
-            (a, b)
-        } else {
-            (self.alive[a], self.alive[b])
-        })
-    }
-
-    /// The unrolled `d = 2` placement of Algorithm 1 — the dominant
-    /// configuration, called per request by both
-    /// [`PlacementEngine::place`] and the cluster drive loop's d = 2 arm.
-    /// Semantics (candidate draws, dedup, capacity tie-break, residual
-    /// tie-stream draw) are exactly the reservoir scan's, which the
-    /// equivalence tests pin.
-    ///
-    /// # Panics
-    /// Panics if the engine's policy is not `DChoice` (the alias table
-    /// is missing).
-    #[inline]
-    pub fn place_d2(&mut self, view: &impl LoadView) -> usize {
-        if self.cand_pos + 2 > self.cand_buf.len() {
-            // Refill the candidate block: identical draw order to two
-            // successive scalar samples per request.
-            let alias = self.alias.as_ref().expect("alias built for DChoice");
-            alias.sample_batch(&mut self.place_rng, &mut self.cand_buf);
-            self.cand_pos = 0;
-        }
-        let pos = self.cand_pos;
-        self.cand_pos += 2;
-        let (a, b) = (self.cand_buf[pos], self.cand_buf[pos + 1]);
-        // On an unchurned fleet the token *is* the slot: skip the alive
-        // indirection and shorten the token → slot → queue load chain
-        // by a level (the common case — every no-churn scenario).
-        let (sa, sb) = if self.alive_identity {
-            (a, b)
-        } else {
-            (self.alive[a], self.alive[b])
-        };
-        if a == b {
-            return sa;
-        }
-        // Algorithm 1's key, written out directly instead of through the
-        // `(Load, u64)` tuple `Ord`: smallest post-join normalised load
-        // `(q+1)/speed` by exact cross-multiplication, capacity
-        // tie-break towards the faster server, residual ties uniform —
-        // the identical order `placement_key` induces, with two fewer
-        // data-dependent branches per request.
-        let ((qa, ca), (qb, cb)) = if let Some((queues, speeds)) = view.dense() {
-            ((queues[sa], speeds[sa]), (queues[sb], speeds[sb]))
-        } else {
-            (view.load(sa), view.load(sb))
-        };
-        let lhs = (qa + 1) as u128 * cb as u128;
-        let rhs = (qb + 1) as u128 * ca as u128;
-        if lhs != rhs {
-            return if lhs < rhs { sa } else { sb };
-        }
-        if ca != cb {
-            return if ca > cb { sa } else { sb };
-        }
-        if self.tie_rng.next_below(2) == 0 {
-            sb
-        } else {
-            sa
-        }
-    }
-}
-
-/// Reservoir-tied argmin over a candidate token prefix, skipping
-/// duplicate tokens — the dedup-prefix scan + 1/k reservoir tie
-/// semantics shared with `core::policy`'s Algorithm 1 (which the
-/// differential test pins). `map` converts a token (alias index or ring
-/// peer) to a server slot; `key` orders slots, smaller wins. Consumes
-/// one RNG draw per residual tie, none otherwise.
-///
-/// # Panics
-/// Panics if `tokens` is empty.
-fn reservoir_argmin<K: Ord>(
-    tokens: &[usize],
-    rng: &mut Xoshiro256PlusPlus,
-    map: impl Fn(usize) -> usize,
-    key: impl Fn(usize) -> K,
-) -> usize {
-    let mut best = map(tokens[0]);
-    let mut best_key = key(best);
-    let mut ties = 1u64;
-    for idx in 1..tokens.len() {
-        if tokens[..idx].contains(&tokens[idx]) {
-            continue;
-        }
-        let cand = map(tokens[idx]);
-        let cand_key = key(cand);
-        match cand_key.cmp(&best_key) {
-            std::cmp::Ordering::Less => {
-                best = cand;
-                best_key = cand_key;
-                ties = 1;
-            }
-            std::cmp::Ordering::Equal => {
-                ties += 1;
-                if rng.next_below(ties) == 0 {
-                    best = cand;
-                }
-            }
-            std::cmp::Ordering::Greater => {}
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -1013,20 +895,13 @@ mod tests {
         }
     }
 
-    /// The same loads as a [`DenseView`], with the slices hidden: only
-    /// [`LoadView::load`], the path the simulator's fleet takes.
-    struct LoadOnly<'a>(DenseView<'a>);
-
-    impl LoadView for LoadOnly<'_> {
-        fn load(&self, slot: usize) -> (u64, u64) {
-            self.0.load(slot)
-        }
-    }
-
     #[test]
-    fn load_only_views_place_like_dense_views() {
-        // Tie-heavy loads (three speeds, short queues), on an unchurned
-        // membership and on one with every third slot departed.
+    fn unrolled_pairs_place_like_the_shared_scan() {
+        // `place_d2` and the d = 2 hash-then-probe arm against
+        // `argmin_distinct` run on the same candidates: same slot every
+        // request, same tie stream after. Tie-heavy loads (three speeds,
+        // short queues), on an unchurned membership and on one with
+        // every third slot departed.
         let speeds: Vec<u64> = (0..24).map(|i| [1, 2, 4][i % 3]).collect();
         let full = Membership::from_speeds(&speeds);
         let churned = Membership::new(
@@ -1037,33 +912,42 @@ mod tests {
                 .collect(),
         );
         for membership in [&full, &churned] {
-            for d in [2, 3] {
-                let spec = PlacementSpec::DChoice { d };
-                let mut dense = PlacementEngine::new(spec, membership, 5);
-                let mut load_only = dense.clone();
-                let fresh = dense.clone();
+            let alive: Vec<usize> = membership.members().iter().map(|m| m.slot).collect();
+            for spec in [
+                PlacementSpec::DChoice { d: 2 },
+                PlacementSpec::HashThenProbe { d: 2, vnodes: 4 },
+            ] {
+                let mut unrolled = PlacementEngine::new(spec, membership, 5);
+                let mut scan = unrolled.clone();
                 let mut queues = vec![0u64; speeds.len()];
                 for r in 0..3_000usize {
-                    let (a, b) = {
-                        let view = DenseView::new(&queues, &speeds);
-                        if d == 2 {
-                            (dense.place_d2(&view), load_only.place_d2(&LoadOnly(view)))
-                        } else {
-                            (dense.place(&view, 0), load_only.place(&LoadOnly(view), 0))
-                        }
+                    let view = DenseView::new(&queues, &speeds);
+                    let key = mix64(r as u64);
+                    let got = unrolled.place(&view, key);
+                    let want = if let PlacementSpec::DChoice { .. } = spec {
+                        let pos = scan.take_candidates(2);
+                        let tokens = &scan.cand_buf[pos..pos + 2];
+                        alive[argmin_distinct(tokens, &mut scan.tie_rng, |t| {
+                            let (q, s) = view.load(alive[t]);
+                            algorithm1_key(q, s)
+                        })]
+                    } else {
+                        let ring = scan.routes.ring.as_ref().unwrap().ring();
+                        let probes = [0, 1].map(|k| ring.successor(request_point(5, key, k)));
+                        alive[argmin_distinct(&probes, &mut scan.tie_rng, |p| {
+                            view.queue_len(alive[p])
+                        })]
                     };
-                    assert_eq!(a, b, "d={d}, request {r}: views picked different slots");
-                    queues[a] += 1;
+                    assert_eq!(got, want, "{}, request {r}", spec.name());
+                    queues[got] += 1;
                     // Drain one job per request so queues stay short.
                     let drained = (r * 7) % speeds.len();
                     queues[drained] = queues[drained].saturating_sub(1);
                 }
-                assert_eq!(
-                    dense.tie_rng, load_only.tie_rng,
-                    "d={d}: tie streams diverged"
-                );
-                assert_eq!(dense.place_rng, load_only.place_rng);
-                assert_ne!(dense.tie_rng, fresh.tie_rng, "d={d}: no tie was drawn");
+                let fresh = PlacementEngine::new(spec, membership, 5);
+                assert_eq!(unrolled.tie_rng, scan.tie_rng, "{}", spec.name());
+                assert_eq!(unrolled.place_rng, scan.place_rng);
+                assert_ne!(unrolled.tie_rng, fresh.tie_rng, "{}: no tie", spec.name());
             }
         }
     }

@@ -21,9 +21,12 @@
 //!   load; per-slot job counters are relaxed atomics (approximate under
 //!   concurrency, never torn).
 //! * [`PlacementEngine`] — the bare policy state machine, generic over
-//!   any [`LoadView`]: the cluster simulator drives it directly against
-//!   its own fleet records, which is how simulation and serving share
-//!   one placement code path byte for byte.
+//!   any [`LoadView`] (one `(jobs_in_system, speed)` read per candidate
+//!   slot): the cluster simulator drives it directly against its own
+//!   fleet records, which is how simulation and serving share one
+//!   placement code path byte for byte. Its load-aware policies compare
+//!   candidates through `bnb_core::policy::argmin_distinct`, the one
+//!   implementation of Algorithm 1's scan.
 //!
 //! Telemetry is opt-in ([`RouterBuilder::telemetry`]): each handle
 //! times `route` (sampled) and epoch refreshes (unsampled), and the
@@ -70,14 +73,12 @@
 
 pub mod builder;
 pub mod engine;
-pub mod kernel;
 pub mod spec;
 pub mod telemetry;
 pub mod view;
 
 pub use builder::{RouterBuilder, RouterHandle};
 pub use engine::PlacementEngine;
-pub use kernel::ScanScratch;
 pub use spec::PlacementSpec;
 pub use telemetry::RouterCounters;
 pub use view::{

@@ -143,24 +143,11 @@ pub trait LoadView {
     fn queue_len(&self, slot: usize) -> u64 {
         self.load(slot).0
     }
-
-    /// The loads as plain structure-of-arrays slices
-    /// `(queue_lens, speeds)`, when the implementation stores them that
-    /// way. [`DenseView`] returns `Some`, and the batched scan kernel
-    /// (`crate::kernel`) gathers candidates straight out of the slices
-    /// in a chunked loop. Everything else returns `None` (the default)
-    /// and takes the per-slot [`LoadView::load`] path: concurrent
-    /// snapshots, whose counters are atomics, and the simulator's
-    /// fleet, which keeps each server's load inside that server's own
-    /// record.
-    #[inline]
-    fn dense(&self) -> Option<(&[u64], &[u64])> {
-        None
-    }
 }
 
 /// A borrowed dense load mirror: plain `(queue_lens, speeds)` slices,
-/// no atomics, no interior mutability. This is the **frozen-view** form
+/// no atomics, no interior mutability, read per slot through
+/// [`LoadView::load`] like every other view. This is the **frozen-view** form
 /// of a fleet — the sharded cluster simulator snapshots its global
 /// per-slot arrays once per epoch and routes every arrival of that
 /// epoch against the same immutable `DenseView`, so placement is a pure
@@ -197,11 +184,6 @@ impl LoadView for DenseView<'_> {
     #[inline]
     fn load(&self, slot: usize) -> (u64, u64) {
         (self.queues[slot], self.speeds[slot])
-    }
-
-    #[inline]
-    fn dense(&self) -> Option<(&[u64], &[u64])> {
-        Some((self.queues, self.speeds))
     }
 }
 
@@ -421,21 +403,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dense_view_exposes_its_slices() {
+    fn frozen_view_reads_its_slices() {
         let queues = [3u64, 0, 7];
         let speeds = [1u64, 8, 2];
         let view = DenseView::new(&queues, &speeds);
         assert_eq!(view.load(0), (3, 1));
         assert_eq!(view.load(2), (7, 2));
         assert_eq!(view.queue_len(1), 0);
-        let (q, s) = view.dense().expect("plain slices are dense");
-        assert_eq!(q, &queues);
-        assert_eq!(s, &speeds);
     }
 
     #[test]
     #[should_panic(expected = "same slots")]
-    fn dense_view_rejects_mismatched_mirrors() {
+    fn frozen_view_rejects_mismatched_mirrors() {
         let _ = DenseView::new(&[1, 2], &[1]);
     }
 
