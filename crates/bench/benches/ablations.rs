@@ -1,10 +1,10 @@
-//! Design-choice ablations (DESIGN.md §5).
+//! Design-choice ablations.
 //!
 //! These measure *solution quality* (mean maximum load), not speed: each
 //! "benchmark" iteration runs a batch of seeded games and black-boxes the
 //! mean max load, so criterion's timing doubles as a regression guard on
-//! the simulation cost of each variant, while the printed summaries in
-//! EXPERIMENTS.md record the quality numbers.
+//! the simulation cost of each variant, while the printed summaries
+//! record the quality numbers.
 //!
 //! Variants:
 //! * Algorithm 1 vs. no-capacity-tie-break vs. prior-load greedy

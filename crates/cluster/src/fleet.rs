@@ -22,7 +22,6 @@
 //! dead forever — so `is_alive()` alone identifies stale departure
 //! events after churn.
 
-use bnb_core::Load;
 use bnb_queueing::events::Time;
 use bnb_router::{LoadView, Member, Membership};
 use std::collections::VecDeque;
@@ -139,13 +138,6 @@ impl ClusterServer {
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The normalised load a job would see after joining:
-    /// `(queue + 1) / speed` as an exact [`Load`] rational.
-    #[must_use]
-    pub fn post_join_load(&self) -> Load {
-        Load::new(self.queue + 1, self.speed)
     }
 
     /// Stable membership id.
@@ -395,28 +387,6 @@ impl Fleet {
         (now - admitted, s.queue > 0)
     }
 
-    /// Serves one job start-to-finish on an **idle** server in a single
-    /// step: the drive loop's next-free bypass, where the departure is
-    /// provably the next event so the job arrives, serves and departs
-    /// with no observer in between. Counter state afterwards is exactly
-    /// [`Fleet::try_join`] then [`Fleet::depart`] composed — the queue
-    /// nets to zero, the peak queue is at least one, one more
-    /// completion, and the admission ring's write/read cancels — so the
-    /// returned sojourn latency is the service time itself.
-    ///
-    /// # Panics
-    /// Panics if the server is not alive. Debug-asserts the server is
-    /// idle — callers must have checked its queue length.
-    #[inline]
-    pub fn serve_one_now(&mut self, i: usize, admitted: Time, departed: Time) -> Time {
-        let s = &mut self.servers[i];
-        assert!(s.alive, "routed a request to a departed server");
-        debug_assert_eq!(s.queue, 0, "next-free bypass requires an idle server");
-        s.max_queue = s.max_queue.max(1);
-        s.completed += 1;
-        departed - admitted
-    }
-
     /// Server `i` leaves the cluster at `now`: its backlog (queued jobs
     /// and the one in service) is orphaned and returned, and it stops
     /// receiving traffic for good — slots are never revived, so pending
@@ -447,12 +417,6 @@ impl Fleet {
         self.servers.push(ClusterServer::new(speed, id));
         self.n_alive += 1;
         self.servers.len() - 1
-    }
-
-    /// Sum of completed jobs over every slot.
-    #[must_use]
-    pub fn total_completed(&self) -> u64 {
-        self.servers.iter().map(ClusterServer::completed).sum()
     }
 
     /// Sum of admission drops over every slot.
@@ -494,35 +458,6 @@ mod tests {
         assert!((lat2 - 3.0).abs() < 1e-12, "second job waited 2.0→5.0");
         assert!(!more2);
         assert_eq!(fleet.server(0).completed(), 2);
-    }
-
-    #[test]
-    fn serve_one_now_is_join_then_depart_composed() {
-        let mut a = Fleet::new(&[2, 3], Some(4));
-        let mut b = a.clone();
-        // Path A: the composed pair on an idle server.
-        assert_eq!(a.try_join(1, 1.0), Admission::StartedService);
-        let (lat_a, more) = a.depart(1, 2.5);
-        assert!(!more);
-        // Path B: the bypass in one step.
-        let lat_b = b.serve_one_now(1, 1.0, 2.5);
-        assert_eq!(lat_a.to_bits(), lat_b.to_bits());
-        assert_eq!(a.server(1).completed(), b.server(1).completed());
-        assert_eq!(a.server(1).max_queue(), b.server(1).max_queue());
-        assert_eq!(a.server(1).queue_len(), 0);
-        assert_eq!(b.server(1).queue_len(), 0);
-        assert_eq!(LoadView::load(&a, 1), LoadView::load(&b, 1));
-        // A later real join still sees the idle state on both.
-        assert_eq!(a.try_join(1, 3.0), Admission::StartedService);
-        assert_eq!(b.try_join(1, 3.0), Admission::StartedService);
-    }
-
-    #[test]
-    #[should_panic(expected = "departed server")]
-    fn serve_one_now_rejects_dead_servers() {
-        let mut fleet = Fleet::new(&[1, 1], None);
-        fleet.deactivate(0, 0.0);
-        let _ = fleet.serve_one_now(0, 1.0, 2.0);
     }
 
     #[test]
@@ -637,22 +572,20 @@ mod tests {
     }
 
     /// One step on slot `pick % n_slots`: a burst of joins or departs,
-    /// a next-free bypass, or churn.
+    /// or churn.
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Join(usize, u32),
         Depart(usize, u32),
-        ServeOneNow(usize),
         Deactivate(usize),
         Activate(u64),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u32..64, 0usize..64, 1u32..=20).prop_map(|(kind, pick, burst)| match kind {
+        (0u32..58, 0usize..64, 1u32..=20).prop_map(|(kind, pick, burst)| match kind {
             0..=27 => Op::Join(pick, burst),
             28..=55 => Op::Depart(pick, burst),
-            56..=61 => Op::ServeOneNow(pick),
-            62 => Op::Deactivate(pick),
+            56 => Op::Deactivate(pick),
             _ => Op::Activate(1 + pick as u64 % 8),
         })
     }
@@ -712,18 +645,6 @@ mod tests {
                         prop_assert_eq!(more, !m.fifo.is_empty());
                     }
                 }
-                Op::ServeOneNow(pick) => {
-                    let i = pick % model.len();
-                    let m = &mut model[i];
-                    if !m.alive || !m.fifo.is_empty() {
-                        continue;
-                    }
-                    let (admitted, departed) = (tick(), tick());
-                    m.max_queue = m.max_queue.max(1);
-                    m.completed += 1;
-                    let latency = fleet.serve_one_now(i, admitted, departed);
-                    prop_assert_eq!(latency.to_bits(), (departed - admitted).to_bits());
-                }
                 Op::Deactivate(pick) => {
                     let i = pick % model.len();
                     let alive = model.iter().filter(|m| m.alive).count();
@@ -758,7 +679,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random join/depart bursts, bypasses and churn on a few slots
+        /// Random join/depart bursts and churn on a few slots
         /// at capacities up to 64 (0 = unbounded): ring wraparound,
         /// queues deeper than the ring with spill and refill, capacity
         /// drops and slots leaving with a spilled backlog all replay

@@ -28,15 +28,12 @@
 //! arrival the one tick still pending fires as a no-op, so the
 //! horizon covers it.
 //!
-//! Placement is dispatched once per run. `DChoice { d: 2 }` takes the
-//! unrolled d = 2 compare over the fleet's per-server records (the same
-//! record the join then writes) as its own monomorphised arm; every
-//! other policy calls [`PlacementEngine::place`], with a request key
-//! computed only for the key-driven (ring) policies.
-//!
-//! A **next-free bypass** serves a request landing on an idle server
-//! inline whenever its departure is provably the next event, skipping
-//! the board entirely.
+//! Every request takes one path: one [`PlacementEngine::place`] call
+//! against the fleet's per-server records (the same record the join
+//! then writes), with a request key computed only for the key-driven
+//! (ring) policies, then [`Fleet::try_join`]; a job that starts service
+//! schedules its departure on the board, and every departure pops from
+//! it. How d = 2 is placed is the engine's business alone.
 //!
 //! ## Lookahead
 //!
@@ -47,7 +44,7 @@
 //! (group prefetching, after Chen, Ailamaki, Gibbons & Mowry, ICDE
 //! 2004, done with plain loads because the crate is safe Rust):
 //!
-//! * **placement** — before placing request i, the `D2` arm loads the
+//! * **placement** — before placing request i, the loop loads the
 //!   counters line (`queue`, `speed`) of request i + 4's two
 //!   candidates, read out of the router's pre-sampled candidate block
 //!   ([`PlacementEngine::peek_d2`]);
@@ -59,8 +56,8 @@
 //!
 //! The loads are compiled in only for d = 2 placement on a fleet whose
 //! record array is larger than `LOOKAHEAD_FOOTPRINT` (1 MiB, about one
-//! core's private L2), a const-generic arm chosen once per run like
-//! `D2`; smaller fleets and other policies run the loop without them.
+//! core's private L2), a const-generic arm chosen once per run; smaller
+//! fleets and other policies run the loop without them.
 //! The loaded values only feed a sink consumed after the loop. The
 //! lookahead draws no random number, consumes no candidate token, and
 //! moves no event, so it cannot change a run's output.
@@ -79,8 +76,7 @@
 //! RNG work off the per-event path without changing any draw: the same
 //! seed replays the identical event trace, byte for byte, in the
 //! rendered metrics. The unit tests replay every registry scenario on a
-//! binary-heap departure board with the bypass off and require
-//! byte-identical output.
+//! binary-heap departure board and require byte-identical output.
 
 use crate::arrivals::{ArrivalProcess, ArrivalSampler};
 use crate::fleet::{Admission, Fleet};
@@ -113,7 +109,7 @@ pub(crate) const CHURN_STREAM: u64 = 0x6368_726E; // "chrn"
 /// extra loads only cost instructions.
 const LOOKAHEAD_FOOTPRINT: usize = 1 << 20;
 
-/// How many requests ahead the d = 2 arm loads candidate records.
+/// How many requests ahead the lookahead arm loads candidate records.
 const LOOKAHEAD_REQUESTS: usize = 4;
 
 /// Periodic churn: every `interval` time units (starting at `start`),
@@ -153,10 +149,6 @@ pub struct ClusterSpec {
 /// no pending departure, so the board's keyed semantics (a reschedule
 /// replaces) and the heap's multiset semantics coincide.
 pub(crate) trait DepartureBoard {
-    /// Whether the loop may serve a provably-next departure inline (the
-    /// next-free bypass) instead of scheduling it. The oracle opts out,
-    /// so the differential checks the bypass as well as the board.
-    const BYPASS: bool = true;
     /// An empty board sized for `slots` slots (it may grow past them).
     fn with_slots(slots: usize) -> Self;
     /// Schedules `slot`'s departure at `time`.
@@ -227,10 +219,6 @@ pub struct ClusterSim {
     /// Lazy-deletion internals folded out of the drive loop's local
     /// departure board when it drains (see [`bnb_queueing::LazyBoard`]).
     lazy_stats: LazyStats,
-    /// Requests served inline by the next-free bypass: the request
-    /// landed on an idle server and its departure was provably the next
-    /// event, so it never entered the departure board at all.
-    next_free_bypasses: u64,
     /// Departures popped after their server left: dropped, having only
     /// advanced the clock.
     stale_departures: u64,
@@ -285,7 +273,6 @@ impl ClusterSim {
             result: None,
             tele: SimTelemetry::disabled(),
             lazy_stats: LazyStats::new(),
-            next_free_bypasses: 0,
             stale_departures: 0,
             lookahead_touches: 0,
             spec,
@@ -305,10 +292,10 @@ impl ClusterSim {
     /// Harvests everything this run observed — span latency
     /// distributions and trace events, the departure board's internals
     /// counters (ring inserts, stale pops, rebuilds, far-side refills),
-    /// next-free bypasses, departures dropped because their server
-    /// churned out (`sim.stale_departures`), fleet records the
-    /// lookahead loaded early (`sim.lookahead_touches`), admissions that
-    /// overflowed a server's inline ring (`fleet.fifo_spills`), and
+    /// departures dropped because their server churned out
+    /// (`sim.stale_departures`), fleet records the lookahead loaded
+    /// early (`sim.lookahead_touches`), admissions that overflowed a
+    /// server's inline ring (`fleet.fifo_spills`), and
     /// arrival-thinning counts — into one exportable snapshot. Meaningful after [`ClusterSim::run`];
     /// the internals counters are live (always on) even when the spans
     /// were never enabled.
@@ -318,7 +305,6 @@ impl ClusterSim {
             &self.lazy_stats,
             &[
                 ("sim.arrived", self.arrived),
-                ("sim.next_free_bypass", self.next_free_bypasses),
                 ("sim.stale_departures", self.stale_departures),
                 ("sim.lookahead_touches", self.lookahead_touches),
                 ("fleet.fifo_spills", self.fleet.fifo_spills()),
@@ -334,17 +320,16 @@ impl ClusterSim {
         self.run_on::<LazyBoard>()
     }
 
-    /// [`ClusterSim::run`] on departure board `B`. Placement and the
-    /// lookahead gate are dispatched here, once per run.
+    /// [`ClusterSim::run`] on departure board `B`. The lookahead gate
+    /// is dispatched here, once per run.
     fn run_on<B: DepartureBoard>(&mut self) -> ClusterMetrics {
         if let Some(result) = &self.result {
             return result.clone();
         }
-        let d2 = matches!(self.spec.placement, PlacementSpec::DChoice { d: 2 });
-        let horizon = match (d2, self.lookahead()) {
-            (true, true) => self.drive::<B, true, true>(),
-            (true, false) => self.drive::<B, true, false>(),
-            (false, _) => self.drive::<B, false, false>(),
+        let horizon = if self.lookahead() {
+            self.drive::<B, true>()
+        } else {
+            self.drive::<B, false>()
         };
         let metrics = ClusterMetrics::collect(
             &self.fleet,
@@ -368,8 +353,7 @@ impl ClusterSim {
     }
 
     /// The drive loop (see the module docs); returns the horizon, the
-    /// time of the last event. `D2` selects the unrolled d = 2
-    /// placement arm, `AHEAD` (only with `D2`) the lookahead loads.
+    /// time of the last event. `AHEAD` adds the lookahead loads.
     ///
     /// One branch-predictable loop keeps arrival merging, placement,
     /// service sampling and completion scheduling together, and the
@@ -377,25 +361,10 @@ impl ClusterSim {
     /// churn tick all live in registers instead of round-tripping
     /// through `self` between events.
     ///
-    /// On top of the board sits the **next-free bypass**: when a
-    /// request lands on an idle server and its departure time is
-    /// provably the next event — strictly before the next arrival
-    /// (arrivals win ties, so a tie disqualifies), strictly below the
-    /// board's front time (mirrored exactly in `dep_bound`) and
-    /// strictly before the next churn tick — the job is served
-    /// start-to-finish inline ([`Fleet::serve_one_now`]) and its
-    /// departure never enters the board at all. The strict comparisons
-    /// make the trace position unambiguous: the departure would have
-    /// popped before every pending event, and the server's queue goes
-    /// 0 → 1 → 0 with no observer in between, so every counter and the
-    /// latency-push order are exactly those of a scheduled departure.
-    ///
-    /// The next arrival is drawn before the current one is placed (the
-    /// bypass compares against it). The streams are independently
-    /// seeded, so each stream's draw sequence is still its event-order
-    /// sequence.
-    fn drive<B: DepartureBoard, const D2: bool, const AHEAD: bool>(&mut self) -> Time {
-        const { assert!(D2 || !AHEAD, "lookahead runs in the d = 2 arm only") };
+    /// The next arrival is drawn before the current one is placed. The
+    /// streams are independently seeded, so each stream's draw sequence
+    /// is still its event-order sequence.
+    fn drive<B: DepartureBoard, const AHEAD: bool>(&mut self) -> Time {
         /// Arrival times pre-sampled per refill. Arrivals chain off
         /// their own stream only, so a block is bitwise the scalar
         /// sequence; the size just keeps the thinning loop hot (the
@@ -422,8 +391,7 @@ impl ClusterSim {
         // can only lower it (`min` below), a pop re-reads it, and
         // `front` is exact, so the mirror always equals the next
         // departure time (`INFINITY` for an empty board). The event
-        // merge and the bypass test then cost one f64 compare each
-        // instead of a board call.
+        // merge then costs one f64 compare instead of a board call.
         let mut dep_bound = f64::INFINITY;
         // The lookahead's loaded values all fold into `sink`, which is
         // consumed once after the loop, so the loads cannot be dropped.
@@ -480,57 +448,30 @@ impl ClusterSim {
                 f64::INFINITY
             };
             let tp = self.tele.place.enter();
-            let target = if D2 {
-                if AHEAD {
-                    // Load the counters line of the candidates a few
-                    // requests ahead, so their misses overlap this one.
-                    if let Some((a, b)) = self.router.peek_d2(LOOKAHEAD_REQUESTS) {
-                        sink ^= LoadView::load(&self.fleet, a).0 ^ LoadView::load(&self.fleet, b).0;
-                        touches += 2;
-                    }
+            if AHEAD {
+                // Load the counters line of the candidates a few
+                // requests ahead, so their misses overlap this one.
+                if let Some((a, b)) = self.router.peek_d2(LOOKAHEAD_REQUESTS) {
+                    sink ^= LoadView::load(&self.fleet, a).0 ^ LoadView::load(&self.fleet, b).0;
+                    touches += 2;
                 }
-                // Key-oblivious: reads each candidate's (queue_len,
-                // speed) from its fleet record, so the winner's record
-                // is already in cache for the join.
-                self.router.place_d2(&self.fleet)
-            } else {
-                // Counter-hashed request key: deterministic, uniform
-                // over u64 — only computed for the key-driven (ring)
-                // policies.
-                let key = if needs_key {
-                    mix64(self.key_seed ^ self.arrived.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                } else {
-                    0
-                };
-                self.router.place(&self.fleet, key)
-            };
-            if LoadView::load(&self.fleet, target).0 != 0 {
-                // Busy target: the request queues (or drops); no
-                // departure to schedule either way.
-                let admission = self.fleet.try_join(target, now);
-                debug_assert_ne!(admission, Admission::StartedService);
-                self.tele.place.exit(tp);
-                continue;
             }
-            self.tele.place.exit(tp);
-            // Idle target: service starts now (an idle queue always
-            // admits), so draw the service time and decide where the
-            // departure goes. Exp(1) work at rate `speed` ⇒ Exp(speed)
-            // service time, through the precomputed reciprocal.
-            let ts = self.tele.schedule.enter();
-            let t_dep = now + self.service.next() * self.fleet.inv_speed_of(target);
-            if B::BYPASS && t_dep < next_arrival && t_dep < dep_bound && t_dep < next_churn {
-                // Next-free bypass: serve inline, skip the board.
-                self.next_free_bypasses += 1;
-                self.tele.schedule.exit(ts);
-                let td = self.tele.depart.enter();
-                let latency = self.fleet.serve_one_now(target, now, t_dep);
-                self.latencies.push(latency);
-                self.tele.depart.exit(td);
-                now = t_dep;
+            // Counter-hashed request key: deterministic, uniform over
+            // u64 — only computed for the key-driven (ring) policies.
+            let key = if needs_key {
+                mix64(self.key_seed ^ self.arrived.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             } else {
-                let admission = self.fleet.try_join(target, now);
-                debug_assert_eq!(admission, Admission::StartedService);
+                0
+            };
+            let target = self.router.place(&self.fleet, key);
+            let admission = self.fleet.try_join(target, now);
+            self.tele.place.exit(tp);
+            if admission == Admission::StartedService {
+                // Idle target: service starts now. Exp(1) work at rate
+                // `speed` ⇒ Exp(speed) service time, through the
+                // precomputed reciprocal.
+                let ts = self.tele.schedule.enter();
+                let t_dep = now + self.service.next() * self.fleet.inv_speed_of(target);
                 departures.schedule(target as u32, t_dep);
                 dep_bound = dep_bound.min(t_dep);
                 self.tele.schedule.exit(ts);
@@ -611,11 +552,8 @@ mod tests {
     /// The binary heap as a departure board: the oracle. It never
     /// dedups a slot, so it replays the lazy board exactly only because
     /// the loop never schedules a slot that already has a departure
-    /// pending (the loop's `overwrites == 0` debug assertion). Every
-    /// departure goes through it: no bypass.
+    /// pending (the loop's `overwrites == 0` debug assertion).
     impl DepartureBoard for EventQueue<u32> {
-        const BYPASS: bool = false;
-
         fn with_slots(_slots: usize) -> Self {
             EventQueue::new()
         }
@@ -642,8 +580,7 @@ mod tests {
         SimBuilder::new(spec).seed(seed).build().run()
     }
 
-    /// The differential oracle: the drive loop on the binary heap,
-    /// without the next-free bypass.
+    /// The differential oracle: the drive loop on the binary heap.
     fn heap_oracle(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
         ClusterSim::new(spec, seed).run_on::<EventQueue<u32>>()
     }
@@ -713,14 +650,13 @@ mod tests {
     #[test]
     fn heap_oracle_replays_the_production_run_on_every_scenario() {
         // The departure-board differential: the production run on the
-        // lazy board and the same loop on the binary heap, every
-        // departure scheduled (no bypass), must not differ by a single
-        // byte of any scenario's rendered output — quantiles,
-        // per-server curves, churn counters and all. The oracle runs
-        // with every span enabled, so this is also the heap-side half
-        // of the telemetry differential (the production half lives in
-        // `tests/differential.rs`). Two seeds, so a tie-breaking slip
-        // cannot hide behind one lucky trace.
+        // lazy board and the same loop on the binary heap must not
+        // differ by a single byte of any scenario's rendered output —
+        // quantiles, per-server curves, churn counters and all. The
+        // oracle runs with every span enabled, so this is also the
+        // heap-side half of the telemetry differential (the production
+        // half lives in `tests/differential.rs`). Two seeds, so a
+        // tie-breaking slip cannot hide behind one lucky trace.
         for scenario in registry() {
             let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
             for seed in [0xCA1E, 0xF0_5ED] {
@@ -800,10 +736,11 @@ mod tests {
     #[test]
     fn churn_faster_than_service_replays_on_the_heap_oracle() {
         // Ticks every 0.3 time units against a mean service time of 1:
-        // a tick falls between most pairs of departures, so the bypass
-        // test's `t_dep < next_churn` compare decides often, and retired
-        // servers leave stale departures behind. Every placement arm,
-        // d = 2 included, must still replay the heap oracle bitwise.
+        // a tick falls between most pairs of departures, and retired
+        // servers leave stale departures behind. Every departure goes
+        // through the board — each one scheduled pops as a completion
+        // or as stale — and every placement policy, d = 2 included,
+        // must replay the heap oracle bitwise.
         for placement in [
             PlacementSpec::DChoice { d: 2 },
             PlacementSpec::DChoice { d: 3 },
@@ -827,15 +764,15 @@ mod tests {
             let mut sim = SimBuilder::new(spec.clone()).seed(12).build();
             let m = sim.run();
             let snap = sim.telemetry_snapshot();
+            let count = |name: &str| snap.counter(name).unwrap_or(0);
             let name = placement.name();
             assert!(m.leaves > 100, "{name}: churn must fire often");
-            assert!(
-                snap.counter("sim.next_free_bypass").unwrap_or(0) > 0,
-                "{name}: the bypass must fire between ticks"
-            );
-            assert!(
-                snap.counter("sim.stale_departures").unwrap_or(0) > 0,
-                "{name}: stale departures must pop"
+            let stale = count("sim.stale_departures");
+            assert!(stale > 0, "{name}: stale departures must pop");
+            assert_eq!(
+                count("lazy.ring_inserts"),
+                m.completed + stale,
+                "{name}: a departure bypassed the board"
             );
             assert_eq!(m, heap_oracle(spec, 12), "{name}: heap oracle diverged");
         }
@@ -871,11 +808,11 @@ mod tests {
     fn churned_wide_fleet_replays_the_heap_oracle() {
         // No registry scenario churns a fleet past the lookahead gate.
         // Here one does: churn retires busy servers mid-run, so the
-        // d = 2 arm's lookahead maps tokens through the alive list, and
+        // lookahead maps d = 2 tokens through the alive list, and
         // retired slots are loaded ahead and later pop as stale. The
         // lookahead must not move a byte against the heap oracle (which
-        // reports no refills). Hash-then-probe on the same fleet takes
-        // the generic arm, which the gate keeps free of loads.
+        // reports no refills). Hash-then-probe on the same fleet runs
+        // the loop without loads: the gate admits d = 2 choice only.
         let speeds = CapacityVector::two_class(8_192, 1, 8_192, 8);
         for placement in [
             PlacementSpec::DChoice { d: 2 },

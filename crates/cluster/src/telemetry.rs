@@ -32,11 +32,11 @@ pub struct SimTelemetry {
     /// Arrival sampling: one block refill of pre-sampled arrival
     /// times.
     pub(crate) arrival: Span,
-    /// Placement: the d = 2 compare (or generic `place`), plus the
-    /// `try_join` of a request that lands on a busy server.
+    /// Placement: `PlacementEngine::place` plus the request's
+    /// `try_join`.
     pub(crate) place: Span,
     /// Departure scheduling: ziggurat service draw + departure-board
-    /// insert (or the next-free bypass decision).
+    /// insert.
     pub(crate) schedule: Span,
     /// Departure bookkeeping: `Fleet::depart` + latency record.
     pub(crate) depart: Span,
@@ -68,9 +68,9 @@ impl SimTelemetry {
     }
 
     /// Harvests the spans plus the drive loop's own counters (the
-    /// arrival, next-free-bypass, stale-departure, lookahead and fleet
-    /// FIFO-spill counts, as `(name, value)` pairs), the departure
-    /// board's internals and the thinning counters into one snapshot.
+    /// arrival, stale-departure, lookahead and fleet FIFO-spill counts,
+    /// as `(name, value)` pairs), the departure board's internals and
+    /// the thinning counters into one snapshot.
     pub(crate) fn harvest(
         &self,
         lazy: &LazyStats,

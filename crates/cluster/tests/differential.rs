@@ -9,8 +9,8 @@
 //!    identical rendered metrics.
 //! 3. Telemetry is schedule-invisible: a fully enabled registry moves
 //!    no byte of any scenario's metrics, and every scenario — churn and
-//!    ring placements included — runs its departures through the one
-//!    drive loop's slot-keyed path (board or next-free bypass).
+//!    ring placements included — runs every departure through the one
+//!    drive loop's departure board.
 //!
 //! The departure-board differential (the drive loop on the lazy board
 //! vs the binary-heap oracle, every scenario, two seeds) needs the
@@ -183,20 +183,18 @@ fn telemetry_is_schedule_invisible_on_every_scenario() {
             scenario.id
         );
         // Every scenario — churn and ring placements included — serves
-        // its departures through the slot-keyed path: the board's ring
-        // or the next-free bypass (`giant`'s deep departure backlog
-        // never lets the bypass fire). Each board insert ends as a
-        // completion or, if its server churned out first, as a stale
+        // every departure through the board. Each board insert ends as
+        // a completion or, if its server churned out first, as a stale
         // pop, so the counters balance exactly.
         let c = |name: &str| snap.counter(name).unwrap_or(0);
-        let (inserts, bypasses) = (c("lazy.ring_inserts"), c("sim.next_free_bypass"));
+        let inserts = c("lazy.ring_inserts");
         assert!(
-            inserts + bypasses > 0,
-            "{}: the lazy departure path did not fire (ring inserts {inserts}, bypasses {bypasses})",
+            inserts > 0,
+            "{}: the lazy departure path did not fire",
             scenario.id
         );
         assert_eq!(
-            inserts + bypasses,
+            inserts,
             traced_on.completed + c("sim.stale_departures"),
             "{}: departure accounting does not balance",
             scenario.id

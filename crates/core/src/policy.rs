@@ -11,8 +11,10 @@
 //! * `Game::alloc_d2_paper` in `bnb-core`: from the same tie-stream
 //!   state it picks the scan's bin, but it spends exactly one tie draw
 //!   per ball (its own RNG contract, which keeps it branch-free);
-//! * `PlacementEngine::place_d2` in `bnb-router`;
-//! * the `d = 2` hash-then-probe arm of `bnb-router`'s engine.
+//! * the `d = 2` d-choice arm of `bnb-router`'s
+//!   `PlacementEngine::place`, the one place a `d = 2` request is
+//!   dispatched to its own compare;
+//! * the `d = 2` hash-then-probe arm of the same engine.
 //!
 //! The two router paths consume exactly the scan's draws.
 

@@ -1,8 +1,8 @@
 //! Closed-form bounds from the paper, for paper-vs-measured comparisons.
 //!
 //! These functions return the *leading terms* of the asymptotic results;
-//! the `O(1)` slack is a parameter so tests and EXPERIMENTS.md can state
-//! exactly which additive constant was assumed.
+//! the `O(1)` slack is a parameter so tests can state exactly which
+//! additive constant was assumed.
 
 /// `ln ln n` (clamped: returns 0 for `n ≤ e` where the iterated log is
 /// undefined or negative).

@@ -5,7 +5,7 @@
 //! experiences is ℓ = s/c"* — its analysis then specialises to unit
 //! balls. This module implements the general weighted game so the
 //! extension experiments can probe how far the unit-ball results carry
-//! over (EXPERIMENTS.md, extension E4).
+//! over (extension E4 in `bnb-experiments`).
 //!
 //! Loads stay exact: a bin's load is `(Σ ball sizes)/capacity`, compared
 //! by the same `u128` cross-multiplication as the unit game.

@@ -2,7 +2,7 @@
 //!
 //! The paper's bin capacities come from uniform mixes or a small binomial;
 //! real storage fleets are often closer to power-law. The extension
-//! experiments (EXPERIMENTS.md §ablations) therefore also exercise the
+//! experiment E3 (`bnb-experiments`) therefore also exercises the
 //! protocol on Zipf-distributed capacities, using this sampler.
 
 use crate::cumulative::CumulativeSampler;

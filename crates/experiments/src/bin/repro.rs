@@ -23,23 +23,25 @@ struct Args {
 }
 
 fn usage() -> String {
-    let mut s = String::from(
+    let defaults = Ctx::default();
+    let mut s = format!(
         "Usage: repro [OPTIONS] [FIGURES...]\n\
          \n\
          Regenerates figures of 'Balls into non-uniform bins' (Berenbrink et al.).\n\
          \n\
          Options:\n\
          \x20  --all              run every paper figure\n\
-         \x20  --extras           run the extension experiments (DESIGN.md §5)\n\
+         \x20  --extras           run the extension experiments\n\
          \x20  --list             list available figures and exit\n\
          \x20  --out DIR          write <fig>.csv and <fig>.dat under DIR\n\
-         \x20  --seed N           master seed (default 2981923364)\n\
+         \x20  --seed N           master seed (default {})\n\
          \x20  --reps-scale X     multiply default repetition counts by X\n\
          \x20  --size-scale X     multiply problem sizes by X\n\
-         \x20  --ball-budget N    per-run ball cap for fig15 (default 3000000)\n\
+         \x20  --ball-budget N    per-run ball cap for fig15 (default {})\n\
          \x20  --full             paper-scale repetitions (slow!)\n\
          \n\
          Figures:\n",
+        defaults.master_seed, defaults.ball_budget,
     );
     for f in registry() {
         s.push_str(&format!("  {}  {}\n", f.id, f.title));

@@ -17,7 +17,7 @@ pub struct Ctx {
     /// Per-run ball budget: sweep points whose single-run ball count
     /// exceeds this are skipped (relevant only to the exponential-growth
     /// Figure 15, where the paper's largest configuration needs ~10⁹
-    /// balls per run; see EXPERIMENTS.md).
+    /// balls per run).
     pub ball_budget: u64,
 }
 

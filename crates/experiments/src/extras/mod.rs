@@ -1,7 +1,7 @@
 //! Extension experiments beyond the paper's figures.
 //!
-//! The paper's conclusions invite several follow-ups which DESIGN.md §5
-//! commits to measuring. Each extension has the same shape as a figure
+//! The paper's conclusions invite several follow-ups, measured here.
+//! Each extension has the same shape as a figure
 //! runner (`fn(&Ctx) -> SeriesSet`) and its own registry
 //! ([`crate::registry::extras_registry`]):
 //!

@@ -12,7 +12,7 @@
 //!   figure legend says `1.05`; we follow the legend.) The largest
 //!   configurations of `b = 1.4` need ~10⁹ balls per run; sweep points
 //!   whose single-run ball count exceeds [`Ctx::ball_budget`] are
-//!   skipped — see EXPERIMENTS.md.
+//!   skipped (README, "Where the defaults differ from the paper").
 
 use crate::ctx::Ctx;
 use crate::runner::mc_scalar;
@@ -59,8 +59,7 @@ fn run_models(
         for (xi, &total_bins) in bin_counts(max_bins).iter().enumerate() {
             let caps = model.paper_schedule(total_bins);
             if caps.total() > ctx.ball_budget {
-                // Per-run ball count beyond budget: skip the point
-                // (documented in EXPERIMENTS.md).
+                // Per-run ball count beyond budget: skip the point.
                 continue;
             }
             let config = GameConfig::with_d(2);

@@ -21,8 +21,8 @@ pub const CAP_MULTIPLIERS: [u64; 4] = [1, 2, 5, 10];
 /// Number of snapshots (the paper samples at every `i·CAP`, i = 1…100).
 pub const SNAPSHOTS: usize = 100;
 /// Paper's repetition count (not stated for this figure; §4 blanket is
-/// 10 000, unrealistic at 10⁹ balls per run — we use a small count and
-/// note it in EXPERIMENTS.md).
+/// 10 000, unrealistic at 10⁹ balls per run — we use a small count, as
+/// README's "Where the defaults differ from the paper" notes).
 pub const PAPER_REPS: usize = 10_000;
 const DEFAULT_REPS: usize = 8;
 const PAPER_N: usize = 10_000;

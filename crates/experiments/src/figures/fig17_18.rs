@@ -11,7 +11,7 @@
 //!   the mean maximum load — rising to ≈ 2.1 around `x = 3` and
 //!   declining towards ~1.2 afterwards. The paper averages 10⁶ runs per
 //!   `(x, t)` with a 0.005 exponent grid; we default to a coarser grid
-//!   and fewer reps (EXPERIMENTS.md discusses the resulting resolution).
+//!   and fewer reps, so `t*` is resolved to the 0.05 grid step.
 
 use crate::ctx::Ctx;
 use crate::runner::mc_scalar;
@@ -75,8 +75,8 @@ pub fn run_fig17(ctx: &Ctx) -> SeriesSet {
         "capacity of a big bin",
         "optimal exponent",
     );
-    // Paper grid: t in {1, 1.005, ..., 3}; ours: 0.05 steps (noted in
-    // EXPERIMENTS.md). Optimum determined on the mean max load.
+    // Paper grid: t in {1, 1.005, ..., 3}; ours: 0.05 steps. Optimum
+    // determined on the mean max load.
     let ts: Vec<f64> = (0..=40).map(|i| 1.0 + i as f64 * 0.05).collect();
     let mut series = Series::new("optimal exponent");
     for (xi, x) in fig17_capacities().into_iter().enumerate() {

@@ -52,7 +52,7 @@ pub fn summarize_figure(set: &SeriesSet) -> String {
         ]);
     }
     out.push_str(&table.render());
-    // Small figures: print every point (this is what EXPERIMENTS.md quotes).
+    // Small figures: print every point.
     if set.series.iter().all(|s| s.len() <= 24) {
         for s in &set.series {
             out.push_str(&format!("   [{}]\n", s.label));

@@ -161,7 +161,7 @@ pub fn registry() -> &'static [FigureSpec] {
     ]
 }
 
-/// Extension experiments (DESIGN.md §5) — same interface as the figures,
+/// Extension experiments ([`crate::extras`]) — same interface as the figures,
 /// separate registry so `--all` remains exactly the paper.
 #[must_use]
 pub fn extras_registry() -> &'static [FigureSpec] {

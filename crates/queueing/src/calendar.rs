@@ -73,7 +73,6 @@
 //! streams.
 
 use crate::events::{EventScheduler, Time};
-use crate::stats::CalendarStats;
 use std::collections::VecDeque;
 
 /// Smallest bucket count the wheel ever uses.
@@ -194,9 +193,6 @@ pub struct CalendarQueue<E> {
     /// one tight batch loop per ring refill, off the per-event path.
     /// Entries here count toward `len` but not `wheel_len`.
     pending: Vec<(Time, u32)>,
-    /// Always-on internals telemetry. Touched only on the amortised
-    /// paths (refills, spills, drains, rebuilds) — never per event.
-    stats: CalendarStats,
 }
 
 impl<E> Default for CalendarQueue<E> {
@@ -221,7 +217,6 @@ impl<E> Default for CalendarQueue<E> {
             ring: VecDeque::new(),
             ring_scratch: Vec::new(),
             pending: Vec::new(),
-            stats: CalendarStats::new(),
         }
     }
 }
@@ -231,14 +226,6 @@ impl<E: Copy> CalendarQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         CalendarQueue::default()
-    }
-
-    /// The always-on scheduler-internals telemetry: ring refills and
-    /// spills, bulk-commit drains, rebuild count, and the occupancy
-    /// distributions sampled at rebuilds.
-    #[must_use]
-    pub fn stats(&self) -> &CalendarStats {
-        &self.stats
     }
 
     /// Bucket index of `time` under the current geometry. Monotone in
@@ -303,7 +290,6 @@ impl<E: Copy> CalendarQueue<E> {
             // invariant relative to the new back.
             let spill = self.ring.pop_back().expect("ring is non-empty");
             self.pending.push((spill.0, spill.1));
-            self.stats.ring_spills += 1;
         }
     }
 
@@ -358,7 +344,6 @@ impl<E: Copy> CalendarQueue<E> {
         if self.pending.is_empty() {
             return;
         }
-        self.stats.pending_drained += self.pending.len() as u64;
         while let Some(&(time, idx)) = self.pending.last() {
             if !self.anchored || time < self.wheel_start {
                 // Rare: first contact or a before-window insert
@@ -400,7 +385,6 @@ impl<E: Copy> CalendarQueue<E> {
     /// is drained. Requires `len > 0`.
     fn refill_ring(&mut self) {
         debug_assert!(self.ring.is_empty());
-        self.stats.ring_refills += 1;
         self.flush_pending();
         let mut taken = 0usize;
         while taken == 0 {
@@ -527,29 +511,22 @@ impl<E: Copy> CalendarQueue<E> {
     /// entry and never moves entry data. Also used to advance the window
     /// when the wheel drains.
     fn rebuild(&mut self) {
-        self.stats.rebuilds += 1;
         let mut entries = std::mem::take(&mut self.scratch);
         entries.clear();
         entries.reserve(self.len);
         // Collect every pending slot index: occupied buckets first (the
-        // occupancy words name them), then the overflow chain. Chain
-        // lengths feed the occupancy histogram as they are walked —
-        // rebuilds are rare enough that the telemetry rides for free.
+        // occupancy words name them), then the overflow chain.
         for (w, &word) in self.occupancy.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let b = (w << 6) + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let chain_start = entries.len();
                 let mut idx = self.heads[b];
                 while idx != NIL {
                     entries.push(idx);
                     idx = self.arena[idx as usize].next;
                 }
                 self.heads[b] = NIL;
-                self.stats
-                    .bucket_occupancy
-                    .record((entries.len() - chain_start) as u64);
             }
         }
         let mut idx = self.overflow_head;
@@ -558,7 +535,6 @@ impl<E: Copy> CalendarQueue<E> {
             idx = self.arena[idx as usize].next;
         }
         self.overflow_head = NIL;
-        self.stats.population_at_rebuild.record(self.len as u64);
         self.wheel_len = 0;
         self.cursor = 0;
         // Ring and bulk-commit-buffer entries live in the arena but on

@@ -901,11 +901,10 @@ impl LazyBoard {
 
     /// Time of the earliest pending entry, located through the bags
     /// (sweeping stale front candidates — hence `&mut`). The cluster's
-    /// drive loop mirrors it in a register for its next-free bypass
-    /// test: `t < min_time_bound(..)` proves `t` beats every pending
-    /// departure. The name is contractual — callers may rely on it as a
-    /// lower bound — but the front candidate is validated, so the value
-    /// returned is in fact exact.
+    /// drive loop mirrors it in a register and merges its event
+    /// streams on it. The name is contractual — callers may rely on it
+    /// as a lower bound — but the front candidate is validated, so the
+    /// value returned is in fact exact.
     ///
     /// If locating the front drains the near window and refills it from
     /// the far level, `on_refill` is called once with the slot of every

@@ -18,9 +18,7 @@
 //! * [`calendar`] — the [`CalendarQueue`]: a bucketed timing wheel with
 //!   dynamic bucket-width resizing and an overflow ladder, amortised
 //!   O(1) for general payloads,
-//! * [`stats`] — always-on scheduler-internals telemetry: the
-//!   calendar's [`CalendarStats`] (ring refills/spills, bulk-commit
-//!   drains, rebuilds, occupancy-at-rebuild distributions) and the lazy
+//! * [`stats`] — always-on scheduler-internals telemetry: the lazy
 //!   board's [`LazyStats`].
 //!
 //! Every scheduler pops in the same `(time, insertion sequence)` order,
@@ -37,4 +35,4 @@ pub mod stats;
 pub use calendar::CalendarQueue;
 pub use events::{EventQueue, EventScheduler};
 pub use lazy::LazyBoard;
-pub use stats::{CalendarStats, LazyStats};
+pub use stats::LazyStats;

@@ -1,82 +1,16 @@
-//! Scheduler-internals telemetry: the always-on [`CalendarStats`]
-//! block every [`CalendarQueue`](crate::CalendarQueue) maintains, and
-//! the [`LazyStats`] block every [`LazyBoard`](crate::LazyBoard)
-//! maintains.
+//! Scheduler-internals telemetry: the always-on [`LazyStats`] block
+//! every [`LazyBoard`](crate::LazyBoard) maintains.
 //!
-//! The calendar counters live on the **amortised** paths only — ring
-//! refills, spills, bulk-commit drains, rebuilds — never on the
-//! per-event schedule/pop fast path, so they are plain `u64` increments
-//! paid once per batch. The lazy-board counters additionally sit on the
-//! *deviation* branches of its hot path (an overwrite, a stale
-//! discard), which the dominant one-pending-per-slot workload never
-//! takes — so the common schedule/pop pair still pays nothing. Both
-//! blocks are cheap enough to keep on unconditionally (no registry
-//! gate), and entirely wall-clock/RNG-free, so they cannot perturb a
-//! simulated schedule.
+//! The counters live on the board's **amortised** paths (lap refills,
+//! rebuilds) and on the *deviation* branches of its hot path (an
+//! overwrite, a stale discard), which the dominant
+//! one-pending-per-slot workload never takes — so the common
+//! schedule/pop pair pays nothing. The block is cheap enough to keep on
+//! unconditionally (no registry gate), and entirely wall-clock/RNG-free,
+//! so it cannot perturb a simulated schedule.
 
 use bnb_stats::Mergeable;
 use bnb_telemetry::{Log2Histogram, MetricsSnapshot};
-
-/// Internals counters of one [`CalendarQueue`](crate::CalendarQueue):
-/// the mechanism fingerprint behind its amortised-O(1) claim. Harvest
-/// with [`CalendarStats::record_into`], or merge shards through
-/// [`Mergeable`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CalendarStats {
-    /// Bulk bring-forward passes (each amortises one bucket scan over
-    /// up to `RING_REFILL` pops).
-    pub ring_refills: u64,
-    /// Inside-horizon inserts that overflowed `RING_MAX` and pushed the
-    /// ring's farthest entry back toward the wheel.
-    pub ring_spills: u64,
-    /// Entries drained from the bulk-commit buffer into the wheel
-    /// (deferred per-schedule wheel work, paid in batches).
-    pub pending_drained: u64,
-    /// Geometry rebuilds: grows, shrinks and window advances over the
-    /// overflow ladder.
-    pub rebuilds: u64,
-    /// Chain length of each occupied bucket, sampled at every rebuild —
-    /// the sparse-geometry health check (mostly-singleton chains keep
-    /// the pop scan branch-predictable).
-    pub bucket_occupancy: Log2Histogram,
-    /// Pending-event population at each rebuild (how big the wheel was
-    /// when it turned).
-    pub population_at_rebuild: Log2Histogram,
-}
-
-impl CalendarStats {
-    /// A zeroed stats block.
-    #[must_use]
-    pub fn new() -> Self {
-        CalendarStats::default()
-    }
-
-    /// Harvests this block into a [`MetricsSnapshot`] under
-    /// `calendar.*` metric names.
-    pub fn record_into(&self, snapshot: &mut MetricsSnapshot) {
-        snapshot.add_counter("calendar.ring_refills", self.ring_refills);
-        snapshot.add_counter("calendar.ring_spills", self.ring_spills);
-        snapshot.add_counter("calendar.pending_drained", self.pending_drained);
-        snapshot.add_counter("calendar.rebuilds", self.rebuilds);
-        snapshot.add_histogram("calendar.bucket_occupancy", &self.bucket_occupancy);
-        snapshot.add_histogram(
-            "calendar.population_at_rebuild",
-            &self.population_at_rebuild,
-        );
-    }
-}
-
-impl Mergeable for CalendarStats {
-    fn merge_from(&mut self, other: &Self) {
-        self.ring_refills += other.ring_refills;
-        self.ring_spills += other.ring_spills;
-        self.pending_drained += other.pending_drained;
-        self.rebuilds += other.rebuilds;
-        self.bucket_occupancy.merge_from(&other.bucket_occupancy);
-        self.population_at_rebuild
-            .merge_from(&other.population_at_rebuild);
-    }
-}
 
 /// Internals counters of one [`LazyBoard`](crate::LazyBoard): the
 /// mechanism fingerprint of slot-keyed lazy deletion. Overwrites
@@ -186,39 +120,5 @@ mod tests {
         let sweep = snap.histogram("lazy.refill_sweep").unwrap();
         assert_eq!((sweep.count(), sweep.sum()), (3, 268));
         assert_eq!(sweep.buckets()[8], 1, "the 256-candidate refill");
-    }
-
-    #[test]
-    fn merge_sums_counters() {
-        let mut a = CalendarStats::new();
-        a.ring_refills = 2;
-        a.rebuilds = 1;
-        a.bucket_occupancy.record(1);
-        let mut b = CalendarStats::new();
-        b.ring_refills = 3;
-        b.pending_drained = 10;
-        b.bucket_occupancy.record(4);
-        a.merge_from(&b);
-        assert_eq!(a.ring_refills, 5);
-        assert_eq!(a.pending_drained, 10);
-        assert_eq!(a.rebuilds, 1);
-        assert_eq!(a.bucket_occupancy.count(), 2);
-    }
-
-    #[test]
-    fn record_into_names_every_field() {
-        let mut s = CalendarStats::new();
-        s.ring_spills = 7;
-        s.population_at_rebuild.record(100);
-        let mut snap = MetricsSnapshot::new();
-        s.record_into(&mut snap);
-        assert_eq!(snap.counter("calendar.ring_spills"), Some(7));
-        assert_eq!(snap.counter("calendar.rebuilds"), Some(0));
-        assert_eq!(
-            snap.histogram("calendar.population_at_rebuild")
-                .unwrap()
-                .count(),
-            1
-        );
     }
 }

@@ -96,7 +96,6 @@ impl RouterBuilder {
             engine,
             spec: self.spec,
             seed: self.seed,
-            d2: matches!(self.spec, PlacementSpec::DChoice { d: 2 }),
             next_stream: Arc::new(AtomicU64::new(1)),
             route_span: self.registry.span("router.route", TID_ROUTE),
             refresh_span: self
@@ -133,10 +132,6 @@ pub struct RouterHandle {
     engine: PlacementEngine,
     spec: PlacementSpec,
     seed: u64,
-    /// Whether the spec is `DChoice { d: 2 }` — cached so `route`
-    /// dispatches straight to the unrolled `place_d2` without
-    /// re-matching the spec per request (the dominant embedding).
-    d2: bool,
     /// Next RNG stream index for clones (shared across the clone tree).
     next_stream: Arc<AtomicU64>,
     /// Sampled timer over the full route path (refresh check +
@@ -201,7 +196,6 @@ impl Clone for RouterHandle {
             engine,
             spec: self.spec,
             seed: self.seed,
-            d2: self.d2,
             next_stream: Arc::clone(&self.next_stream),
             // Fresh spans, not copies: each clone times its own thread.
             route_span: self.registry.span("router.route", TID_ROUTE),
@@ -226,15 +220,7 @@ impl Router for RouterHandle {
             self.engine.rebuild(self.reader.snapshot().membership());
             self.refresh_span.exit(refresh);
         }
-        let snap = self.reader.snapshot();
-        // Dominant-policy dispatch: the cached flag sends d = 2 straight
-        // to the unrolled compare instead of re-matching the spec (and
-        // re-deciding key use) on every request.
-        let target = ServerId(if self.d2 {
-            self.engine.place_d2(snap)
-        } else {
-            self.engine.place(snap, key)
-        });
+        let target = ServerId(self.engine.place(self.reader.snapshot(), key));
         self.route_span.exit(token);
         target
     }
@@ -251,11 +237,7 @@ impl Router for RouterHandle {
         let snap = self.reader.snapshot();
         out.clear();
         out.reserve(keys.len());
-        if self.d2 {
-            out.extend(keys.iter().map(|_| ServerId(self.engine.place_d2(snap))));
-        } else {
-            out.extend(keys.iter().map(|&k| ServerId(self.engine.place(snap, k))));
-        }
+        out.extend(keys.iter().map(|&k| ServerId(self.engine.place(snap, k))));
     }
 }
 

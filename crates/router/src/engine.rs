@@ -47,8 +47,8 @@
 //! [`argmin_distinct`], the one implementation of Algorithm 1's scan
 //! (smallest key, duplicates collapsed, residual ties by a 1/k
 //! reservoir). Two `d = 2` arms are unrolled beside it and pinned to it
-//! by tests: [`PlacementEngine::place_d2`] and the hash-then-probe
-//! pair.
+//! by tests: the d-choice pair (`place_d2`, reached only through
+//! [`PlacementEngine::place`]) and the hash-then-probe pair.
 
 use crate::spec::PlacementSpec;
 use crate::view::{LoadView, Membership};
@@ -231,8 +231,7 @@ impl PlacementEngine {
     pub fn place(&mut self, view: &impl LoadView, key: u64) -> usize {
         match self.routes.spec {
             PlacementSpec::DChoice { d: 2 } | PlacementSpec::UniformDChoice { d: 2 } => {
-                // The dominant configuration, unrolled; the cluster's
-                // drive loop calls it directly.
+                // The dominant configuration, unrolled.
                 self.place_d2(view)
             }
             PlacementSpec::DChoice { d }
@@ -329,17 +328,12 @@ impl PlacementEngine {
     }
 
     /// The unrolled `d = 2` placement of Algorithm 1 — the dominant
-    /// configuration, called per request by both
-    /// [`PlacementEngine::place`] and the cluster drive loop's d = 2 arm.
-    /// Semantics (candidate draws, dedup, capacity tie-break, residual
-    /// tie-stream draw) are exactly the shared scan's, which the
-    /// equivalence tests pin.
-    ///
-    /// # Panics
-    /// Panics if the engine's policy is not `DChoice` (the alias table
-    /// is missing).
+    /// configuration, called per request by [`PlacementEngine::place`]
+    /// only. Semantics (candidate draws, dedup, capacity tie-break,
+    /// residual tie-stream draw) are exactly the shared scan's, which
+    /// the equivalence tests pin.
     #[inline]
-    pub fn place_d2(&mut self, view: &impl LoadView) -> usize {
+    fn place_d2(&mut self, view: &impl LoadView) -> usize {
         if self.cand_pos + 2 > self.cand_buf.len() {
             // Refill the candidate block: identical draw order to two
             // successive scalar samples per request.
