@@ -28,7 +28,7 @@
 
 use bnb_core::prelude::*;
 use bnb_distributions::Xoshiro256PlusPlus;
-use bnb_router::{LoadView, Membership, PlacementSpec, Router, RouterBuilder};
+use bnb_router::{LoadView, Membership, PlacementSpec, Router, RouterBuilder, RouterHandle};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -162,29 +162,37 @@ fn measure_sim_path(routes: u64, budget: Duration) -> f64 {
 /// concurrently against one shared `FleetView`, each route followed by
 /// the join/depart pair an embedder records (so the atomic queue
 /// counters are exercised, not just read). Best single iteration within
-/// the budget, same estimator as [`measure_sim_path`].
+/// the budget, same estimator as [`measure_sim_path`]. The 1-thread
+/// cell routes on the calling thread, as [`measure_sim_path`] does, so
+/// the `--floor` ratio compares the two paths and not a thread spawn
+/// and join per iteration.
 fn measure_router(threads: usize, routes_per_thread: u64, budget: Duration) -> RouterCell {
     let speeds = router_fleet_speeds();
     let (_view, handle) = RouterBuilder::new(PlacementSpec::DChoice { d: 2 })
         .seed(bnb_bench::BENCH_SEED)
         .build(&speeds);
     let routes_per_iter = routes_per_thread * threads as u64;
+    let work = |mut h: RouterHandle| {
+        let mut acc = 0usize;
+        for i in 0..routes_per_thread {
+            let target = h.route(i);
+            acc ^= target.index();
+            let snap = h.snapshot();
+            snap.record_join(target);
+            snap.record_depart(target);
+        }
+        std::hint::black_box(acc);
+    };
     let iter = || {
+        if threads == 1 {
+            work(handle.clone());
+            return;
+        }
         std::thread::scope(|s| {
             let workers: Vec<_> = (0..threads)
                 .map(|_| {
-                    let mut h = handle.clone();
-                    s.spawn(move || {
-                        let mut acc = 0usize;
-                        for i in 0..routes_per_thread {
-                            let target = h.route(i);
-                            acc ^= target.index();
-                            let snap = h.snapshot();
-                            snap.record_join(target);
-                            snap.record_depart(target);
-                        }
-                        std::hint::black_box(acc);
-                    })
+                    let h = handle.clone();
+                    s.spawn(move || work(h))
                 })
                 .collect();
             for w in workers {

@@ -42,17 +42,32 @@ pub struct ClusterMetrics {
     pub per_server_speed: Vec<u64>,
 }
 
+/// `([p50, p90, p99, max], mean)` of the completed requests' latencies;
+/// zeros when nothing completed. Consumes (and so frees) the store.
+fn summarise(latencies: SampleSummary) -> ([f64; 4], f64) {
+    match (latencies.max(), latencies.mean()) {
+        (Some(max), Some(mean)) => {
+            let [p50, p90, p99] = latencies
+                .into_quantiles([0.50, 0.90, 0.99])
+                .expect("non-empty");
+            ([p50, p90, p99, max], mean)
+        }
+        _ => ([0.0; 4], 0.0),
+    }
+}
+
 impl ClusterMetrics {
     /// Assembles the metrics from the drained fleet and the run's
     /// latencies, reading each server record once.
     ///
     /// The serial simulator passes the [`SampleSummary`] its drive loop
-    /// pushed every latency into, so the sum, max and radix histogram
-    /// are already in hand: the p50/p90/p99 cost one compaction pass
-    /// over the latencies and selects within the few radix buckets
-    /// holding them. A plain `Vec<f64>` in any order also works; it is
-    /// accumulated in vector order first. Either way the values equal
-    /// the sort-based type-7 quantiles bit for bit.
+    /// pushed every latency into, so the sum, max and radix buckets are
+    /// already in hand: the p50/p90/p99 cost a counting radix select
+    /// over the few buckets holding them. A plain `Vec<f64>` in any
+    /// order also works; it is pushed in vector order first. Either way
+    /// the values equal the sort-based type-7 quantiles bit for bit.
+    /// The quantiles are taken first, which frees the latency store
+    /// before the per-server vectors are allocated.
     #[must_use]
     pub fn collect(
         fleet: &Fleet,
@@ -63,6 +78,7 @@ impl ClusterMetrics {
         leaves: u64,
         horizon: Time,
     ) -> Self {
+        let (latency, latency_mean) = summarise(latencies.into());
         let servers = fleet.servers();
         let mut completed = Vec::with_capacity(servers.len());
         let mut max_queue = Vec::with_capacity(servers.len());
@@ -72,11 +88,11 @@ impl ClusterMetrics {
             max_queue.push(s.max_queue());
             speed.push(s.speed());
         }
-        Self::from_parts(
+        Self::assemble(
             completed,
             max_queue,
             speed,
-            latencies,
+            (latency, latency_mean),
             requests,
             fleet.total_dropped(),
             orphaned,
@@ -89,11 +105,11 @@ impl ClusterMetrics {
     /// Assembles the metrics from raw per-slot arrays instead of a
     /// drained [`Fleet`] — the constructor the sharded simulator uses
     /// after merging its per-shard reports (shards own their own slot
-    /// records, not `Fleet`s). [`ClusterMetrics::collect`] delegates
-    /// here, so the two paths share every floating-point operation in
-    /// the same order: identical inputs render bitwise-identical
-    /// metrics regardless of which engine produced them. The latency
-    /// mean sums in push order (vector order for a `Vec<f64>`).
+    /// records, not `Fleet`s). It and [`ClusterMetrics::collect`] share
+    /// every floating-point operation in the same order: identical
+    /// inputs render bitwise-identical metrics regardless of which
+    /// engine produced them. The latency mean sums in push order
+    /// (vector order for a `Vec<f64>`).
     ///
     /// # Panics
     /// Panics if the per-slot arrays disagree on length.
@@ -111,18 +127,38 @@ impl ClusterMetrics {
         leaves: u64,
         horizon: Time,
     ) -> Self {
+        Self::assemble(
+            per_server_completed,
+            per_server_max_queue,
+            per_server_speed,
+            summarise(latencies.into()),
+            requests,
+            dropped,
+            orphaned,
+            joins,
+            leaves,
+            horizon,
+        )
+    }
+
+    /// The shared tail of [`ClusterMetrics::collect`] and
+    /// [`ClusterMetrics::from_parts`]; `(latency, latency_mean)` comes
+    /// from [`summarise`].
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        per_server_completed: Vec<u64>,
+        per_server_max_queue: Vec<u64>,
+        per_server_speed: Vec<u64>,
+        (latency, latency_mean): ([f64; 4], f64),
+        requests: u64,
+        dropped: u64,
+        orphaned: u64,
+        joins: u64,
+        leaves: u64,
+        horizon: Time,
+    ) -> Self {
         assert_eq!(per_server_completed.len(), per_server_speed.len());
         assert_eq!(per_server_max_queue.len(), per_server_speed.len());
-        let latencies = latencies.into();
-        let (latency, latency_mean) = match (latencies.max(), latencies.mean()) {
-            (Some(max), Some(mean)) => {
-                let [p50, p90, p99] = latencies
-                    .into_quantiles([0.50, 0.90, 0.99])
-                    .expect("non-empty");
-                ([p50, p90, p99, max], mean)
-            }
-            _ => ([0.0; 4], 0.0),
-        };
         let max_normalized_queue = per_server_max_queue
             .iter()
             .zip(&per_server_speed)

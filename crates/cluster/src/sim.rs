@@ -207,9 +207,15 @@ pub struct ClusterSim {
     orphaned: u64,
     joins: u64,
     leaves: u64,
-    /// Every completed request's latency, with the running sum, max and
-    /// radix histogram that [`ClusterMetrics::collect`] summarises.
+    /// Every completed request's latency, filed in its radix bucket at 6
+    /// bytes a value, with the running sum and max;
+    /// [`ClusterMetrics::collect`] summarises and frees it. `drive`
+    /// reserves its chunks from the request budget.
     latencies: SampleSummary,
+    /// The latency store's radix buckets in use and chunks allocated,
+    /// read just before `collect` consumes it.
+    latency_buckets: u64,
+    latency_chunks: u64,
     /// Metrics of the finished run (computed once; reruns return it).
     result: Option<ClusterMetrics>,
     /// Per-component spans (inert unless [`crate::SimBuilder::telemetry`]
@@ -270,6 +276,8 @@ impl ClusterSim {
             joins: 0,
             leaves: 0,
             latencies: SampleSummary::new(),
+            latency_buckets: 0,
+            latency_chunks: 0,
             result: None,
             tele: SimTelemetry::disabled(),
             lazy_stats: LazyStats::new(),
@@ -295,10 +303,12 @@ impl ClusterSim {
     /// departures dropped because their server churned out
     /// (`sim.stale_departures`), fleet records the lookahead loaded
     /// early (`sim.lookahead_touches`), admissions that overflowed a
-    /// server's inline ring (`fleet.fifo_spills`), and
-    /// arrival-thinning counts — into one exportable snapshot. Meaningful after [`ClusterSim::run`];
-    /// the internals counters are live (always on) even when the spans
-    /// were never enabled.
+    /// server's inline ring (`fleet.fifo_spills`), the latency store's
+    /// radix buckets in use and 64-value chunks allocated
+    /// (`latency.buckets`, `latency.chunks`), and arrival-thinning
+    /// counts — into one exportable snapshot. Meaningful after
+    /// [`ClusterSim::run`]; the internals counters are live (always on)
+    /// even when the spans were never enabled.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
         self.tele.harvest(
@@ -308,6 +318,8 @@ impl ClusterSim {
                 ("sim.stale_departures", self.stale_departures),
                 ("sim.lookahead_touches", self.lookahead_touches),
                 ("fleet.fifo_spills", self.fleet.fifo_spills()),
+                ("latency.buckets", self.latency_buckets),
+                ("latency.chunks", self.latency_chunks),
             ],
             self.arrivals.thinning_counts(),
         )
@@ -331,6 +343,8 @@ impl ClusterSim {
         } else {
             self.drive::<B, false>()
         };
+        self.latency_buckets = self.latencies.buckets_used() as u64;
+        self.latency_chunks = self.latencies.chunks_allocated() as u64;
         let metrics = ClusterMetrics::collect(
             &self.fleet,
             std::mem::take(&mut self.latencies),
@@ -636,6 +650,30 @@ mod tests {
         let first = sim.run();
         let second = sim.run();
         assert_eq!(first, second, "a drained simulator must not replay");
+    }
+
+    #[test]
+    fn latency_store_counters_describe_the_store_collect_freed() {
+        // Every completed latency sits in a 64-value chunk of its radix
+        // bucket, and only a bucket's last chunk is partial.
+        for scenario in registry() {
+            let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
+            let mut sim = SimBuilder::scenario(scenario, requests).seed(3).build();
+            let m = sim.run();
+            let snap = sim.telemetry_snapshot();
+            let buckets = snap.counter("latency.buckets").expect("latency.buckets");
+            let chunks = snap.counter("latency.chunks").expect("latency.chunks");
+            let id = scenario.id;
+            assert!(
+                buckets > 0 && buckets <= m.completed,
+                "{id}: {buckets} buckets"
+            );
+            assert!(chunks >= m.completed.div_ceil(64), "{id}: {chunks} chunks");
+            assert!(
+                chunks <= m.completed / 64 + buckets,
+                "{id}: {chunks} chunks"
+            );
+        }
     }
 
     #[test]

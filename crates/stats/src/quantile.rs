@@ -2,11 +2,11 @@
 //!
 //! [`quantile`] sorts a copy, and [`quantile_select`] quickselects one
 //! level in place. [`SampleSummary`] serves a sample built value by
-//! value, such as a simulator's latencies: it keeps the sum, the max
-//! and a radix histogram as values arrive, so several levels cost one
-//! streaming compaction pass and selects within the few buckets that
-//! hold the wanted order statistics. All three return the same type-7
-//! values bit for bit.
+//! value, such as a simulator's latencies: it keeps the sum and the max
+//! as values arrive and files each value under its radix bucket, so
+//! several levels cost a counting radix select over the few buckets
+//! that hold the wanted order statistics, never a pass over the whole
+//! sample. All three return the same type-7 values bit for bit.
 
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of `values` using linear
 /// interpolation between order statistics (type-7 / R default definition).
@@ -114,32 +114,85 @@ pub fn monotone_bits(x: f64) -> u64 {
     b ^ mask
 }
 
+/// Inverse of [`monotone_bits`].
+#[inline]
+fn from_monotone_bits(key: u64) -> f64 {
+    let mask = if key >> 63 == 1 { 1 << 63 } else { u64::MAX };
+    f64::from_bits(key ^ mask)
+}
+
 /// Radix buckets of a [`SampleSummary`]: one per value of a key's top
 /// 16 bits (sign, exponent and the top 4 mantissa bits).
 const BUCKETS: usize = 1 << 16;
 
-/// The radix bucket of `x`; bucket order is `total_cmp` order.
-#[inline]
-fn bucket(x: f64) -> usize {
-    (monotone_bits(x) >> 48) as usize
+/// Values per chunk of a bucket's chain.
+const CHUNK: usize = 64;
+
+/// The link of a bucket's first chunk, and the tail of an empty bucket.
+/// Chunk references are 1-based (`c + 1` names `chunks[c]`), so freshly
+/// zeroed tails mean every bucket is empty.
+const NO_CHUNK: u32 = 0;
+
+/// Partial chunks [`SampleSummary::reserve`] makes room for on top of
+/// the full ones: a chain's last chunk is its only partial one, so
+/// there is at most one per bucket in use.
+const RESERVED_PARTIALS: usize = 1024;
+
+/// Up to [`CHUNK`] values of one radix bucket. The bucket fixes a
+/// key's top 16 bits, so a value is stored as the low 48 bits of its
+/// [`monotone_bits`] key: three 16-bit digits, most significant first.
+/// 6 bytes per value.
+type Chunk = [[u16; 3]; CHUNK];
+
+/// One bucket's chain of chunks, read from its last chunk back.
+#[derive(Clone, Copy)]
+struct Chain<'a> {
+    chunks: &'a [Chunk],
+    links: &'a [u32],
+    bucket: u64,
+    tail: u32,
+    /// Values in the chain (non-zero).
+    count: u32,
 }
 
-/// An owned sample that keeps its in-order sum, its max and a radix
-/// histogram of its values as they arrive, then answers exact type-7
-/// quantiles in one streaming pass.
+impl Chain<'_> {
+    /// Calls `f` with the [`monotone_bits`] key of every value in the
+    /// chain.
+    fn for_each(self, mut f: impl FnMut(u64)) {
+        // Only the last chunk is partial; the earlier ones are full.
+        let mut fill = (self.count as usize - 1) % CHUNK + 1;
+        let mut at = self.tail;
+        while at != NO_CHUNK {
+            let c = at as usize - 1;
+            for &[d2, d1, d0] in &self.chunks[c][..fill] {
+                f(self.bucket << 48 | u64::from(d2) << 32 | u64::from(d1) << 16 | u64::from(d0));
+            }
+            fill = CHUNK;
+            at = self.links[c];
+        }
+    }
+}
+
+/// An owned sample that keeps its in-order sum and its max as values
+/// arrive and files each value in its radix bucket, then answers exact
+/// type-7 quantiles by reading only the buckets that hold them.
 ///
 /// [`SampleSummary::push`] adds the value to the sum, folds it into the
-/// max with `f64::max`, and counts it in one of 65536 buckets keyed by
-/// the top 16 bits of [`monotone_bits`]. [`SampleSummary::into_quantiles`]
-/// then finds the buckets holding the order statistics each level
-/// needs, moves their members to the front of the sample with one
-/// branch-free compaction pass, and selects within that prefix. The
-/// values are, bit for bit, those of [`quantile_sorted`] on the sample
-/// sorted by `total_cmp`, without sorting or selecting over the whole
-/// sample. The 256 KiB histogram is allocated by the first value.
+/// max with `f64::max`, and appends it to one of 65536 buckets keyed by
+/// the top 16 bits of [`monotone_bits`]. A bucket is a chain of
+/// 64-value chunks that keeps only the low 48 bits of each key, 6 bytes
+/// per value; every chain draws its chunks from one arena, and only a
+/// chain's last chunk is partial. [`SampleSummary::into_quantiles`]
+/// finds the buckets holding the order statistics each level needs
+/// from the bucket counts, then runs a counting radix select (three
+/// 16-bit digit passes) over each of those chains. The values are, bit
+/// for bit, those of [`quantile_sorted`] on the sample sorted by
+/// `total_cmp`. The first value allocates the 512 KiB of bucket counts
+/// and chain tails; the select reuses the counts as its digit
+/// histogram, so it allocates nothing in proportion to the sample.
 ///
 /// `From<Vec<f64>>` builds the same summary from a finished sample,
-/// accumulating in vector order.
+/// pushing in vector order.
 ///
 /// ```
 /// use bnb_stats::SampleSummary;
@@ -153,11 +206,18 @@ fn bucket(x: f64) -> usize {
 /// ```
 #[derive(Debug)]
 pub struct SampleSummary {
-    values: Vec<f64>,
+    len: usize,
     sum: f64,
     max: f64,
     /// Values per bucket; empty until the first value arrives.
     counts: Vec<u32>,
+    /// Each bucket's last chunk (`NO_CHUNK` while the bucket is empty);
+    /// allocated with `counts`.
+    tails: Vec<u32>,
+    /// The arena every chain draws its chunks from.
+    chunks: Vec<Chunk>,
+    /// `links[c]`: the chunk before `chunks[c]` in its chain.
+    links: Vec<u32>,
 }
 
 impl Default for SampleSummary {
@@ -169,8 +229,8 @@ impl Default for SampleSummary {
 impl From<Vec<f64>> for SampleSummary {
     fn from(values: Vec<f64>) -> Self {
         let mut summary = Self::new();
-        values.iter().for_each(|&x| summary.accumulate(x));
-        summary.values = values;
+        summary.reserve(values.len());
+        values.iter().for_each(|&x| summary.push(x));
         summary
     }
 }
@@ -180,52 +240,65 @@ impl SampleSummary {
     #[must_use]
     pub const fn new() -> Self {
         SampleSummary {
-            values: Vec::new(),
+            len: 0,
             sum: 0.0,
             max: f64::NEG_INFINITY,
             counts: Vec::new(),
+            tails: Vec::new(),
+            chunks: Vec::new(),
+            links: Vec::new(),
         }
     }
 
-    /// Reserves room for `additional` more values.
+    /// Reserves chunks for `additional` more values: enough full ones,
+    /// plus room for partial ones.
     pub fn reserve(&mut self, additional: usize) {
-        self.values.reserve(additional);
+        let chunks = additional.div_ceil(CHUNK) + additional.min(RESERVED_PARTIALS);
+        self.chunks.reserve(chunks);
+        self.links.reserve(chunks);
     }
 
     /// Adds `x` to the sample.
     #[inline]
     pub fn push(&mut self, x: f64) {
-        self.accumulate(x);
-        self.values.push(x);
-    }
-
-    #[inline]
-    fn accumulate(&mut self, x: f64) {
         self.sum += x;
         self.max = self.max.max(x);
-        match self.counts.get_mut(bucket(x)) {
-            Some(count) => *count += 1,
-            None => self.count_first(x),
+        self.len += 1;
+        if self.counts.is_empty() {
+            self.allocate_buckets();
         }
+        let key = monotone_bits(x);
+        let b = (key >> 48) as usize;
+        let at = self.counts[b] as usize % CHUNK;
+        self.counts[b] += 1;
+        if at == 0 {
+            self.links.push(self.tails[b]);
+            self.chunks.push([[0; 3]; CHUNK]);
+            self.tails[b] = self.chunks.len() as u32;
+        }
+        self.chunks[self.tails[b] as usize - 1][at] =
+            [(key >> 32) as u16, (key >> 16) as u16, key as u16];
     }
 
+    /// Allocates the counts and tails zeroed, so a page of either is
+    /// first touched by a bucket on it.
     #[cold]
     #[inline(never)]
-    fn count_first(&mut self, x: f64) {
+    fn allocate_buckets(&mut self) {
         self.counts = vec![0; BUCKETS];
-        self.counts[bucket(x)] = 1;
+        self.tails = vec![NO_CHUNK; BUCKETS];
     }
 
     /// Number of values pushed.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
     /// Whether no value was pushed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
     /// The largest value by `f64::max` (which skips NaNs); `None` when
@@ -242,10 +315,23 @@ impl SampleSummary {
         (!self.is_empty()).then(|| self.sum / self.len() as f64)
     }
 
+    /// Radix buckets holding at least one value.
+    #[must_use]
+    pub fn buckets_used(&self) -> usize {
+        self.counts.iter().filter(|&&c| c > 0).count()
+    }
+
+    /// Chunks the buckets' chains hold: one per 64 values of a bucket,
+    /// rounded up.
+    #[must_use]
+    pub fn chunks_allocated(&self) -> usize {
+        self.chunks.len()
+    }
+
     /// The type-7 quantiles at levels `qs`, equal bit for bit to
     /// [`quantile_sorted`] on the sample sorted by `total_cmp` (NaNs
-    /// order by `total_cmp` too). Consumes the summary: the compaction
-    /// pass overwrites the sample. `None` when empty.
+    /// order by `total_cmp` too). Consumes the summary: the select
+    /// reuses its bucket counts as scratch. `None` when empty.
     ///
     /// # Panics
     /// Panics if `qs` is not ascending, a level is outside `[0, 1]`, or
@@ -260,12 +346,7 @@ impl SampleSummary {
             qs.iter().all(|q| (0.0..=1.0).contains(q)),
             "quantile level must be in [0,1]"
         );
-        let SampleSummary {
-            mut values,
-            counts: mut cum,
-            ..
-        } = self;
-        let n = values.len();
+        let n = self.len;
         if n == 0 {
             return None;
         }
@@ -276,117 +357,126 @@ impl SampleSummary {
             let lo = h.floor() as usize;
             (lo, h - lo as f64)
         });
-        // 1. Counts become inclusive prefix sums: `cum[b]` values lie in
-        // buckets `..=b`. Mark the buckets holding a needed statistic.
-        let mut acc = 0u32;
-        for c in &mut cum {
-            acc += *c;
-            *c = acc;
-        }
-        let bucket_of = |r: usize| cum.partition_point(|&c| c as usize <= r);
-        let below = |b: usize| if b == 0 { 0 } else { cum[b - 1] as usize };
         let mut wanted: Vec<usize> = ranks
             .iter()
             .flat_map(|&(lo, frac)| [Some(lo), (frac > 0.0).then_some(lo + 1)])
             .flatten()
-            .map(bucket_of)
             .collect();
         wanted.sort_unstable();
         wanted.dedup();
-        // The membership table is indexed by a value's raw top 16 bits,
-        // which keeps the order map out of the pass: `monotone_bits`
-        // flips the sign bit of a non-negative value and every bit of a
-        // negative one, so bucket `w` holds the raw bits `w ^ flip`.
-        let mut member = vec![0u8; BUCKETS];
-        for &w in &wanted {
-            let flip = if w >= BUCKETS / 2 {
-                BUCKETS / 2
+        let keys = self.select_keys(&wanted);
+        let stat = |r: usize| from_monotone_bits(keys[wanted.binary_search(&r).expect("wanted")]);
+        Some(ranks.map(|(lo, frac)| {
+            let x_lo = stat(lo);
+            if frac == 0.0 {
+                x_lo
             } else {
-                BUCKETS - 1
+                x_lo + (stat(lo + 1) - x_lo) * frac
+            }
+        }))
+    }
+
+    /// The [`monotone_bits`] keys of order statistics `ranks`
+    /// (ascending, distinct, below `len`), reading only the chains of
+    /// the buckets that hold them.
+    fn select_keys(self, ranks: &[usize]) -> Vec<u64> {
+        let SampleSummary {
+            counts,
+            tails,
+            chunks,
+            links,
+            ..
+        } = self;
+        // Each rank's bucket, that bucket's size and the rank's place in
+        // it, from one walk up the counts.
+        let mut located = Vec::with_capacity(ranks.len());
+        let (mut b, mut below) = (0, 0);
+        for &r in ranks {
+            while below + counts[b] as usize <= r {
+                below += counts[b] as usize;
+                b += 1;
+            }
+            located.push((b, counts[b], r - below));
+        }
+        // The counts become the digit histogram, which must start (and
+        // is left) all zero. Writing only the buckets in use leaves the
+        // never-touched pages untouched.
+        let mut hist = counts;
+        hist.iter_mut().filter(|c| **c != 0).for_each(|c| *c = 0);
+        let mut keys = Vec::with_capacity(ranks.len());
+        for group in located.chunk_by(|x, y| x.0 == y.0) {
+            let (b, count, _) = group[0];
+            let chain = Chain {
+                chunks: &chunks,
+                links: &links,
+                bucket: b as u64,
+                tail: tails[b],
+                count,
             };
-            member[w ^ flip] = 1;
+            let within: Vec<usize> = group.iter().map(|&(_, _, r)| r).collect();
+            select_digits(chain, 32, b as u64, &within, &mut hist, &mut keys);
         }
-        let member: &[u8; BUCKETS] = member.as_slice().try_into().expect("BUCKETS entries");
-        // 2. Branch-free compaction: every value is written to the
-        // cursor, which advances past members only. It never passes the
-        // read position, so no unread value is overwritten.
-        let mut kept = 0;
-        for i in 0..n {
-            let x = values[i];
-            values[kept] = x;
-            kept += usize::from(member[(x.to_bits() >> 48) as usize]);
-        }
-        // 3. Members keep bucket order in the sorted prefix, so rank `r`
-        // sits past the members of the wanted buckets below its own.
-        // The `lo + 1` statistic is in the prefix too, right after `lo`:
-        // any bucket between theirs is empty.
-        let prefix_rank = |r: usize| {
-            let b = bucket_of(r);
-            let before: usize = wanted
-                .iter()
-                .take_while(|&&w| w < b)
-                .map(|&w| cum[w] as usize - below(w))
-                .sum();
-            before + r - below(b)
-        };
-        Some(select_ranks(
-            &mut values[..kept],
-            ranks.map(|(lo, frac)| (prefix_rank(lo), frac)),
-        ))
+        keys
     }
 }
 
-/// Interpolates each `(lo, frac)` of ascending `ranks` as type-7 does:
-/// order statistic `lo` of `values`, moved towards `lo + 1` by `frac`,
-/// bit for bit as [`quantile_sorted`] on the sorted sample.
-///
-/// Selects the ranks **highest first on shrinking prefixes**: once the
-/// highest rank is partitioned into place, every lower one lives in
-/// the left partition, so the next select scans only that prefix.
-fn select_ranks<const K: usize>(values: &mut [f64], ranks: [(usize, f64); K]) -> [f64; K] {
-    let mut out = [0.0; K];
-    // `prefix` shrinks to just past the previous (higher) rank. The
-    // cache `(lo, x_lo, x_hi, sel_prefix)` serves repeated ranks
-    // without re-selecting (or re-scanning for the interpolation
-    // neighbour); `sel_prefix` remembers how far the right partition
-    // of that select extends.
-    let mut prefix = values.len();
-    let mut cache: Option<(usize, f64, Option<f64>, usize)> = None;
-    for (k, &(lo, frac)) in ranks.iter().enumerate().rev() {
-        let (x_lo, mut x_hi, sel_prefix) = match cache {
-            Some((clo, cx_lo, cx_hi, csel)) if clo == lo => (cx_lo, cx_hi, csel),
-            _ => {
-                let (_, &mut x, _) = values[..prefix].select_nth_unstable_by(lo, f64::total_cmp);
-                (x, None, prefix)
-            }
-        };
-        out[k] = if frac == 0.0 {
-            x_lo
-        } else {
-            // The `lo+1`-th order statistic is the minimum of the
-            // select's right partition (`frac > 0` implies `lo + 1` is a
-            // rank of the sample, and a fresh select only ever happens
-            // with `lo + 1 < sel_prefix`; an equal rank hits the cache).
-            let hi = x_hi.unwrap_or_else(|| {
-                values[lo + 1..sel_prefix]
-                    .iter()
-                    .copied()
-                    .min_by(f64::total_cmp)
-                    .expect("right partition of a fractional-rank select is non-empty")
-            });
-            x_hi = Some(hi);
-            x_lo + (hi - x_lo) * frac
-        };
-        cache = Some((lo, x_lo, x_hi, sel_prefix));
-        prefix = lo + 1;
+/// Counting radix select on one chain: appends to `out` the keys at
+/// ascending `ranks` among the chain's values whose key bits above
+/// `shift + 16` equal `prefix` (there are more of them than the highest
+/// rank). One pass counts the 16-bit digit at `shift` into `hist`; each
+/// rank then descends into its digit, down to the last digit
+/// (`shift == 0`), where the digits spell the key. Ranks sharing a
+/// digit share the pass below it. `hist` is all zero on entry and on
+/// return; only the digits between the members' least and greatest are
+/// read or cleared.
+fn select_digits(
+    chain: Chain<'_>,
+    shift: u32,
+    prefix: u64,
+    ranks: &[usize],
+    hist: &mut [u32],
+    out: &mut Vec<u64>,
+) {
+    let (mut least, mut greatest) = (usize::MAX, 0);
+    chain.for_each(|key| {
+        if key >> shift >> 16 == prefix {
+            let d = (key >> shift) as usize & 0xFFFF;
+            hist[d] += 1;
+            least = least.min(d);
+            greatest = greatest.max(d);
+        }
+    });
+    let counted = &mut hist[least..=greatest];
+    let mut digits = Vec::with_capacity(ranks.len());
+    let (mut d, mut below) = (0, 0);
+    for &r in ranks {
+        while below + counted[d] as usize <= r {
+            below += counted[d] as usize;
+            d += 1;
+        }
+        digits.push(((least + d) as u64, r - below));
     }
-    out
+    counted.fill(0);
+    for group in digits.chunk_by(|x, y| x.0 == y.0) {
+        let key = prefix << 16 | group[0].0;
+        if shift == 0 {
+            out.extend(group.iter().map(|_| key));
+        } else {
+            let within: Vec<usize> = group.iter().map(|&(_, r)| r).collect();
+            select_digits(chain, shift - 16, key, &within, hist, out);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The radix bucket of `x`; bucket order is `total_cmp` order.
+    fn bucket(x: f64) -> usize {
+        (monotone_bits(x) >> 48) as usize
+    }
 
     #[test]
     fn empty_returns_none() {
@@ -464,44 +554,46 @@ mod tests {
         }
     }
 
+    /// The bits of `x`, with every NaN mapped to one: arithmetic on a
+    /// NaN (a sum, an interpolation) leaves its sign and payload
+    /// unspecified. A NaN order statistic itself keeps its bits
+    /// (`monotone_bits_round_trip`).
+    fn bits(x: f64) -> u64 {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    }
+
     /// Checks every level of [`LEVELS`] plus the p50/p90/p99 triple
-    /// against the sort-based [`quantile`] on the `total_cmp`-sorted
-    /// sample (a stable sort keeps that order for `±0.0`), bit for bit,
-    /// and the max and mean against a plain in-order fold.
+    /// against [`quantile_sorted`] on the `total_cmp`-sorted sample, bit
+    /// for bit, and the max and mean against a plain in-order fold.
     fn assert_matches_sort(values: &[f64]) {
         let mut sorted = values.to_vec();
         sorted.sort_by(f64::total_cmp);
-        let reference = LEVELS.map(|q| quantile(&sorted, q).expect("non-empty"));
+        let reference = LEVELS.map(|q| quantile_sorted(&sorted, q));
         let got = SampleSummary::from(values.to_vec())
             .into_quantiles(LEVELS)
             .expect("non-empty");
         for ((q, r), g) in LEVELS.iter().zip(reference).zip(got) {
-            assert_eq!(
-                r.to_bits(),
-                g.to_bits(),
-                "n={} q={q}: {r} vs {g}",
-                values.len()
-            );
+            assert_eq!(bits(r), bits(g), "n={} q={q}: {r} vs {g}", values.len());
         }
         let triple = SampleSummary::from(values.to_vec())
             .into_quantiles([0.5, 0.9, 0.99])
             .expect("non-empty");
         for (q, g) in [0.5, 0.9, 0.99].iter().zip(triple) {
-            let r = quantile(&sorted, *q).expect("non-empty");
-            assert_eq!(
-                r.to_bits(),
-                g.to_bits(),
-                "n={} q={q}: {r} vs {g}",
-                values.len()
-            );
+            let r = quantile_sorted(&sorted, *q);
+            assert_eq!(bits(r), bits(g), "n={} q={q}: {r} vs {g}", values.len());
         }
         let summary = SampleSummary::from(values.to_vec());
         let max = values.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
         let sum = values.iter().fold(0.0, |s, &x| s + x);
-        assert_eq!(summary.max().map(f64::to_bits), Some(max.to_bits()));
+        // `f64::max` may return either zero of `max(0.0, -0.0)`.
+        assert_eq!(summary.max().map(|m| bits(m + 0.0)), Some(bits(max + 0.0)));
         assert_eq!(
-            summary.mean().map(f64::to_bits),
-            Some((sum / values.len() as f64).to_bits())
+            summary.mean().map(bits),
+            Some(bits(sum / values.len() as f64))
         );
     }
 
@@ -546,23 +638,39 @@ mod tests {
         );
     }
 
+    /// Signed zeros, subnormals, infinities, NaNs of both signs and the
+    /// finite extremes.
+    const SPECIALS: [f64; 14] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE / 8.0,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::MAX,
+        f64::MIN,
+        1.5,
+        -2.5,
+    ];
+
+    #[test]
+    fn monotone_bits_round_trip() {
+        for x in SPECIALS.into_iter().chain([1e-300, -7.25, 3.0]) {
+            let key = monotone_bits(x);
+            assert_eq!(from_monotone_bits(key).to_bits(), x.to_bits(), "{x}");
+        }
+    }
+
     #[test]
     fn summary_matches_sort_on_special_values() {
-        let specials = [
-            0.0,
-            -0.0,
-            f64::MIN_POSITIVE / 4.0,
-            -f64::MIN_POSITIVE / 8.0,
-            f64::from_bits(1),
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            1.5,
-            -2.5,
-        ];
-        assert_matches_sort(&specials);
+        assert_matches_sort(&SPECIALS);
         let mut next = lcg(3);
         let mixed: Vec<f64> = (0..2_000)
-            .map(|_| specials[(next() % specials.len() as u64) as usize])
+            .map(|_| SPECIALS[(next() % SPECIALS.len() as u64) as usize])
             .collect();
         assert_matches_sort(&mixed);
         assert_matches_sort(&[0.0, -0.0, 0.0, -0.0]);
@@ -582,6 +690,84 @@ mod tests {
     }
 
     #[test]
+    fn summary_matches_sort_at_scale() {
+        // Exponential latencies, as a simulator reports them, so the
+        // buckets near the median hold 1e4-1e5 values at full size. CI
+        // runs this crate's tests under `--release` at full size.
+        let n = if cfg!(debug_assertions) {
+            60_000
+        } else {
+            4_000_000
+        };
+        let mut next = lcg(5);
+        let values: Vec<f64> = (0..n)
+            .map(|_| -((next() + 1) as f64 / (1u64 << 44) as f64).ln() * 0.6)
+            .collect();
+        assert_matches_sort(&values);
+    }
+
+    /// A uniform draw of the low 48 key bits.
+    fn low48(next: &mut impl FnMut() -> u64) -> u64 {
+        ((next() << 24) ^ next()) & ((1 << 48) - 1)
+    }
+
+    #[test]
+    fn store_keeps_six_bytes_per_value_plus_one_partial_chunk_per_bucket() {
+        let chunk_bytes = std::mem::size_of::<Chunk>();
+        assert_eq!(chunk_bytes, 6 * CHUNK);
+        let mut next = lcg(6);
+        let mut s = SampleSummary::new();
+        for _ in 0..100_000 {
+            s.push(-((next() + 1) as f64 / (1u64 << 44) as f64).ln());
+        }
+        // Buckets filled exactly to a chunk boundary, one past it and
+        // one short of it.
+        for (top, count) in [
+            (0x9000u64, CHUNK),
+            (0x9001, CHUNK + 1),
+            (0x9002, 2 * CHUNK - 1),
+        ] {
+            for _ in 0..count {
+                s.push(from_monotone_bits(top << 48 | low48(&mut next)));
+            }
+        }
+        let used = s.buckets_used();
+        assert!(used > 3);
+        let full_or_partial: usize = s.counts.iter().map(|&c| (c as usize).div_ceil(CHUNK)).sum();
+        assert_eq!(s.chunks_allocated(), full_or_partial);
+        assert_eq!(s.links.len(), s.chunks.len());
+        assert!(s.chunks.len() * chunk_bytes <= 6 * s.len() + used * chunk_bytes);
+        assert!(s.chunks.len() * chunk_bytes > 6 * s.len());
+    }
+
+    #[test]
+    fn select_reads_only_the_wanted_buckets() {
+        // 100 values in [1, 1.0625), 101 in [2, 2.125), 100 in
+        // [4, 4.25): the median (rank 150, an integral rank) lies in the
+        // middle bucket alone.
+        let mut next = lcg(7);
+        let values: Vec<f64> = [(1.0, 100), (2.0, 101), (4.0, 100)]
+            .into_iter()
+            .flat_map(|(base, count)| (0..count).map(move |i| base * (1.0 + f64::from(i) / 4096.0)))
+            .map(|x| x * (1.0 + (next() % 8) as f64 * f64::EPSILON))
+            .collect();
+        let mut sorted = values.clone();
+        sorted.sort_by(f64::total_cmp);
+        let mut s = SampleSummary::from(values);
+        let wanted = bucket(sorted[150]);
+        assert_eq!(s.buckets_used(), 3);
+        // Point every other bucket's chain past the arena: reading one
+        // would panic on the index.
+        for b in 0..BUCKETS {
+            if b != wanted && s.counts[b] > 0 {
+                s.tails[b] = u32::MAX;
+            }
+        }
+        let [median] = s.into_quantiles([0.5]).expect("non-empty");
+        assert_eq!(median.to_bits(), sorted[150].to_bits());
+    }
+
+    #[test]
     #[should_panic(expected = "ascending")]
     fn summary_rejects_descending_levels() {
         let _ = SampleSummary::from(vec![1.0, 2.0]).into_quantiles([0.9, 0.5]);
@@ -594,6 +780,66 @@ mod tests {
     }
 
     proptest! {
+        /// Buckets filled to just below, at and just past a chunk
+        /// boundary (and to random sizes), with keys spread over all 48
+        /// stored bits or tied in a narrow range, pushed interleaved
+        /// with special values, match the sort bit for bit.
+        #[test]
+        fn summary_matches_sort_across_chunk_boundaries(
+            buckets in proptest::collection::vec(
+                (
+                    any::<u16>(),
+                    prop_oneof![
+                        Just(CHUNK - 1),
+                        Just(CHUNK),
+                        Just(CHUNK + 1),
+                        Just(2 * CHUNK),
+                        1usize..3 * CHUNK,
+                    ],
+                    any::<bool>(),
+                ),
+                1..6,
+            ),
+            specials in proptest::collection::vec(0..SPECIALS.len(), 0..12),
+            seed in any::<u64>(),
+        ) {
+            let mut next = lcg(seed);
+            let mut values = Vec::new();
+            for &(top, count, tied) in &buckets {
+                for _ in 0..count {
+                    let low = if tied { next() % 16 } else { low48(&mut next) };
+                    values.push(from_monotone_bits(u64::from(top) << 48 | low));
+                }
+            }
+            values.extend(specials.iter().map(|&i| SPECIALS[i]));
+            // Interleave the buckets (Fisher-Yates).
+            for i in (1..values.len()).rev() {
+                values.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            assert_matches_sort(&values);
+        }
+
+        /// One radix bucket, `1.0 + k·ε` for `k < 2^48`: the keys differ
+        /// only below the top 16 bits, so every order statistic comes
+        /// out of all three digit passes, with ties and neighbours
+        /// either side of each digit boundary.
+        #[test]
+        fn summary_matches_sort_within_one_bucket(
+            ks in proptest::collection::vec(
+                prop_oneof![
+                    0u64..1 << 48,
+                    0u64..40,
+                    (1u64 << 16) - 20..(1u64 << 16) + 20,
+                    (1u64 << 32) - 20..(1u64 << 32) + 20,
+                ],
+                1..300,
+            ),
+        ) {
+            let values: Vec<f64> = ks.iter().map(|&k| 1.0 + k as f64 * f64::EPSILON).collect();
+            prop_assert!(values.iter().all(|&x| bucket(x) == bucket(1.0)));
+            assert_matches_sort(&values);
+        }
+
         /// Pushing value by value and converting the finished vector
         /// give bitwise the same max, mean and quantiles, and both
         /// match the sort.
@@ -602,12 +848,9 @@ mod tests {
             values in proptest::collection::vec(
                 prop_oneof![
                     0.0f64..4.0,
-                    // Any non-NaN bit pattern: every sign, exponent,
-                    // subnormal and infinity.
-                    any::<u64>().prop_map(|b| {
-                        let x = f64::from_bits(b);
-                        if x.is_nan() { 0.0 } else { x }
-                    }),
+                    // Any bit pattern: every sign, exponent, subnormal,
+                    // infinity and NaN payload.
+                    any::<u64>().prop_map(f64::from_bits),
                 ],
                 1..400,
             ),
@@ -617,16 +860,13 @@ mod tests {
             let converted = SampleSummary::from(values.clone());
             prop_assert_eq!(pushed.len(), converted.len());
             prop_assert_eq!(
-                pushed.max().map(f64::to_bits),
-                converted.max().map(f64::to_bits)
+                pushed.max().map(|m| bits(m + 0.0)),
+                converted.max().map(|m| bits(m + 0.0))
             );
-            prop_assert_eq!(
-                pushed.mean().map(f64::to_bits),
-                converted.mean().map(f64::to_bits)
-            );
+            prop_assert_eq!(pushed.mean().map(bits), converted.mean().map(bits));
             let a = pushed.into_quantiles(LEVELS).expect("non-empty");
             let b = converted.into_quantiles(LEVELS).expect("non-empty");
-            prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+            prop_assert_eq!(a.map(bits), b.map(bits));
             assert_matches_sort(&values);
         }
     }
