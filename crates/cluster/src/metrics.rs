@@ -109,7 +109,9 @@ impl ClusterMetrics {
     /// every floating-point operation in the same order: identical
     /// inputs render bitwise-identical metrics regardless of which
     /// engine produced them. The latency mean sums in push order
-    /// (vector order for a `Vec<f64>`).
+    /// (vector order for a `Vec<f64>`). A `Vec<f64>` is filed into the
+    /// latency store here, one push per value, while the vector is
+    /// still alive: a caller frees what else it holds per latency first.
     ///
     /// # Panics
     /// Panics if the per-slot arrays disagree on length.

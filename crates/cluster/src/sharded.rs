@@ -870,16 +870,19 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
     // Counting sort (stable) of the latencies into slot-major order:
     // each slot's latencies stay in completion order, and the overall
     // order no longer remembers how the fleet was sharded — so the
-    // mean's f64 summation order is canonical.
+    // mean's f64 summation order is canonical. The sort consumes the
+    // tagged latencies, so they are freed before `from_parts` files the
+    // sorted ones in the latency store.
+    let tagged = std::mem::take(&mut report.latencies);
     let mut offsets = vec![0usize; total_slots + 1];
-    for &(g, _) in &report.latencies {
+    for &(g, _) in &tagged {
         offsets[g as usize + 1] += 1;
     }
     for i in 0..total_slots {
         offsets[i + 1] += offsets[i];
     }
-    let mut latencies = vec![0.0f64; report.latencies.len()];
-    for &(g, l) in &report.latencies {
+    let mut latencies = vec![0.0f64; tagged.len()];
+    for (g, l) in tagged {
         latencies[offsets[g as usize]] = l;
         offsets[g as usize] += 1;
     }

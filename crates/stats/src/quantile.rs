@@ -133,11 +133,6 @@ const CHUNK: usize = 64;
 /// zeroed tails mean every bucket is empty.
 const NO_CHUNK: u32 = 0;
 
-/// Partial chunks [`SampleSummary::reserve`] makes room for on top of
-/// the full ones: a chain's last chunk is its only partial one, so
-/// there is at most one per bucket in use.
-const RESERVED_PARTIALS: usize = 1024;
-
 /// Up to [`CHUNK`] values of one radix bucket. The bucket fixes a
 /// key's top 16 bits, so a value is stored as the low 48 bits of its
 /// [`monotone_bits`] key: three 16-bit digits, most significant first.
@@ -177,12 +172,12 @@ impl Chain<'_> {
 /// arrive and files each value in its radix bucket, then answers exact
 /// type-7 quantiles by reading only the buckets that hold them.
 ///
-/// [`SampleSummary::push`] adds the value to the sum, folds it into the
-/// max with `f64::max`, and appends it to one of 65536 buckets keyed by
-/// the top 16 bits of [`monotone_bits`]. A bucket is a chain of
-/// 64-value chunks that keeps only the low 48 bits of each key, 6 bytes
-/// per value; every chain draws its chunks from one arena, and only a
-/// chain's last chunk is partial. [`SampleSummary::into_quantiles`]
+/// [`SampleSummary::push`] adds the value to the sum, raises the max
+/// when the value is greater, and appends it to one of 65536 buckets
+/// keyed by the top 16 bits of [`monotone_bits`]. A bucket is a chain
+/// of 64-value chunks that keeps only the low 48 bits of each key, 6
+/// bytes per value; every chain draws its chunks from one arena, and
+/// only a chain's last chunk is partial. [`SampleSummary::into_quantiles`]
 /// finds the buckets holding the order statistics each level needs
 /// from the bucket counts, then runs a counting radix select (three
 /// 16-bit digit passes) over each of those chains. The values are, bit
@@ -250,10 +245,14 @@ impl SampleSummary {
         }
     }
 
-    /// Reserves chunks for `additional` more values: enough full ones,
-    /// plus room for partial ones.
+    /// Reserves chunks for `additional` more values, so pushing them
+    /// never moves the arena. They open at most `additional / 64`
+    /// chunks they fill plus one partial chunk in each bucket they
+    /// reach, and they reach at most `min(additional, 65536)` buckets.
+    /// Capacity no value reaches is never written, so its pages are
+    /// never touched.
     pub fn reserve(&mut self, additional: usize) {
-        let chunks = additional.div_ceil(CHUNK) + additional.min(RESERVED_PARTIALS);
+        let chunks = additional.div_ceil(CHUNK) + additional.min(BUCKETS);
         self.chunks.reserve(chunks);
         self.links.reserve(chunks);
     }
@@ -262,7 +261,12 @@ impl SampleSummary {
     #[inline]
     pub fn push(&mut self, x: f64) {
         self.sum += x;
-        self.max = self.max.max(x);
+        // Not `f64::max`, which may return either zero of
+        // `max(0.0, -0.0)`: the first of equal maxima stays, and a NaN
+        // never passes the test.
+        if x > self.max {
+            self.max = x;
+        }
         self.len += 1;
         if self.counts.is_empty() {
             self.allocate_buckets();
@@ -301,8 +305,9 @@ impl SampleSummary {
         self.len == 0
     }
 
-    /// The largest value by `f64::max` (which skips NaNs); `None` when
-    /// empty.
+    /// The largest value, skipping NaNs: the first to arrive of equal
+    /// maxima (so `-0.0` when it came before `0.0`), and `-inf` when
+    /// every value is a NaN. `None` when empty.
     #[must_use]
     pub fn max(&self) -> Option<f64> {
         (!self.is_empty()).then_some(self.max)
@@ -587,10 +592,11 @@ mod tests {
             assert_eq!(bits(r), bits(g), "n={} q={q}: {r} vs {g}", values.len());
         }
         let summary = SampleSummary::from(values.to_vec());
-        let max = values.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
+        let max = values
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &x| if x > m { x } else { m });
         let sum = values.iter().fold(0.0, |s, &x| s + x);
-        // `f64::max` may return either zero of `max(0.0, -0.0)`.
-        assert_eq!(summary.max().map(|m| bits(m + 0.0)), Some(bits(max + 0.0)));
+        assert_eq!(summary.max().map(f64::to_bits), Some(max.to_bits()));
         assert_eq!(
             summary.mean().map(bits),
             Some(bits(sum / values.len() as f64))
@@ -741,6 +747,24 @@ mod tests {
     }
 
     #[test]
+    fn reserved_arena_holds_values_spread_over_every_bucket() {
+        // Each value opening its own bucket is the most chunks `n`
+        // values can take: one partial chunk each, up to every bucket.
+        let mut next = lcg(8);
+        for (n, per_bucket) in [(2_000, 1), (2 * BUCKETS, 2)] {
+            let mut s = SampleSummary::new();
+            s.reserve(n);
+            let capacity = (s.chunks.capacity(), s.links.capacity());
+            for i in 0..n {
+                let top = (i / per_bucket * 7919 % BUCKETS) as u64;
+                s.push(from_monotone_bits(top << 48 | low48(&mut next)));
+            }
+            assert_eq!(s.chunks_allocated(), n / per_bucket);
+            assert_eq!((s.chunks.capacity(), s.links.capacity()), capacity);
+        }
+    }
+
+    #[test]
     fn select_reads_only_the_wanted_buckets() {
         // 100 values in [1, 1.0625), 101 in [2, 2.125), 100 in
         // [4, 4.25): the median (rank 150, an integral rank) lies in the
@@ -860,8 +884,8 @@ mod tests {
             let converted = SampleSummary::from(values.clone());
             prop_assert_eq!(pushed.len(), converted.len());
             prop_assert_eq!(
-                pushed.max().map(|m| bits(m + 0.0)),
-                converted.max().map(|m| bits(m + 0.0))
+                pushed.max().map(f64::to_bits),
+                converted.max().map(f64::to_bits)
             );
             prop_assert_eq!(pushed.mean().map(bits), converted.mean().map(bits));
             let a = pushed.into_quantiles(LEVELS).expect("non-empty");
