@@ -1,14 +1,12 @@
 //! `bench-snapshot` — tracked balls/sec measurements for the throw
 //! kernel, and routed placements/sec for the router data plane.
 //!
-//! Criterion benches are great for interactive A/B work but their output
-//! is ephemeral; this runner writes machine-readable snapshots so the
-//! repo can track its throughput trajectory across PRs:
+//! It writes machine-readable snapshots of two measurements, each taken
+//! in one run on one host:
 //!
 //! * `BENCH_throw.json` — the engine's batched throw path over the grid
 //!   `n ∈ {1e3, 1e5, 1e6} × d ∈ {1, 2, 4} × {uniform, two-class, Zipf}`
-//!   capacities, balls/sec per cell next to the recorded pre-kernel
-//!   baseline;
+//!   capacities, balls/sec per cell;
 //! * `BENCH_router.json` — routed placements/sec of the embeddable
 //!   `bnb-router` data plane under contention: 1–32 cloned
 //!   `RouterHandle`s routing d-choice d = 2 against one shared
@@ -42,48 +40,6 @@ struct Cell {
     balls_thrown: u64,
     elapsed: Duration,
     balls_per_sec: f64,
-    baseline_balls_per_sec: Option<f64>,
-}
-
-/// Pre-kernel baseline, in balls/sec, measured with this same runner at
-/// the seed engine (commit `ce0cd29`, scalar `throw()` loop with the
-/// two-RNG-call float alias sampler) on the single-core CI container,
-/// averaged over two full-grid runs. `(scenario, n, d, balls_per_sec)`.
-const SEED_BASELINE: &[(&str, usize, usize, f64)] = &[
-    ("uniform", 1_000, 1, 8.054e7),
-    ("uniform", 1_000, 2, 3.811e7),
-    ("uniform", 1_000, 4, 1.794e7),
-    ("uniform", 100_000, 1, 3.838e7),
-    ("uniform", 100_000, 2, 1.482e7),
-    ("uniform", 100_000, 4, 7.916e6),
-    ("uniform", 1_000_000, 1, 1.574e7),
-    ("uniform", 1_000_000, 2, 6.468e6),
-    ("uniform", 1_000_000, 4, 3.186e6),
-    ("two_class", 1_000, 1, 6.259e7),
-    ("two_class", 1_000, 2, 2.918e7),
-    ("two_class", 1_000, 4, 1.383e7),
-    ("two_class", 100_000, 1, 2.829e7),
-    ("two_class", 100_000, 2, 1.303e7),
-    ("two_class", 100_000, 4, 7.070e6),
-    ("two_class", 1_000_000, 1, 1.146e7),
-    ("two_class", 1_000_000, 2, 4.557e6),
-    ("two_class", 1_000_000, 4, 2.473e6),
-    ("zipf", 1_000, 1, 5.745e7),
-    ("zipf", 1_000, 2, 2.516e7),
-    ("zipf", 1_000, 4, 1.240e7),
-    ("zipf", 100_000, 1, 2.440e7),
-    ("zipf", 100_000, 2, 1.280e7),
-    ("zipf", 100_000, 4, 6.392e6),
-    ("zipf", 1_000_000, 1, 9.070e6),
-    ("zipf", 1_000_000, 2, 4.567e6),
-    ("zipf", 1_000_000, 4, 2.571e6),
-];
-
-fn baseline_for(scenario: &str, n: usize, d: usize) -> Option<f64> {
-    SEED_BASELINE
-        .iter()
-        .find(|&&(s, bn, bd, _)| s == scenario && bn == n && bd == d)
-        .map(|&(_, _, _, bps)| bps)
 }
 
 /// Routed placements/sec of one router-contention cell.
@@ -265,7 +221,6 @@ fn measure(scenario: &'static str, n: usize, d: usize, budget: Duration) -> Cell
         balls_thrown: thrown,
         elapsed,
         balls_per_sec: thrown as f64 / elapsed.as_secs_f64(),
-        baseline_balls_per_sec: baseline_for(scenario, n, d),
     }
 }
 
@@ -282,32 +237,22 @@ fn render_json(cells: &[Cell], mode: &str) -> String {
         .map_or(0, |d| d.as_secs());
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema_version\": 1,\n");
+    out.push_str("  \"schema_version\": 2,\n");
     out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
     out.push_str(&format!("  \"generated_unix_secs\": {generated},\n"));
     out.push_str(&format!("  \"seed\": {},\n", bnb_bench::BENCH_SEED));
-    out.push_str("  \"baseline_commit\": \"ce0cd29\",\n");
     out.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
-        let baseline = c
-            .baseline_balls_per_sec
-            .map_or("null".to_string(), |b| format!("{b:.4e}"));
-        let speedup = c.baseline_balls_per_sec.map_or("null".to_string(), |b| {
-            format!("{:.2}", c.balls_per_sec / b)
-        });
         out.push_str(&format!(
             "    {{\"scenario\": \"{}\", \"n\": {}, \"d\": {}, \
              \"balls_per_sec\": {:.4e}, \"balls_thrown\": {}, \
-             \"elapsed_secs\": {:.4}, \"baseline_balls_per_sec\": {}, \
-             \"speedup_vs_baseline\": {}}}{}\n",
+             \"elapsed_secs\": {:.4}}}{}\n",
             json_escape_free(c.scenario),
             c.n,
             c.d,
             c.balls_per_sec,
             c.balls_thrown,
             c.elapsed.as_secs_f64(),
-            baseline,
-            speedup,
             if i + 1 == cells.len() { "" } else { "," },
         ));
     }
@@ -442,14 +387,8 @@ fn main() -> ExitCode {
             for &d in ds {
                 let cell = measure(scenario, n, d, budget);
                 println!(
-                    "{:<10} n={:<8} d={}  {:>10.3e} balls/s{}",
-                    cell.scenario,
-                    cell.n,
-                    cell.d,
-                    cell.balls_per_sec,
-                    cell.baseline_balls_per_sec.map_or(String::new(), |b| {
-                        format!("  ({:.2}x vs baseline)", cell.balls_per_sec / b)
-                    }),
+                    "{:<10} n={:<8} d={}  {:>10.3e} balls/s",
+                    cell.scenario, cell.n, cell.d, cell.balls_per_sec,
                 );
                 cells.push(cell);
             }

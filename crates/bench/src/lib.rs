@@ -1,26 +1,13 @@
 //! # bnb-bench
 //!
-//! Shared helpers for the criterion benchmark suite. The benches
-//! themselves live in `benches/` (one file per concern):
-//!
-//! * `throw_kernel.rs` — the batched throw kernel vs the scalar loop on
-//!   the tracked `BENCH_throw.json` scenario grid,
-//! * `figures.rs` — one bench group per paper figure (scaled down),
-//! * `core_ops.rs` — throw-loop throughput across policies and `d`,
-//! * `samplers.rs` — alias vs. Fenwick vs. cumulative ablation,
-//! * `ablations.rs` — protocol design-choice ablations,
-//! * `hashring.rs` — consistent-hashing substrate throughput.
-//!
-//! The crate also ships the `bench-snapshot` binary, which times the
-//! kernel over the standard grid and writes the machine-readable
-//! `BENCH_throw.json` tracked at the repo root.
+//! Home of the `bench-snapshot` binary, which times the throw kernel
+//! over the standard grid and the router data plane under contention,
+//! and writes the machine-readable `BENCH_throw.json` and
+//! `BENCH_router.json` tracked at the repo root. The cluster simulator
+//! is benchmarked by `perfbench/` instead.
 
 #![deny(missing_docs)]
 
-/// Standard deterministic seed used across benches so criterion compares
-/// like-for-like work between runs.
+/// Deterministic seed of every snapshot cell, so each run times the
+/// same work.
 pub const BENCH_SEED: u64 = 0xB415_2B11;
-
-/// Reduced repetition count for figure benches (the repro binary, not the
-/// benches, is responsible for paper-scale statistics).
-pub const BENCH_REPS: usize = 3;

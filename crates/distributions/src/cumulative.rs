@@ -6,8 +6,8 @@ use crate::sampler::WeightedSampler;
 /// Prefix-sum table with binary search; O(n) build, O(log n) sample,
 /// no updates.
 ///
-/// Kept as (a) the baseline in the sampler ablation benchmark and (b) a
-/// second independent oracle when differential-testing [`crate::AliasTable`].
+/// Kept as a second independent oracle when differential-testing
+/// [`crate::AliasTable`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CumulativeSampler {
     /// Strictly increasing cumulative sums (zero-weight entries collapse

@@ -13,17 +13,14 @@
 //!   **and** O(log n) weight update. Used by dynamic scenarios and as a
 //!   differential-testing oracle for the alias method.
 //! * [`CumulativeSampler`] — plain prefix-sum table with binary search;
-//!   the simplest correct implementation, kept as a second oracle and as
-//!   the baseline in the sampler ablation benchmarks.
+//!   the simplest correct implementation, kept as a second oracle.
 //!
-//! Deterministic PRNGs ([`SplitMix64`], [`Xoshiro256PlusPlus`]) implement
-//! `rand_core::RngCore` so they compose with the `rand` ecosystem while
-//! guaranteeing byte-for-byte reproducible experiment streams, including a
+//! Deterministic PRNGs ([`SplitMix64`], [`Xoshiro256PlusPlus`]) give
+//! byte-for-byte reproducible experiment streams, including a
 //! [`SplitMix64`]-based seed-derivation scheme ([`derive_seed`]) that gives
 //! every Monte-Carlo repetition its own independent, stable stream.
 //!
-//! Discrete variates implemented from scratch (the offline `rand` crate
-//! ships no `rand_distr`): [`Binomial`] (the paper's randomised bin sizes
+//! Discrete variates implemented from scratch: [`Binomial`] (the paper's randomised bin sizes
 //! `1 + Bin(7, (c−1)/7)` in §4.2), [`Geometric`], and [`Zipf`] for the
 //! heavy-tailed capacity extensions. Continuous Exp(1) variates — the
 //! service times and arrival gaps of every discrete-event simulator here

@@ -1,4 +1,4 @@
-//! Deterministic PRNGs with `rand_core` integration.
+//! Deterministic PRNGs and per-repetition seed derivation.
 //!
 //! The experiment harness derives one independent seed per Monte-Carlo
 //! repetition; results are then reproducible regardless of thread
@@ -6,15 +6,11 @@
 //! recommended seeder for the xoshiro family), [`Xoshiro256PlusPlus`] is
 //! the workhorse generator for the simulations themselves.
 
-use rand::rand_core::impls::fill_bytes_via_next;
-use rand::{RngCore, SeedableRng};
-
 /// SplitMix64: a tiny, full-period 64-bit generator.
 ///
 /// Primarily used to expand a single user seed into independent
 /// per-repetition seeds ([`derive_seed`]) and to seed
-/// [`Xoshiro256PlusPlus`]. Passes through `rand_core::RngCore` so it can
-/// also be used directly in tests.
+/// [`Xoshiro256PlusPlus`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
@@ -36,34 +32,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-}
-
-impl RngCore for SplitMix64 {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dst: &mut [u8]) {
-        fill_bytes_via_next(self, dst);
-    }
-}
-
-impl SeedableRng for SplitMix64 {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        SplitMix64::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        SplitMix64::new(state)
     }
 }
 
@@ -129,42 +97,6 @@ impl Xoshiro256PlusPlus {
             }
         }
         (m >> 64) as u64
-    }
-}
-
-impl RngCore for Xoshiro256PlusPlus {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dst: &mut [u8]) {
-        fill_bytes_via_next(self, dst);
-    }
-}
-
-impl SeedableRng for Xoshiro256PlusPlus {
-    type Seed = [u8; 32];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        let mut s = [0u64; 4];
-        for (i, chunk) in seed.chunks_exact(8).enumerate() {
-            s[i] = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        }
-        if s == [0, 0, 0, 0] {
-            // The all-zero state is invalid for xoshiro; remap it.
-            return Xoshiro256PlusPlus::from_u64_seed(0xDEAD_BEEF);
-        }
-        Xoshiro256PlusPlus { s }
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Xoshiro256PlusPlus::from_u64_seed(state)
     }
 }
 
@@ -251,15 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_seed_is_remapped() {
-        let rng = Xoshiro256PlusPlus::from_seed([0u8; 32]);
-        // Must not be the (invalid) all-zero state; must still generate.
-        let mut rng = rng;
-        let v: Vec<u64> = (0..4).map(|_| rng.next()).collect();
-        assert!(v.iter().any(|&x| x != 0));
-    }
-
-    #[test]
     fn derive_seed_separates_axes() {
         let s = derive_seed(1, 2, 3);
         assert_ne!(s, derive_seed(1, 2, 4));
@@ -267,24 +190,5 @@ mod tests {
         assert_ne!(s, derive_seed(2, 2, 3));
         // Deterministic.
         assert_eq!(s, derive_seed(1, 2, 3));
-    }
-
-    #[test]
-    fn rngcore_fill_bytes_works() {
-        let mut rng = Xoshiro256PlusPlus::from_u64_seed(11);
-        let mut buf = [0u8; 17];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn seedable_from_seed_round_trip() {
-        let mut seed = [0u8; 32];
-        for (i, b) in seed.iter_mut().enumerate() {
-            *b = i as u8 + 1;
-        }
-        let mut x = Xoshiro256PlusPlus::from_seed(seed);
-        let mut y = Xoshiro256PlusPlus::from_seed(seed);
-        assert_eq!(x.next(), y.next());
     }
 }

@@ -8,9 +8,9 @@ use crate::rng::Xoshiro256PlusPlus;
 /// [`crate::FenwickSampler`] (O(log n) dynamic) and
 /// [`crate::CumulativeSampler`] (O(log n) static baseline). The simulation
 /// engine in `bnb-core` is generic over this trait — `Game<S>` defaults to
-/// the alias table but accepts any implementation — so the sampler
-/// ablation benches and the differential-oracle tests can swap
-/// implementations without touching the game logic.
+/// the alias table but accepts any implementation — so the
+/// differential-oracle tests can swap implementations without touching
+/// the game logic.
 pub trait WeightedSampler {
     /// Draws one index with probability proportional to its weight.
     fn sample(&self, rng: &mut Xoshiro256PlusPlus) -> usize;

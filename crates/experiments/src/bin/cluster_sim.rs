@@ -18,10 +18,11 @@
 //! deterministic, regardless of thread count.
 
 use bnb_cluster::{find_scenario, registry, Scenario, SimBuilder, SMOKE_DIVISOR};
+use bnb_experiments::output::write_figure;
 use bnb_experiments::sweep_scenario;
-use bnb_stats::svg::render_svg;
+use bnb_stats::SeriesSet;
 use bnb_telemetry::{render_chrome_trace, render_prometheus, MetricsSnapshot, Registry};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -45,21 +46,48 @@ struct Args {
     d_sweep: Vec<usize>,
 }
 
-/// Writes `base-<id>.trace.json` (chrome://tracing) and
-/// `base-<id>.prom` (Prometheus text) for one harvested snapshot.
-fn write_telemetry(
-    base: &std::path::Path,
-    id: &str,
-    snap: &MetricsSnapshot,
-) -> std::io::Result<()> {
-    if let Some(dir) = base.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let stem = format!("{}-{id}", base.display());
-    std::fs::write(format!("{stem}.trace.json"), render_chrome_trace(snap))?;
-    std::fs::write(format!("{stem}.prom"), render_prometheus(snap))
+/// The request budget of one scenario: `--requests`, else its default,
+/// divided by [`SMOKE_DIVISOR`] under `--smoke`.
+fn request_budget(args: &Args, scenario: &Scenario) -> u64 {
+    args.requests.unwrap_or(if args.smoke {
+        scenario.default_requests / SMOKE_DIVISOR
+    } else {
+        scenario.default_requests
+    })
+}
+
+/// Writes `<id>.{csv,dat,svg}` through [`write_figure`] and the
+/// rendered `table` as `<id>.txt` under `dir`, `<id>` being the set's.
+fn write_artifacts(dir: &Path, set: &SeriesSet, table: &str) -> Result<(), String> {
+    write_figure(dir, set)
+        .and_then(|_| std::fs::write(dir.join(format!("{}.txt", set.id)), table))
+        .map_err(|e| format!("failed to write {}: {e}", set.id))?;
+    println!(
+        "   wrote {}/{}.{{csv,dat,svg,txt}}\n",
+        dir.display(),
+        set.id
+    );
+    Ok(())
+}
+
+/// Exports one harvested snapshot as `telemetry-<id>.trace.json`
+/// (chrome://tracing) and `telemetry-<id>.prom` (Prometheus text) under
+/// `out`, or prints the Prometheus text when there is no `--out`.
+fn export_telemetry(out: Option<&Path>, id: &str, snap: &MetricsSnapshot) -> Result<(), String> {
+    let Some(dir) = out else {
+        print!("{}", render_prometheus(snap));
+        return Ok(());
+    };
+    let path = |ext: &str| dir.join(format!("telemetry-{id}.{ext}"));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(path("trace.json"), render_chrome_trace(snap)))
+        .and_then(|()| std::fs::write(path("prom"), render_prometheus(snap)))
+        .map_err(|e| format!("failed to write telemetry for {id}: {e}"))?;
+    println!(
+        "   wrote {}/telemetry-{id}.{{trace.json,prom}}\n",
+        dir.display()
+    );
+    Ok(())
 }
 
 /// `--help` is a successful outcome, not a parse error: it must print
@@ -221,13 +249,9 @@ fn parse_args() -> ParseOutcome {
 }
 
 /// Runs the replica/d sweep for every selected scenario.
-fn run_sweeps(args: &Args) -> ExitCode {
+fn run_sweeps(args: &Args) -> Result<(), String> {
     for scenario in &args.scenarios {
-        let requests = args.requests.unwrap_or(if args.smoke {
-            scenario.default_requests / SMOKE_DIVISOR
-        } else {
-            scenario.default_requests
-        });
+        let requests = request_budget(args, scenario);
         let n_servers = (scenario.build)(args.seed, requests).speeds.n();
         let registry = args.telemetry.then(Registry::enabled);
         let start = Instant::now();
@@ -260,78 +284,19 @@ fn run_sweeps(args: &Args) -> ExitCode {
             total as f64 / elapsed.as_secs_f64()
         );
         if let Some(dir) = &args.out {
-            let id = format!("cluster-sweep-{}", sweep.scenario);
-            let set = sweep.to_series_set();
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                std::fs::write(
-                    dir.join(format!("{id}.csv")),
-                    bnb_stats::csv::series_set_to_string(&set),
-                )?;
-                std::fs::write(dir.join(format!("{id}.dat")), set.to_plot_text())?;
-                std::fs::write(dir.join(format!("{id}.svg")), render_svg(&set))?;
-                std::fs::write(dir.join(format!("{id}.txt")), sweep.render_table(n_servers))
-            });
-            match write {
-                Ok(()) => println!("   wrote {}/{id}.{{csv,dat,svg,txt}}\n", dir.display()),
-                Err(e) => {
-                    eprintln!("failed to write {}: {e}", sweep.scenario);
-                    return ExitCode::FAILURE;
-                }
-            }
+            write_artifacts(dir, &sweep.to_series_set(), &sweep.render_table(n_servers))?;
         }
         if let Some(snap) = &telemetry {
-            if let Some(dir) = &args.out {
-                let base = dir.join("telemetry");
-                if let Err(e) = write_telemetry(&base, sweep.scenario, snap) {
-                    eprintln!("failed to write telemetry for {}: {e}", sweep.scenario);
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "   wrote {}-{}.{{trace.json,prom}}\n",
-                    base.display(),
-                    sweep.scenario
-                );
-            } else {
-                print!("{}", render_prometheus(snap));
-            }
+            export_telemetry(args.out.as_deref(), sweep.scenario, snap)?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        ParseOutcome::Run(a) => a,
-        ParseOutcome::Help => {
-            print!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
-        ParseOutcome::Error(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    if args.list {
-        // Machine-readable: one `id<TAB>title` line per scenario, so CI
-        // can drive a smoke run of every registered scenario straight
-        // from this output (a new scenario is picked up automatically —
-        // `--list | cut -f1` is the scenario matrix).
-        for sc in registry() {
-            println!("{}\t{}", sc.id, sc.title);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if args.sweep {
-        return run_sweeps(&args);
-    }
-
+/// Runs every selected scenario once.
+fn run_scenarios(args: &Args) -> Result<(), String> {
     for scenario in &args.scenarios {
-        let requests = args.requests.unwrap_or(if args.smoke {
-            scenario.default_requests / SMOKE_DIVISOR
-        } else {
-            scenario.default_requests
-        });
+        let requests = request_budget(args, scenario);
         let spec = (scenario.build)(args.seed, requests);
         let placement = spec.placement.name();
         let registry = args.telemetry.then(Registry::enabled);
@@ -363,42 +328,49 @@ fn main() -> ExitCode {
             metrics.requests as f64 / elapsed.as_secs_f64()
         );
         if args.telemetry {
-            let snap = sim.telemetry_snapshot();
-            if let Some(dir) = &args.out {
-                let base = dir.join("telemetry");
-                if let Err(e) = write_telemetry(&base, scenario.id, &snap) {
-                    eprintln!("failed to write telemetry for {}: {e}", scenario.id);
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "   telemetry: {}-{}.{{trace.json,prom}}\n",
-                    base.display(),
-                    scenario.id
-                );
-            } else {
-                print!("{}", render_prometheus(&snap));
-            }
+            export_telemetry(args.out.as_deref(), scenario.id, &sim.telemetry_snapshot())?;
         }
         if let Some(dir) = &args.out {
-            let id = format!("cluster-{}", scenario.id);
-            let set = metrics.to_series_set(&id, scenario.title);
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                std::fs::write(
-                    dir.join(format!("{id}.csv")),
-                    bnb_stats::csv::series_set_to_string(&set),
-                )?;
-                std::fs::write(dir.join(format!("{id}.dat")), set.to_plot_text())?;
-                std::fs::write(dir.join(format!("{id}.svg")), render_svg(&set))?;
-                std::fs::write(dir.join(format!("{id}.txt")), metrics.render_table())
-            });
-            match write {
-                Ok(()) => println!("   wrote {}/{id}.{{csv,dat,svg,txt}}\n", dir.display()),
-                Err(e) => {
-                    eprintln!("failed to write {}: {e}", scenario.id);
-                    return ExitCode::FAILURE;
-                }
-            }
+            let set = metrics.to_series_set(&format!("cluster-{}", scenario.id), scenario.title);
+            write_artifacts(dir, &set, &metrics.render_table())?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        ParseOutcome::Run(a) => a,
+        ParseOutcome::Help => {
+            print!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        ParseOutcome::Error(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::from(2);
+        }
+    };
+    if args.list {
+        // Machine-readable: one `id<TAB>title` line per scenario, so CI
+        // can drive a smoke run of every registered scenario straight
+        // from this output (a new scenario is picked up automatically —
+        // `--list | cut -f1` is the scenario matrix).
+        for sc in registry() {
+            println!("{}\t{}", sc.id, sc.title);
+        }
+        return ExitCode::SUCCESS;
+    }
+
+    let result = if args.sweep {
+        run_sweeps(&args)
+    } else {
+        run_scenarios(&args)
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -66,7 +66,11 @@ fn parse_args() -> Result<Args, String> {
     let mut extras = false;
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--help" | "-h" => return Err(usage()),
+            // `--help` prints what `--list` prints, whatever follows it.
+            "--help" | "-h" => {
+                args.list = true;
+                return Ok(args);
+            }
             "--list" => args.list = true,
             "--all" => all = true,
             "--extras" => extras = true,

@@ -1,5 +1,5 @@
 //! The `repro` binary's usage text states the defaults `Ctx::default()`
-//! actually runs with.
+//! actually runs with, and `--help` prints it as a success.
 
 use bnb_experiments::Ctx;
 use std::process::Command;
@@ -31,4 +31,18 @@ fn usage_prints_the_context_defaults() {
         printed_default(&usage, "--ball-budget"),
         defaults.ball_budget
     );
+}
+
+#[test]
+fn help_prints_the_usage_to_stdout_and_succeeds() {
+    for flag in ["--help", "-h"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg(flag)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(0), "{flag} is not an error");
+        let usage = String::from_utf8(out.stdout).expect("utf-8 usage");
+        assert!(usage.starts_with("Usage: repro"), "{flag} stdout: {usage}");
+        assert!(out.stderr.is_empty(), "{flag} wrote to stderr");
+    }
 }

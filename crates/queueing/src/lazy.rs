@@ -107,7 +107,7 @@
 
 use crate::events::Time;
 use crate::stats::LazyStats;
-use bnb_stats::monotone_bits;
+use bnb_stats::{from_monotone_bits, monotone_bits};
 
 /// Authoritative key of an idle slot: `u128::MAX` compares above every
 /// live key (finite times map strictly below the all-ones prefix, and
@@ -155,23 +155,12 @@ const BAG_CAP: usize = 16;
 /// geometry rebuild, rate-limited like the bag-cap one.
 const SWEEP_YIELD: usize = 8;
 
-/// Inverts [`monotone_bits`]: recovers the event time from a key's
-/// upper half. The round trip is exact, so the board stores no raw
+/// Recovers the event time from a packed key's upper half. The
+/// [`monotone_bits`] round trip is exact, so the board stores no raw
 /// times at all — the key array is the entire authoritative state.
 #[inline]
-fn unpack_hi(m: u64) -> Time {
-    let mask = if m & (1 << 63) != 0 {
-        1 << 63
-    } else {
-        u64::MAX
-    };
-    Time::from_bits(m ^ mask)
-}
-
-/// Recovers the event time from a packed key.
-#[inline]
 fn unpack_time(key: u128) -> Time {
-    unpack_hi((key >> 64) as u64)
+    from_monotone_bits((key >> 64) as u64)
 }
 
 /// A far-level candidate: `(slot, tag of its time bits)`. The full

@@ -47,7 +47,9 @@ pub use chi2::{chi_square_statistic, chi_square_test, Chi2Outcome};
 pub use ci::ConfidenceInterval;
 pub use histogram::Histogram;
 pub use merge::{merge_ordered, Mergeable};
-pub use quantile::{median, monotone_bits, quantile, quantile_select, SampleSummary};
+pub use quantile::{
+    from_monotone_bits, median, monotone_bits, quantile, quantile_select, SampleSummary,
+};
 pub use series::{Series, SeriesSet};
 pub use summary::Summary;
 pub use table::TextTable;
