@@ -14,7 +14,10 @@
 //! parallel one ([`ShardedClusterSim`]) — a *different* simulator
 //! (placement reads a frozen per-epoch view rather than the
 //! instantaneous one) whose output is a pure function of
-//! `(spec, seed)`, byte-identical under any worker count.
+//! `(spec, seed)`, byte-identical under any worker count. It is the
+//! sharded engine's only entry point; the cluster benchmark's sharded
+//! cells are its one caller, and both go together. Parallel runs
+//! elsewhere come from replicas (`cluster-sim sweep --replicas`).
 
 use crate::metrics::ClusterMetrics;
 use crate::scenario::Scenario;
@@ -93,7 +96,8 @@ impl SimBuilder {
     }
 
     /// Runs on the space-sharded parallel engine with `workers` worker
-    /// threads. Output is byte-identical under any worker count.
+    /// threads. Output is byte-identical under any worker count. Kept
+    /// for the cluster benchmark's sharded cells only.
     ///
     /// # Panics
     /// [`SimBuilder::build`] panics if `workers` is zero.
@@ -173,9 +177,9 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::arrivals::ArrivalProcess;
-    use crate::placement::PlacementSpec;
     use crate::scenario::find_scenario;
     use bnb_core::CapacityVector;
+    use bnb_router::PlacementSpec;
 
     fn base_spec() -> ClusterSpec {
         let speeds = CapacityVector::two_class(8, 1, 8, 8);

@@ -447,6 +447,17 @@ mod tests {
     use proptest::test_runner::TestCaseError;
 
     #[test]
+    fn fleet_load_view_mirrors_joins_and_departs() {
+        let mut fleet = Fleet::new(&[2, 4], Some(8));
+        fleet.try_join(1, 0.5);
+        fleet.try_join(1, 0.6);
+        assert_eq!(fleet.load(1), (2, 4));
+        assert_eq!(fleet.queue_len(0), 0);
+        let _ = fleet.depart(1, 1.0);
+        assert_eq!(fleet.load(1), (1, 4));
+    }
+
+    #[test]
     fn join_depart_latency_roundtrip() {
         let mut fleet = Fleet::new(&[2, 2], None);
         assert_eq!(fleet.try_join(0, 1.0), Admission::StartedService);

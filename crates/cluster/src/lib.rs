@@ -20,13 +20,15 @@
 //!   bookkeeping and churn, one cache-line-pair record per server
 //!   (counters plus an inline admission ring) that placement reads and
 //!   joins write,
-//! * [`placement`] — pluggable routing, now served by the standalone
-//!   [`bnb_router`] data plane: the paper's d-choice Algorithm 1 over
-//!   non-uniform capacities (block pre-sampled candidates),
-//!   consistent-hash successor placement, weighted rendezvous, the
-//!   Byers-style hash-then-probe hybrid, and the plain-JSQ and
-//!   uniform-sampling d-choice ablations of extension E6, driven as a
-//!   [`bnb_router::PlacementEngine`] over the fleet's per-server records,
+//! * placement — pluggable routing, served by the standalone
+//!   [`bnb_router`] data plane and re-exported here as
+//!   [`PlacementEngine`] and [`PlacementSpec`]: the paper's d-choice
+//!   Algorithm 1 over non-uniform capacities (block pre-sampled
+//!   candidates), consistent-hash successor placement, weighted
+//!   rendezvous, the Byers-style hash-then-probe hybrid, and the
+//!   plain-JSQ and uniform-sampling d-choice ablations of extension E6,
+//!   driven over the fleet's per-server records (the [`Fleet`]
+//!   implements [`bnb_router::LoadView`]),
 //! * [`sim`] — the deterministic serial engine: one drive loop for
 //!   every placement policy, arrival process and churn schedule, with
 //!   departures on `bnb-queueing`'s slot-keyed
@@ -38,17 +40,18 @@
 //!   into contiguous slot ranges across worker threads, placement
 //!   routed against a frozen per-epoch load view, cross-shard joins
 //!   exchanged at epoch boundaries, per-shard reports merged in shard
-//!   order — byte-identical output under any worker count,
+//!   order — byte-identical output under any worker count. It is
+//!   reachable only through [`SimBuilder::workers`], which the cluster
+//!   benchmark's sharded cells call, and is slated for removal,
 //! * [`builder`] — the unified [`SimBuilder`] construction surface
-//!   over all of the above (scenario or spec, seed, telemetry,
-//!   worker count),
+//!   over all of the above (scenario or spec, seed, telemetry),
 //! * [`metrics`] — latency quantiles (a radix histogram kept during
 //!   the run, one compaction pass and selects at its end, no sort),
 //!   per-server peaks and drop rates, rendered through `bnb-stats`,
 //! * [`scenario`] — the registry of named workloads behind the
 //!   `cluster-sim` CLI (`crates/experiments/src/bin/cluster_sim.rs`),
 //! * [`sweep`] — replica aggregation ([`ReplicaAccumulator`], a
-//!   [`bnb_stats::Mergeable`]) behind the sharded `cluster-sim sweep`
+//!   [`bnb_stats::Mergeable`]) behind the `cluster-sim sweep` replica
 //!   d-sweep runner,
 //! * [`telemetry`] — the per-component [`bnb_telemetry`] span set
 //!   threaded through the drive loop (off by default, one predicted
@@ -75,7 +78,6 @@ pub mod arrivals;
 pub mod builder;
 pub mod fleet;
 pub mod metrics;
-pub mod placement;
 pub mod scenario;
 pub mod sharded;
 pub mod sim;
@@ -83,12 +85,11 @@ pub mod sweep;
 pub mod telemetry;
 
 pub use arrivals::{ArrivalProcess, ArrivalSampler};
+pub use bnb_router::{PlacementEngine, PlacementSpec};
 pub use builder::{Sim, SimBuilder};
 pub use fleet::{Admission, ClusterServer, Fleet};
 pub use metrics::ClusterMetrics;
-pub use placement::{PlacementEngine, PlacementSpec};
 pub use scenario::{find_scenario, registry, Scenario, SMOKE_DIVISOR};
-pub use sharded::ShardedClusterSim;
 pub use sim::{ChurnConfig, ClusterSim, ClusterSpec};
 pub use sweep::ReplicaAccumulator;
 pub use telemetry::SimTelemetry;

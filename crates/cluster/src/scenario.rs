@@ -8,10 +8,10 @@
 //! plus load-oblivious baselines to compare against.
 
 use crate::arrivals::ArrivalProcess;
-use crate::placement::PlacementSpec;
 use crate::sim::{ChurnConfig, ClusterSpec};
 use bnb_core::CapacityVector;
 use bnb_distributions::Xoshiro256PlusPlus;
+use bnb_router::PlacementSpec;
 
 /// A named, reproducible workload.
 #[derive(Clone, Copy)]

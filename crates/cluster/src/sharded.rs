@@ -915,9 +915,9 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
 mod tests {
     use super::*;
     use crate::arrivals::ArrivalProcess;
-    use crate::placement::PlacementSpec;
     use crate::sim::ChurnConfig;
     use bnb_core::CapacityVector;
+    use bnb_router::PlacementSpec;
 
     fn base_spec() -> ClusterSpec {
         let speeds = CapacityVector::two_class(8, 1, 8, 8);

@@ -81,7 +81,6 @@
 use crate::arrivals::{ArrivalProcess, ArrivalSampler};
 use crate::fleet::{Admission, Fleet};
 use crate::metrics::ClusterMetrics;
-use crate::placement::PlacementSpec;
 use crate::telemetry::SimTelemetry;
 use bnb_core::CapacityVector;
 use bnb_distributions::{derive_seed, ExponentialBlock, Xoshiro256PlusPlus};
@@ -89,6 +88,7 @@ use bnb_hashring::hash::mix64;
 use bnb_queueing::events::Time;
 use bnb_queueing::lazy::ignore_refill;
 use bnb_queueing::{LazyBoard, LazyStats};
+use bnb_router::PlacementSpec;
 use bnb_router::{LoadView, PlacementEngine};
 use bnb_stats::{Mergeable, SampleSummary};
 use bnb_telemetry::{MetricsSnapshot, Registry};

@@ -1,4 +1,4 @@
-//! Replica aggregation for sharded scenario sweeps.
+//! Replica aggregation for scenario sweeps.
 //!
 //! A sweep runs `R` independent replicas of a scenario (same spec,
 //! `derive_seed`-separated seeds) and aggregates their

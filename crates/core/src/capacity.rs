@@ -122,12 +122,6 @@ impl CapacityVector {
         &self.capacities
     }
 
-    /// Consumes the wrapper, returning the raw vector.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<u64> {
-        self.capacities
-    }
-
     /// Number of bins.
     #[must_use]
     pub fn n(&self) -> usize {

@@ -39,9 +39,6 @@ struct Args {
     /// `telemetry-<scenario>.{trace.json,prom}` under `--out DIR` (or
     /// print Prometheus text when `--out` is absent).
     telemetry: bool,
-    /// `--workers W` (both modes): run on the space-sharded parallel
-    /// engine with `W` worker threads instead of the serial engine.
-    workers: Option<usize>,
     replicas: u64,
     d_sweep: Vec<usize>,
 }
@@ -119,9 +116,6 @@ fn usage() -> String {
          \x20  --seed N           run seed (default 42)\n\
          \x20  --out DIR          write cluster-<scenario>.{csv,dat,svg,txt}\n\
          \x20                     under DIR\n\
-         \x20  --workers W        run on the space-sharded parallel engine\n\
-         \x20                     with W worker threads; artifacts are\n\
-         \x20                     byte-identical under any W\n\
          \x20  --telemetry        harvest telemetry; written as\n\
          \x20                     telemetry-<scenario>.{trace.json,prom} under\n\
          \x20                     --out DIR, printed otherwise\n\
@@ -148,7 +142,6 @@ fn parse_args() -> ParseOutcome {
         out: None,
         sweep: false,
         telemetry: false,
-        workers: None,
         replicas: 8,
         d_sweep: vec![1, 2, 3, 4, 8],
     };
@@ -224,16 +217,6 @@ fn parse_args() -> ParseOutcome {
                 args.out = Some(PathBuf::from(dir));
             }
             "--telemetry" => args.telemetry = true,
-            "--workers" => {
-                let Some(v) = iter.next() else {
-                    return err("--workers needs a value".into());
-                };
-                match v.parse::<usize>() {
-                    Ok(0) => return err("--workers must be positive".into()),
-                    Ok(w) => args.workers = Some(w),
-                    Err(e) => return err(format!("bad --workers {v}: {e}")),
-                }
-            }
             other => {
                 return err(format!("unknown option '{other}'\n\n{}", usage()));
             }
@@ -262,7 +245,6 @@ fn run_sweeps(args: &Args) -> Result<(), String> {
             requests,
             args.seed,
             registry.as_ref(),
-            args.workers,
         );
         let elapsed = start.elapsed();
         println!(
@@ -304,9 +286,6 @@ fn run_scenarios(args: &Args) -> Result<(), String> {
         if let Some(reg) = &registry {
             builder = builder.telemetry(reg);
         }
-        if let Some(w) = args.workers {
-            builder = builder.workers(w);
-        }
         let mut sim = builder.build();
         let start = Instant::now();
         let metrics = sim.run();
@@ -318,12 +297,8 @@ fn run_scenarios(args: &Args) -> Result<(), String> {
         println!("{}", metrics.render_table());
         // Wall-clock is the only non-deterministic line; keep it clearly
         // separated from the metrics block above.
-        let engine = match args.workers {
-            Some(w) => format!("sharded x{w}"),
-            None => "serial".into(),
-        };
         println!(
-            "   [{placement}; {engine}; {:.2?} wall, {:.3e} req/s]\n",
+            "   [{placement}; serial; {:.2?} wall, {:.3e} req/s]\n",
             elapsed,
             metrics.requests as f64 / elapsed.as_secs_f64()
         );

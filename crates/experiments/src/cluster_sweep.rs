@@ -1,4 +1,4 @@
-//! The sharded replica sweep runner: `R` independent replicas of each
+//! The replica sweep runner: `R` independent replicas of each
 //! cluster scenario fanned across rayon workers, aggregated through the
 //! mergeable-accumulator API, swept over the probe count `d`.
 //!
@@ -75,18 +75,10 @@ pub struct ScenarioSweep {
 /// are deterministic too, while its span histograms hold wall-clock
 /// nanoseconds and are not.
 ///
-/// When `workers` is `Some(w)`, every replica runs on the space-sharded
-/// parallel engine with `w` workers instead of the serial one. The
-/// sharded engine is worker-count invariant, so the `ScenarioSweep`
-/// half of the return is bitwise identical at any `w` (its
-/// frozen-epoch placement is a different simulator from the serial
-/// engine, so its metrics may legitimately differ from a `None` run).
-///
 /// # Panics
-/// Panics if `replicas == 0`, `ds` is empty, `workers == Some(0)`, or
-/// the scenario spec is invalid at some `d`.
+/// Panics if `replicas == 0`, `ds` is empty, or the scenario spec is
+/// invalid at some `d`.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn sweep_scenario(
     scenario: &'static Scenario,
     ds: &[usize],
@@ -94,7 +86,6 @@ pub fn sweep_scenario(
     requests: u64,
     master: u64,
     registry: Option<&Registry>,
-    workers: Option<usize>,
 ) -> (ScenarioSweep, Option<MetricsSnapshot>) {
     assert!(replicas > 0, "need at least one replica");
     assert!(!ds.is_empty(), "need at least one d");
@@ -117,9 +108,6 @@ pub fn sweep_scenario(
                 let mut builder = SimBuilder::new(spec).seed(seed);
                 if let Some(reg) = registry {
                     builder = builder.telemetry(reg);
-                }
-                if let Some(w) = workers {
-                    builder = builder.workers(w);
                 }
                 let mut sim = builder.build();
                 let metrics = sim.run();
@@ -227,8 +215,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_across_runs() {
         let sc = find_scenario("two-class").unwrap();
-        let a = sweep_scenario(sc, &[1, 2], 3, 2_000, 11, None, None).0;
-        let b = sweep_scenario(sc, &[1, 2], 3, 2_000, 11, None, None).0;
+        let a = sweep_scenario(sc, &[1, 2], 3, 2_000, 11, None).0;
+        let b = sweep_scenario(sc, &[1, 2], 3, 2_000, 11, None).0;
         assert_eq!(a.render_table(64), b.render_table(64));
         assert_eq!(
             a.to_series_set().to_plot_text(),
@@ -243,28 +231,16 @@ mod tests {
         // d = 1 (weighted random) piles up far deeper normalised queues
         // than d = 4 on the same traffic.
         let sc = find_scenario("two-class").unwrap();
-        let sweep = sweep_scenario(sc, &[1, 4], 4, 5_000, 3, None, None).0;
+        let sweep = sweep_scenario(sc, &[1, 4], 4, 5_000, 3, None).0;
         let d1 = sweep.points[0].acc.max_normalized_queue.mean();
         let d4 = sweep.points[1].acc.max_normalized_queue.mean();
         assert!(d4 < d1, "d=4 peak {d4} should be far below d=1 peak {d1}");
     }
 
     #[test]
-    fn sweep_on_the_sharded_engine_is_worker_count_invariant() {
-        let sc = find_scenario("uniform").unwrap();
-        let (a, _) = sweep_scenario(sc, &[2], 2, 2_000, 5, None, Some(1));
-        let (b, _) = sweep_scenario(sc, &[2], 2, 2_000, 5, None, Some(3));
-        assert_eq!(a.render_table(64), b.render_table(64));
-        assert_eq!(
-            a.to_series_set().to_plot_text(),
-            b.to_series_set().to_plot_text()
-        );
-    }
-
-    #[test]
     fn replicas_differ_but_aggregate_cleanly() {
         let sc = find_scenario("uniform").unwrap();
-        let sweep = sweep_scenario(sc, &[2], 4, 2_000, 9, None, None).0;
+        let sweep = sweep_scenario(sc, &[2], 4, 2_000, 9, None).0;
         let acc = &sweep.points[0].acc;
         assert_eq!(acc.replicas, 4);
         // Replicas are independent runs: the per-replica max normalised

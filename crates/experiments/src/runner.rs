@@ -8,39 +8,24 @@
 //! are order-insensitive up to floating-point rounding.
 
 use bnb_distributions::derive_seed;
-use bnb_stats::{MeanAccumulator, Summary};
+use bnb_stats::{merge_ordered, MeanAccumulator, Summary};
 use rayon::prelude::*;
 
-/// The chunk-count cap for [`chunk_ranges`]: at least the historical 256,
-/// scaled up to eight chunks per available hardware thread on larger
-/// machines so huge-`reps` runs don't undersubscribe wide hosts.
-///
-/// The cap is a pure function of the host's available parallelism (not of
-/// the thread schedule), so a given machine always produces the same
-/// chunk layout; hosts with ≤ 32 hardware threads reproduce the
-/// historical 256-chunk layout exactly.
-fn chunk_cap() -> usize {
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    256.max(threads.saturating_mul(8))
-}
+/// The most chunks [`chunk_ranges`] splits a run into. A constant, not a
+/// function of the host's parallelism, so the chunk layout (and with it
+/// the last ulp of every figure) is the same on every machine.
+const CHUNK_CAP: usize = 256;
 
-/// Splits `reps` repetitions into at most [`chunk_cap`] contiguous chunks.
+/// Splits `reps` repetitions into at most [`CHUNK_CAP`] contiguous chunks.
 ///
 /// Aggregation runs sequentially *within* a chunk and the per-chunk
-/// accumulators are merged *in chunk order*, so the result is bitwise
-/// identical across runs and thread counts — floating-point addition is
-/// not associative, and a free-form rayon reduction tree would otherwise
-/// leak the thread schedule into the last ulp of the output (and break
-/// the harness's reproducibility contract). The chunk *layout* (and hence
-/// the last ulp) additionally depends only on `reps` and the host's
-/// [`chunk_cap`].
+/// accumulators are merged *in chunk order* ([`merge_ordered`]), so the
+/// result is bitwise identical across runs, thread counts and hosts —
+/// floating-point addition is not associative, and a free-form rayon
+/// reduction tree would otherwise leak the thread schedule into the last
+/// ulp of the output (and break the harness's reproducibility contract).
 fn chunk_ranges(reps: usize) -> Vec<(u64, u64)> {
-    chunk_ranges_capped(reps, chunk_cap())
-}
-
-/// [`chunk_ranges`] with an explicit cap (separated for testability).
-fn chunk_ranges_capped(reps: usize, cap: usize) -> Vec<(u64, u64)> {
-    let chunk = reps.div_ceil(cap.max(1)).max(1);
+    let chunk = reps.div_ceil(CHUNK_CAP).max(1);
     (0..reps)
         .step_by(chunk)
         .map(|start| (start as u64, reps.min(start + chunk) as u64))
@@ -66,11 +51,7 @@ where
             s
         })
         .collect();
-    let mut total = Summary::new();
-    for p in &partials {
-        total.merge(p);
-    }
-    total
+    merge_ordered(partials).unwrap_or_else(Summary::new)
 }
 
 /// Runs `reps` repetitions of a vector-valued experiment (each repetition
@@ -101,11 +82,7 @@ where
             acc
         })
         .collect();
-    let mut total = MeanAccumulator::new(len);
-    for p in &partials {
-        total.merge(p);
-    }
-    total
+    merge_ordered(partials).unwrap_or_else(|| MeanAccumulator::new(len))
 }
 
 /// Runs `reps` repetitions of a boolean-valued experiment and returns the
@@ -173,48 +150,40 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits());
         }
 
-        // The parallelism-scaled cap: reps far beyond the cap, repeated
-        // runs must stay bitwise stable under the wider chunk layout too
-        // (the cap is a host constant, so both runs see the same layout).
-        let big_a = mc_scalar(chunk_cap() * 5 + 13, 11, 2, f);
-        let big_b = mc_scalar(chunk_cap() * 5 + 13, 11, 2, f);
+        // Reps far beyond the cap: several reps per chunk.
+        let big_a = mc_scalar(CHUNK_CAP * 5 + 13, 11, 2, f);
+        let big_b = mc_scalar(CHUNK_CAP * 5 + 13, 11, 2, f);
         assert_eq!(big_a.mean().to_bits(), big_b.mean().to_bits());
         assert_eq!(big_a.variance().to_bits(), big_b.variance().to_bits());
     }
 
     #[test]
     fn chunking_covers_all_reps_exactly_once() {
-        // Explicit caps cover the historical shape (256) and the scaled
-        // shapes produced on wide machines.
-        for cap in [256usize, 512, 4096] {
-            for reps in [1usize, 2, 255, 256, 257, 1000, 10_000] {
-                let ranges = chunk_ranges_capped(reps, cap);
-                assert!(
-                    ranges.len() <= cap,
-                    "reps={reps} cap={cap}: {} chunks",
-                    ranges.len()
-                );
-                let mut covered = 0u64;
-                let mut prev_end = 0u64;
-                for (lo, hi) in ranges {
-                    assert_eq!(lo, prev_end, "gap at rep {lo}");
-                    assert!(hi > lo);
-                    covered += hi - lo;
-                    prev_end = hi;
-                }
-                assert_eq!(covered, reps as u64);
+        for reps in [1usize, 2, 255, 256, 257, 1000, 10_000, 1 << 20] {
+            let ranges = chunk_ranges(reps);
+            assert!(
+                ranges.len() <= CHUNK_CAP,
+                "reps={reps}: {} chunks",
+                ranges.len()
+            );
+            let mut covered = 0u64;
+            let mut prev_end = 0u64;
+            for (lo, hi) in ranges {
+                assert_eq!(lo, prev_end, "gap at rep {lo}");
+                assert!(hi > lo);
+                covered += hi - lo;
+                prev_end = hi;
             }
+            assert_eq!(covered, reps as u64);
         }
     }
 
     #[test]
-    fn chunk_cap_scales_with_parallelism_but_never_shrinks() {
-        assert!(chunk_cap() >= 256, "cap below the historical floor");
-        // A wide machine gets proportionally more chunks for big reps.
-        let wide = chunk_ranges_capped(1 << 20, 4096);
-        assert!(wide.len() > 256, "wide cap unused: {} chunks", wide.len());
-        // The default layout is a deterministic host constant.
-        assert_eq!(chunk_ranges(10_000), chunk_ranges(10_000));
+    fn empty_runs_return_empty_accumulators() {
+        assert_eq!(mc_scalar(0, 1, 2, |_| 1.0), Summary::new());
+        let acc = mc_vector(0, 1, 2, 3, |_| vec![1.0; 3]);
+        assert_eq!(acc.count(), 0);
+        assert_eq!(acc.means(), vec![0.0; 3]);
     }
 
     #[test]

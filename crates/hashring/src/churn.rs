@@ -140,12 +140,6 @@ impl MembershipRing {
         &self.ring
     }
 
-    /// Consumes the cache, returning the current ring.
-    #[must_use]
-    pub fn into_ring(self) -> HashRing {
-        self.ring
-    }
-
     /// The current membership's peer ids (ring peer `i` is `ids[i]`).
     #[must_use]
     pub fn peer_ids(&self) -> &[u64] {

@@ -860,22 +860,6 @@ impl LazyBoard {
         Some(self.take_front(key, slot, pos))
     }
 
-    /// Internal geometry snapshot for diagnostics: `(key shift,
-    /// indexed candidates, per-bag candidate counts)`. Indexed
-    /// candidates count every level — the near bags, the far ring and
-    /// the top list — stale ones included, so their excess over
-    /// [`LazyBoard::len`] is the garbage lazy deletion has yet to
-    /// collect.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn debug_geometry(&self) -> (u32, usize, Vec<usize>) {
-        (
-            self.shift,
-            self.near + self.far + self.top.len as usize,
-            self.bags.iter().map(Vec::len).collect(),
-        )
-    }
-
     /// Time of the earliest pending entry. Read-only, so it answers
     /// from the authoritative array directly: the minimum live key is
     /// the front, stale bag candidates notwithstanding.

@@ -11,7 +11,6 @@
 //! * [`quantile()`] — exact quantiles of sorted samples, and
 //!   [`SampleSummary`] — exact quantiles, max and mean of a sample
 //!   accumulated as it is pushed,
-//! * [`ConfidenceInterval`] — normal-approximation CIs on the mean,
 //! * [`Series`] / [`SeriesSet`] — labelled `(x, mean, stderr)` curves, the
 //!   exact artefact each paper figure is made of,
 //! * [`TextTable`] — terminal rendering of figure data,
@@ -32,7 +31,6 @@
 #![warn(clippy::all)]
 
 pub mod chi2;
-pub mod ci;
 pub mod csv;
 pub mod histogram;
 pub mod merge;
@@ -44,7 +42,6 @@ pub mod table;
 pub mod vecacc;
 
 pub use chi2::{chi_square_statistic, chi_square_test, Chi2Outcome};
-pub use ci::ConfidenceInterval;
 pub use histogram::Histogram;
 pub use merge::{merge_ordered, Mergeable};
 pub use quantile::{

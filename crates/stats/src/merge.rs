@@ -1,11 +1,11 @@
-//! The mergeable-accumulator API: the contract behind every sharded
-//! (multi-replica, multi-thread) aggregation in the workspace.
+//! The mergeable-accumulator API: the contract behind every
+//! multi-replica, multi-thread aggregation in the workspace.
 //!
 //! A [`Mergeable`] accumulator can absorb another accumulator of the
 //! same shape, such that pushing observations into shards and merging
 //! the shards **in a fixed order** yields the same result as one
 //! sequential pass (bitwise for counters; up to the documented pairwise
-//! floating-point scheme for moments). The sharded sweep runner in
+//! floating-point scheme for moments). The replica sweep runner in
 //! `bnb-experiments` relies on this: replica `r` always accumulates
 //! under `derive_seed(master, experiment, r)` and the per-replica
 //! accumulators merge in replica order, so results are independent of

@@ -124,25 +124,10 @@ fn main() {
         view.snapshot().epoch() + 1
     );
 
-    // The same placement policies drive the full simulator — serial or
-    // space-sharded — through one construction surface. The sharded
-    // engine is worker-count invariant: byte-identical metrics at any
-    // worker count, so embedders can scale workers to the host freely.
+    // The same placement policies drive the full simulator through one
+    // construction surface.
     let scenario = find_scenario("two-class").unwrap();
-    let serial = SimBuilder::scenario(scenario, 5_000).seed(7).build().run();
-    let sharded = SimBuilder::scenario(scenario, 5_000)
-        .seed(7)
-        .workers(2)
-        .build()
-        .run();
-    let invariant = SimBuilder::scenario(scenario, 5_000)
-        .seed(7)
-        .workers(4)
-        .build()
-        .run();
-    assert_eq!(sharded, invariant, "worker count never changes output");
-    println!(
-        "\nSimBuilder: serial completed {} | sharded (any W) completed {}",
-        serial.completed, sharded.completed
-    );
+    let metrics = SimBuilder::scenario(scenario, 5_000).seed(7).build().run();
+    assert_eq!(metrics.completed + metrics.dropped, 5_000);
+    println!("\nSimBuilder: two-class completed {}", metrics.completed);
 }

@@ -19,9 +19,8 @@
 //!   lock-free epoch-published fleet views for concurrent embedders.
 //! * [`cluster`] — the heterogeneous-cluster simulator: paper-faithful
 //!   traffic served end to end through `bnb-router` placement, with
-//!   churn; serial and space-sharded parallel engines behind one
-//!   [`SimBuilder`](bnb_cluster::SimBuilder); drives the `cluster-sim`
-//!   CLI.
+//!   churn; built through [`SimBuilder`](bnb_cluster::SimBuilder);
+//!   drives the `cluster-sim` CLI.
 //! * [`stats`] — summaries, histograms, series, chi-square, CSV/tables.
 //! * [`telemetry`] — zero-overhead-when-off counters, log₂ histograms,
 //!   sampled spans, chrome://tracing and Prometheus export.
@@ -76,8 +75,8 @@ pub use bnb_telemetry as telemetry;
 pub mod prelude {
     pub use bnb_cluster::{
         find_scenario, Admission, ArrivalProcess, ArrivalSampler, ChurnConfig, ClusterMetrics,
-        ClusterServer, ClusterSim, ClusterSpec, Fleet, ReplicaAccumulator, Scenario,
-        ShardedClusterSim, Sim, SimBuilder,
+        ClusterServer, ClusterSim, ClusterSpec, Fleet, ReplicaAccumulator, Scenario, Sim,
+        SimBuilder,
     };
     pub use bnb_core::prelude::*;
     pub use bnb_hashring::{
