@@ -281,11 +281,14 @@ impl Fleet {
     }
 
     /// The alive servers as a router [`Membership`]: slots, stable ids
-    /// and speeds in creation order — exactly what
-    /// [`bnb_router::PlacementEngine`] builds its derived structures
-    /// over. Ids are handed out in creation order and never reused, so
-    /// the member id list is strictly increasing and churn rebuilds
-    /// take the ring's incremental path.
+    /// and speeds in creation order — what a churn tick rebuilds
+    /// [`bnb_router::PlacementEngine`] over. (A fresh fleet's
+    /// membership is the identity over its speeds, so the simulator
+    /// builds its first engine from the speeds instead, through
+    /// [`bnb_router::PlacementEngine::from_speeds`].) Ids are handed
+    /// out in creation order and never reused, so the member id list is
+    /// strictly increasing and churn rebuilds take the ring's
+    /// incremental path.
     #[must_use]
     pub fn membership(&self) -> Membership {
         Membership::new(

@@ -259,7 +259,7 @@ impl ClusterSim {
             );
         }
         let fleet = Fleet::new(spec.speeds.as_slice(), spec.queue_capacity);
-        let router = PlacementEngine::new(spec.placement, &fleet.membership(), seed);
+        let router = PlacementEngine::from_speeds(spec.placement, spec.speeds.as_slice(), seed);
         ClusterSim {
             fleet,
             router,

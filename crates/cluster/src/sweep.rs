@@ -127,6 +127,24 @@ mod tests {
     }
 
     #[test]
+    fn per_replica_extrema_are_those_of_the_replicas() {
+        // A fresh accumulator's summaries are empty, not zero: the
+        // smaller of two positive replicas is the minimum.
+        let (a, b) = (replica_metrics(0), replica_metrics(1));
+        let mut acc = ReplicaAccumulator::new();
+        acc.push(&a);
+        acc.push(&b);
+        let (lo, hi) = if a.max_normalized_queue <= b.max_normalized_queue {
+            (a.max_normalized_queue, b.max_normalized_queue)
+        } else {
+            (b.max_normalized_queue, a.max_normalized_queue)
+        };
+        assert!(lo > 0.0);
+        assert_eq!(acc.max_normalized_queue.min(), lo);
+        assert_eq!(acc.max_normalized_queue.max(), hi);
+    }
+
+    #[test]
     fn accumulator_pools_counters_exactly() {
         let mut acc = ReplicaAccumulator::new();
         for rep in 0..3 {

@@ -302,6 +302,50 @@ fn ring_len(slots: usize) -> usize {
         .max(MIN_RING)
 }
 
+/// `(min, k-th smallest, k)` of `keys`, with `k = min(count,
+/// TARGET_FILL)`: one pass through a fixed max-heap of the `k`
+/// smallest keys seen so far, O(n log k) and no allocation.
+///
+/// # Panics
+/// Panics if `keys` is empty.
+fn head_of(keys: impl Iterator<Item = u64>) -> (u64, u64, usize) {
+    let mut heap = [0u64; TARGET_FILL];
+    let (mut first, mut k) = (u64::MAX, 0);
+    for key in keys {
+        first = first.min(key);
+        if k < TARGET_FILL {
+            // Sift the new leaf up.
+            let mut i = k;
+            k += 1;
+            while i > 0 && heap[(i - 1) / 2] < key {
+                heap[i] = heap[(i - 1) / 2];
+                i = (i - 1) / 2;
+            }
+            heap[i] = key;
+        } else if key < heap[0] {
+            // Replace the largest of the k smallest and sift it down.
+            let mut i = 0;
+            loop {
+                let mut child = 2 * i + 1;
+                if child >= TARGET_FILL {
+                    break;
+                }
+                if child + 1 < TARGET_FILL && heap[child + 1] > heap[child] {
+                    child += 1;
+                }
+                if heap[child] <= key {
+                    break;
+                }
+                heap[i] = heap[child];
+                i = child;
+            }
+            heap[i] = key;
+        }
+    }
+    assert!(k > 0, "live entries exist");
+    (first, heap[0], k)
+}
+
 /// The refill hook of a caller that does not look ahead (see
 /// [`LazyBoard::min_time_bound`]). The board's own pops pass it too: one
 /// named function, not a closure per call site, so the front probe is
@@ -374,9 +418,6 @@ pub struct LazyBoard {
     near: usize,
     /// Pops since the last geometry rebuild (the rebuild rate limit).
     pops_since_rebuild: u64,
-    /// Rebuild scratch: live time bits, reused so the geometry
-    /// re-derivation never allocates.
-    scratch: Vec<u64>,
     /// Live (pending) entries — authoritative count, not candidates.
     len: usize,
     /// Next insertion sequence number (globally unique, never reused:
@@ -403,7 +444,6 @@ impl Default for LazyBoard {
             front: (IDLE_KEY, 0, 0),
             near: 0,
             pops_since_rebuild: 0,
-            scratch: Vec::new(),
             len: 0,
             seq: 0,
             stats: LazyStats::default(),
@@ -738,15 +778,6 @@ impl LazyBoard {
         self.stats.rebuild_scans += 1;
         self.stats.slots_scanned += self.keys.len() as u64;
         self.pops_since_rebuild = 0;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend(
-            self.keys
-                .iter()
-                .filter(|&&k| k != IDLE_KEY)
-                .map(|&k| (k >> 64) as u64),
-        );
-        debug_assert_eq!(scratch.len(), self.len);
         // Brown's width estimate, slot-keyed integer edition: the gap
         // that matters is among the earliest ~TARGET_FILL entries (the
         // full span is stretched arbitrarily by service-time tails).
@@ -755,16 +786,20 @@ impl LazyBoard {
         // collapse the spread to ~0: the `.max(2)` floor then shifts
         // everything into one bag, where the argmin (and its tie path)
         // alone carries the day. Only the k-th smallest key and the
-        // minimum matter, so select them rather than sort every key.
-        let k = scratch.len().min(TARGET_FILL);
-        let (head, &mut kth, _) = scratch.select_nth_unstable(k - 1);
-        let first = head.iter().copied().fold(kth, u64::min);
+        // minimum matter, so keep just the k smallest in a bounded heap
+        // rather than copy or sort every key.
+        let (first, kth, k) = head_of(
+            self.keys
+                .iter()
+                .filter(|&&k| k != IDLE_KEY)
+                .map(|&k| (k >> 64) as u64),
+        );
+        debug_assert_eq!(k, self.len.min(TARGET_FILL));
         let spread = (kth - first) / (k as u64 / GSLOT_FILL).max(1);
         self.shift = spread.max(2).ilog2();
         self.glob = first >> self.shift;
         let base = self.glob / BAGS as u64;
         self.lap_end = (base + 1) * BAGS as u64;
-        self.scratch = scratch;
         for bag in &mut self.bags {
             bag.clear();
         }
@@ -1071,6 +1106,58 @@ mod tests {
             assert_eq!(b.pop(), Some((7.0 + (n - 1 - s) as f64 * 0.37, s as u32)));
         }
         assert_eq!(b.pop(), None);
+    }
+
+    #[test]
+    fn rebuild_geometry_matches_a_full_sort_under_exact_ties() {
+        // Exact ties straddling the TARGET_FILL-th smallest key (a few
+        // distinct times, many slots each), and a storm where every key
+        // ties: the bounded selection must read the same order
+        // statistics as sorting every key, and pops keep insertion
+        // order within a tie.
+        let n = 3 * TARGET_FILL + 5;
+        let tied = |s: usize| 3.0 + ((n - s) % 7) as f64 * 0.5;
+        let storm = |_: usize| 9.25;
+        for time in [&tied as &dyn Fn(usize) -> f64, &storm] {
+            let mut b = LazyBoard::with_slots(n);
+            for s in 0..n {
+                b.schedule(s as u32, time(s));
+            }
+            b.rebuild();
+            let mut sorted: Vec<u64> = (0..n).map(|s| monotone_bits(time(s))).collect();
+            sorted.sort_unstable();
+            let k = TARGET_FILL;
+            let spread = (sorted[k - 1] - sorted[0]) / (k as u64 / GSLOT_FILL).max(1);
+            assert_eq!(b.shift, spread.max(2).ilog2());
+            assert_eq!(b.glob, sorted[0] >> b.shift);
+            let mut want: Vec<(f64, u32)> = (0..n).map(|s| (time(s), s as u32)).collect();
+            want.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+            for w in want {
+                assert_eq!(b.pop(), Some(w));
+            }
+            assert_eq!(b.pop(), None);
+        }
+    }
+
+    #[test]
+    fn head_of_matches_a_full_sort() {
+        // Fewer keys than TARGET_FILL, exactly as many, and many more,
+        // with and without exact ties.
+        for n in [1, 5, TARGET_FILL, TARGET_FILL + 1, 10 * TARGET_FILL] {
+            for modulus in [3u64, 1_000_003] {
+                let keys: Vec<u64> = (0..n as u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % modulus)
+                    .collect();
+                let mut sorted = keys.clone();
+                sorted.sort_unstable();
+                let k = n.min(TARGET_FILL);
+                assert_eq!(
+                    head_of(keys.iter().copied()),
+                    (sorted[0], sorted[k - 1], k),
+                    "n {n}, modulus {modulus}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,12 +33,14 @@
 //! blocks (through [`WeightedSampler::sample_batch`]), and residual
 //! tie-breaks draw from a separate tie stream — so placement randomness
 //! is independent of whatever streams the embedder runs and a trace
-//! stays bitwise reproducible in `(spec, seed, stream)`. On churn the
-//! engine is rebuilt from the new [`Membership`]; ring policies rebuild
-//! **incrementally** through [`MembershipRing`], so membership changes
-//! re-hash only the joiners' points and never re-sort the survivors (and
-//! invalidate any unconsumed candidate block, which was drawn against
-//! the old alias table).
+//! stays bitwise reproducible in `(spec, seed, stream)`. A fresh
+//! fleet's engine is built straight from its speeds
+//! ([`PlacementEngine::from_speeds`]), without a [`Membership`] list.
+//! On churn the engine is rebuilt from the new [`Membership`]; ring
+//! policies rebuild **incrementally** through [`MembershipRing`], so
+//! membership changes re-hash only the joiners' points and never
+//! re-sort the survivors (and invalidate any unconsumed candidate
+//! block, which was drawn against the old alias table).
 //!
 //! [`PlacementEngine::place`] and [`PlacementEngine::place_stateless`]
 //! share one arm per policy family; they differ only in where the
@@ -51,7 +53,7 @@
 //! [`PlacementEngine::place`]) and the hash-then-probe pair.
 
 use crate::spec::PlacementSpec;
-use crate::view::{LoadView, Membership};
+use crate::view::{LoadView, Member, Membership};
 use bnb_core::choice::MAX_D;
 use bnb_core::policy::{algorithm1_key, argmin_distinct};
 use bnb_distributions::{derive_seed, AliasTable, WeightedSampler, Xoshiro256PlusPlus};
@@ -94,13 +96,16 @@ pub struct PlacementEngine {
 struct Routes {
     spec: PlacementSpec,
     seed: u64,
-    /// Alive server slots, in creation order; every derived structure
-    /// indexes into this.
+    /// Alive server slots, in creation order, indexed by token (every
+    /// derived structure's index); read only through [`Routes::slot`].
+    /// Empty while the membership is the identity: no list is built
+    /// (or allocated) before the first departure.
     alive: Vec<usize>,
-    /// Whether `alive[i] == i` for every member — true until the first
-    /// departure. The d-choice hot path then skips the token → slot
-    /// indirection entirely, cutting one dependent load off the
-    /// token → slot → queue chain every candidate evaluation sits on.
+    /// Whether member `i` occupies slot `i` for every member — true
+    /// until the first departure. A token then *is* its slot, and
+    /// [`Routes::slot`] skips the indirection entirely, cutting one
+    /// dependent load off the token → slot → queue chain every
+    /// candidate evaluation sits on.
     alive_identity: bool,
     /// Sampled policies: alias table over alive speeds (unit weights
     /// for `UniformDChoice`).
@@ -139,6 +144,31 @@ impl PlacementEngine {
         seed: u64,
         stream: u64,
     ) -> Self {
+        Self::build(spec, Members::Listed(membership), seed, stream)
+    }
+
+    /// Builds the engine for a fresh fleet of servers with these
+    /// `speeds`, on RNG stream 0: the engine
+    /// `new(spec, &Membership::from_speeds(speeds), seed)` builds
+    /// (member `i` is slot `i` with id `i`), read from the slice
+    /// without building the member list.
+    ///
+    /// # Panics
+    /// Panics if `speeds` is empty or holds a zero, or under the
+    /// conditions of [`PlacementEngine::new`].
+    #[must_use]
+    pub fn from_speeds(spec: PlacementSpec, speeds: &[u64], seed: u64) -> Self {
+        assert!(!speeds.is_empty(), "membership needs at least one member");
+        assert!(
+            speeds.iter().all(|&s| s > 0),
+            "member speeds must be positive"
+        );
+        Self::build(spec, Members::Fresh(speeds), seed, 0)
+    }
+
+    /// The one constructor body behind [`PlacementEngine::with_stream`]
+    /// and [`PlacementEngine::from_speeds`].
+    fn build(spec: PlacementSpec, members: Members<'_>, seed: u64, stream: u64) -> Self {
         match spec {
             PlacementSpec::DChoice { d }
             | PlacementSpec::ShortestQueue { d }
@@ -175,7 +205,7 @@ impl PlacementEngine {
             cand_buf: Vec::new(),
             cand_pos: 0,
         };
-        engine.rebuild(membership);
+        engine.refresh(members);
         engine
     }
 
@@ -192,7 +222,13 @@ impl PlacementEngine {
     /// candidates are discarded: they were drawn against the old
     /// membership's alias table.
     pub fn rebuild(&mut self, membership: &Membership) {
-        self.routes.rebuild(membership);
+        self.refresh(Members::Listed(membership));
+    }
+
+    /// Rebuilds the routes over `members` and invalidates the candidate
+    /// block.
+    fn refresh(&mut self, members: Members<'_>) {
+        self.routes.rebuild(members);
         if let Some(d) = self.routes.sampled_d() {
             // Resize in place: churn rebuilds must not reallocate the
             // candidate block every tick.
@@ -307,10 +343,10 @@ impl PlacementEngine {
     /// The two candidate slots an upcoming `DChoice { d: 2 }` placement
     /// will compare, `k` requests after the next one (`k = 0` is the
     /// next request), read from the pre-sampled candidate block and
-    /// mapped through the alive list — valid if the membership does not
-    /// change first. `None` past the current block, or under any other
-    /// policy. Consumes no token and draws nothing, so a caller can load
-    /// those records early without moving any placement.
+    /// mapped to slots — valid if the membership does not change first.
+    /// `None` past the current block, or under any other policy.
+    /// Consumes no token and draws nothing, so a caller can load those
+    /// records early without moving any placement.
     #[inline]
     #[must_use]
     pub fn peek_d2(&self, k: usize) -> Option<(usize, usize)> {
@@ -319,12 +355,7 @@ impl PlacementEngine {
         }
         let pos = self.cand_pos + 2 * k;
         let tokens = self.cand_buf.get(pos..pos + 2)?;
-        let (a, b) = (tokens[0], tokens[1]);
-        Some(if self.routes.alive_identity {
-            (a, b)
-        } else {
-            (self.routes.alive[a], self.routes.alive[b])
-        })
+        Some((self.routes.slot(tokens[0]), self.routes.slot(tokens[1])))
     }
 
     /// The unrolled `d = 2` placement of Algorithm 1 — the dominant
@@ -344,14 +375,7 @@ impl PlacementEngine {
         let pos = self.cand_pos;
         self.cand_pos += 2;
         let (a, b) = (self.cand_buf[pos], self.cand_buf[pos + 1]);
-        // On an unchurned fleet the token *is* the slot: skip the alive
-        // indirection and shorten the token → slot → queue load chain
-        // by a level (the common case — every no-churn scenario).
-        let (sa, sb) = if self.routes.alive_identity {
-            (a, b)
-        } else {
-            (self.routes.alive[a], self.routes.alive[b])
-        };
+        let (sa, sb) = (self.routes.slot(a), self.routes.slot(b));
         if a == b {
             return sa;
         }
@@ -378,20 +402,58 @@ impl PlacementEngine {
     }
 }
 
+/// The members a rebuild reads, borrowed in place.
+#[derive(Clone, Copy)]
+enum Members<'a> {
+    /// A membership's alive servers, in slot creation order.
+    Listed(&'a Membership),
+    /// A fresh fleet: member `i` is slot `i` with id `i` and speed
+    /// `speeds[i]`.
+    Fresh(&'a [u64]),
+}
+
+impl<'a> Members<'a> {
+    /// The members, in slot creation order.
+    fn iter(self) -> impl Iterator<Item = Member> + 'a {
+        let len = match self {
+            Members::Listed(membership) => membership.len(),
+            Members::Fresh(speeds) => speeds.len(),
+        };
+        (0..len).map(move |i| match self {
+            Members::Listed(membership) => membership.members()[i],
+            Members::Fresh(speeds) => Member {
+                slot: i,
+                id: i as u64,
+                speed: speeds[i],
+            },
+        })
+    }
+
+    /// Whether member `i` occupies slot `i` for every member. Slots
+    /// strictly increase from 0, so that holds exactly when the last
+    /// slot is `len - 1`.
+    fn is_identity(self) -> bool {
+        match self {
+            Members::Listed(membership) => membership.n_slots() == membership.len(),
+            Members::Fresh(_) => true,
+        }
+    }
+}
+
 impl Routes {
-    /// Rebuilds the derived structures for `membership`.
-    fn rebuild(&mut self, membership: &Membership) {
+    /// Rebuilds the derived structures for `members`.
+    fn rebuild(&mut self, members: Members<'_>) {
         self.alive.clear();
-        self.alive
-            .extend(membership.members().iter().map(|m| m.slot));
-        self.alive_identity = self.alive.iter().enumerate().all(|(i, &s)| i == s);
+        self.alive_identity = members.is_identity();
+        if !self.alive_identity {
+            self.alive.extend(members.iter().map(|m| m.slot));
+        }
         match self.spec {
             PlacementSpec::DChoice { .. }
             | PlacementSpec::ShortestQueue { .. }
             | PlacementSpec::UniformDChoice { .. } => {
                 let uniform = matches!(self.spec, PlacementSpec::UniformDChoice { .. });
-                let weights: Vec<f64> = membership
-                    .members()
+                let weights: Vec<f64> = members
                     .iter()
                     .map(|m| if uniform { 1.0 } else { m.speed as f64 })
                     .collect();
@@ -399,18 +461,14 @@ impl Routes {
             }
             PlacementSpec::ConsistentHash { vnodes }
             | PlacementSpec::HashThenProbe { vnodes, .. } => {
-                let ids: Vec<u64> = membership.members().iter().map(|m| m.id).collect();
+                let ids: Vec<u64> = members.iter().map(|m| m.id).collect();
                 match &mut self.ring {
                     Some(ring) => ring.update(&ids),
                     None => self.ring = Some(MembershipRing::new(self.seed, vnodes, &ids)),
                 }
             }
             PlacementSpec::Rendezvous => {
-                let weights: Vec<f64> = membership
-                    .members()
-                    .iter()
-                    .map(|m| m.speed as f64)
-                    .collect();
+                let weights: Vec<f64> = members.iter().map(|m| m.speed as f64).collect();
                 self.rdv = Some(Rendezvous::new(weights, self.seed));
             }
         }
@@ -429,7 +487,7 @@ impl Routes {
         }
     }
 
-    /// The fleet slot of alias token `token`.
+    /// The fleet slot of token `token` (an alias index or ring peer).
     #[inline]
     fn slot(&self, token: usize) -> usize {
         if self.alive_identity {
@@ -442,9 +500,9 @@ impl Routes {
     /// One placement, one arm per policy family. `tokens` are the
     /// request's alias-table candidates (the sampled families; empty
     /// otherwise) and `ties` the stream residual ties draw from.
-    /// Candidates are tokens (alias indices, ring peers); the alive list
-    /// maps distinct tokens to distinct slots, so deduplicating tokens
-    /// deduplicates servers.
+    /// Candidates are tokens (alias indices, ring peers);
+    /// [`Routes::slot`] maps distinct tokens to distinct slots, so
+    /// deduplicating tokens deduplicates servers.
     #[inline]
     fn pick(
         &self,
@@ -465,11 +523,11 @@ impl Routes {
             })),
             PlacementSpec::ConsistentHash { .. } => {
                 let ring = self.ring.as_ref().expect("ring built for ConsistentHash");
-                self.alive[ring.ring().successor(key)]
+                self.slot(ring.ring().successor(key))
             }
             PlacementSpec::Rendezvous => {
                 let rdv = self.rdv.as_ref().expect("scores built for Rendezvous");
-                self.alive[rdv.owner(key)]
+                self.slot(rdv.owner(key))
             }
             PlacementSpec::HashThenProbe { d, .. } => {
                 let ring = self
@@ -485,11 +543,11 @@ impl Routes {
                     // scan's dedup and draws.
                     let p0 = ring.successor(request_point(self.seed, key, 0));
                     let p1 = ring.successor(request_point(self.seed, key, 1));
-                    let s0 = self.alive[p0];
+                    let s0 = self.slot(p0);
                     if p0 == p1 {
                         return s0;
                     }
-                    let s1 = self.alive[p1];
+                    let s1 = self.slot(p1);
                     let (q0, q1) = (view.queue_len(s0), view.queue_len(s1));
                     if q1 != q0 {
                         return if q1 < q0 { s1 } else { s0 };
@@ -500,8 +558,9 @@ impl Routes {
                 for (k, probe) in probes[..d].iter_mut().enumerate() {
                     *probe = ring.successor(request_point(self.seed, key, k as u64));
                 }
-                self.alive
-                    [argmin_distinct(&probes[..d], ties, |peer| view.queue_len(self.alive[peer]))]
+                self.slot(argmin_distinct(&probes[..d], ties, |peer| {
+                    view.queue_len(self.slot(peer))
+                }))
             }
         }
     }
@@ -510,7 +569,7 @@ impl Routes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::{DenseView, Member};
+    use crate::view::DenseView;
     use bnb_hashring::hash::mix64;
 
     /// A plain single-threaded load mirror standing in for the cluster
@@ -942,6 +1001,66 @@ mod tests {
                 assert_eq!(unrolled.tie_rng, scan.tie_rng, "{}", spec.name());
                 assert_eq!(unrolled.place_rng, scan.place_rng);
                 assert_ne!(unrolled.tie_rng, fresh.tie_rng, "{}: no tie", spec.name());
+            }
+        }
+    }
+
+    #[test]
+    fn speeds_and_membership_build_the_same_engine() {
+        // A fresh fleet's engine built from its speeds is the one built
+        // from `Membership::from_speeds`: on a loaded two-class fleet
+        // both place every key alike, and keep doing so after both
+        // rebuild onto a churned (non-identity) membership.
+        let speeds: Vec<u64> = (0..64).map(|i| if i < 32 { 1 } else { 8 }).collect();
+        let full = Membership::from_speeds(&speeds);
+        let churned = Membership::new(
+            full.members()
+                .iter()
+                .copied()
+                .filter(|m| m.slot % 5 != 2)
+                .collect(),
+        );
+        let churned_slots: Vec<usize> = churned.members().iter().map(|m| m.slot).collect();
+        for spec in [
+            PlacementSpec::DChoice { d: 1 },
+            PlacementSpec::DChoice { d: 2 },
+            PlacementSpec::DChoice { d: 3 },
+            PlacementSpec::DChoice { d: 4 },
+            PlacementSpec::ShortestQueue { d: 2 },
+            PlacementSpec::ShortestQueue { d: 3 },
+            PlacementSpec::UniformDChoice { d: 2 },
+            PlacementSpec::UniformDChoice { d: 3 },
+            PlacementSpec::ConsistentHash { vnodes: 8 },
+            PlacementSpec::Rendezvous,
+            PlacementSpec::HashThenProbe { d: 2, vnodes: 8 },
+            PlacementSpec::HashThenProbe { d: 3, vnodes: 8 },
+        ] {
+            let name = spec.name();
+            let mut fresh = PlacementEngine::from_speeds(spec, &speeds, 13);
+            let mut listed = PlacementEngine::new(spec, &full, 13);
+            for engine in [&fresh, &listed] {
+                assert!(engine.routes.alive_identity, "{name}");
+                assert_eq!(engine.routes.alive.capacity(), 0, "{name}: identity list");
+            }
+            let mut fleet = TestFleet::new(&speeds);
+            for slot in 0..speeds.len() {
+                for _ in 0..slot % 4 {
+                    fleet.join(slot);
+                }
+            }
+            for (phase, alive) in [("fresh", None), ("churned", Some(&churned_slots))] {
+                for key in 0..4096u64 {
+                    let k = mix64(key);
+                    let target = fresh.place(&fleet, k);
+                    assert_eq!(target, listed.place(&fleet, k), "{name} {phase}: key {key}");
+                    assert!(alive.is_none_or(|a| a.contains(&target)), "{name}");
+                    fleet.join(target);
+                }
+                assert_eq!(fresh.tie_rng, listed.tie_rng, "{name} {phase}");
+                assert_eq!(fresh.place_rng, listed.place_rng, "{name} {phase}");
+                fresh.rebuild(&churned);
+                listed.rebuild(&churned);
+                assert_eq!(fresh.routes.alive, churned_slots, "{name}");
             }
         }
     }

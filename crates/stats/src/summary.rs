@@ -14,13 +14,20 @@
 /// assert!((s.mean() - 2.5).abs() < 1e-12);
 /// assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for Summary {
+    /// The empty summary, [`Summary::new`].
+    fn default() -> Self {
+        Summary::new()
+    }
 }
 
 impl Summary {
@@ -150,6 +157,15 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_is_the_empty_summary() {
+        let mut s = Summary::default();
+        assert_eq!(s, Summary::new());
+        s.push(2.0);
+        s.push(3.0);
+        assert_eq!((s.min(), s.max()), (2.0, 3.0));
+    }
 
     #[test]
     fn empty_summary_defaults() {
