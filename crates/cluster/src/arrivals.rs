@@ -321,12 +321,6 @@ impl ArrivalSampler {
         }
     }
 
-    /// The process this sampler draws from.
-    #[must_use]
-    pub fn process(&self) -> &ArrivalProcess {
-        &self.process
-    }
-
     /// The time of the next arrival strictly after `now`.
     #[inline]
     #[must_use]

@@ -305,16 +305,6 @@ impl Fleet {
         )
     }
 
-    /// Sum of alive servers' speeds — the fleet's service capacity.
-    #[must_use]
-    pub fn total_alive_speed(&self) -> u64 {
-        self.servers
-            .iter()
-            .filter(|s| s.alive)
-            .map(ClusterServer::speed)
-            .sum()
-    }
-
     /// Offers a request to server `i` at time `now`.
     ///
     /// # Panics
@@ -507,7 +497,7 @@ mod tests {
         assert_eq!(fleet.server(slot).id(), 2, "ids are never reused");
         assert_eq!(fleet.server(slot).speed(), 8);
         assert_eq!(fleet.n_alive(), 2);
-        assert_eq!(fleet.total_alive_speed(), 9);
+        assert_eq!(fleet.server(0).speed(), 1);
         assert_eq!(fleet.alive_indices(), vec![0, 2]);
     }
 

@@ -11,10 +11,11 @@
 //!   held in `next_arrival`;
 //! * **departures** — bare `u32` server slots on a slot-keyed
 //!   [`LazyBoard`]. The fleet holds at most one pending departure per
-//!   server, so a schedule is two array stores and a pop validates a
-//!   candidate-ring entry against the authoritative per-slot array (no
-//!   per-event enum dispatch, no heap or wheel maintenance). The
-//!   board's front time is mirrored in the `dep_bound` register;
+//!   server, and the board accepts a schedule only for a slot with
+//!   none pending, so a schedule is an array store and a bag append,
+//!   and a pop an argmin over one small bag (no per-event enum
+//!   dispatch, no heap or wheel maintenance). The board's front time
+//!   is mirrored in the `dep_bound` register;
 //! * **churn ticks** — `next_churn`, one tick per [`ChurnConfig`]
 //!   interval (`INFINITY` without churn).
 //!
@@ -146,8 +147,8 @@ pub struct ClusterSpec {
 /// departure per server slot, popped in `(time, insertion sequence)`
 /// order. [`LazyBoard`] in production; the unit tests plug in the
 /// binary heap as the oracle. The loop only ever schedules a slot with
-/// no pending departure, so the board's keyed semantics (a reschedule
-/// replaces) and the heap's multiset semantics coincide.
+/// no pending departure — the lazy board refuses any other — so the
+/// board's keyed semantics and the heap's multiset semantics coincide.
 pub(crate) trait DepartureBoard {
     /// An empty board sized for `slots` slots (it may grow past them).
     fn with_slots(slots: usize) -> Self;
@@ -222,7 +223,7 @@ pub struct ClusterSim {
     /// switched them on). A separate field so the drive loop can time
     /// one component while borrowing the router/fleet disjointly.
     tele: SimTelemetry,
-    /// Lazy-deletion internals folded out of the drive loop's local
+    /// Board internals folded out of the drive loop's local
     /// departure board when it drains (see [`bnb_queueing::LazyBoard`]).
     lazy_stats: LazyStats,
     /// Departures popped after their server left: dropped, having only
@@ -299,7 +300,7 @@ impl ClusterSim {
 
     /// Harvests everything this run observed — span latency
     /// distributions and trace events, the departure board's internals
-    /// counters (ring inserts, stale pops, rebuilds, far-side refills),
+    /// counters (ring inserts, rebuilds, far-side refills),
     /// departures dropped because their server churned out
     /// (`sim.stale_departures`), fleet records the lookahead loaded
     /// early (`sim.lookahead_touches`), admissions that overflowed a
@@ -498,10 +499,6 @@ impl ClusterSim {
         }
         std::hint::black_box(sink);
         self.lookahead_touches += touches;
-        debug_assert_eq!(
-            self.lazy_stats.overwrites, 0,
-            "the loop schedules only slots with no pending departure"
-        );
         now
     }
 
@@ -566,7 +563,8 @@ mod tests {
     /// The binary heap as a departure board: the oracle. It never
     /// dedups a slot, so it replays the lazy board exactly only because
     /// the loop never schedules a slot that already has a departure
-    /// pending (the loop's `overwrites == 0` debug assertion).
+    /// pending — which the lazy board enforces: its `schedule` panics
+    /// on a pending slot, in every build.
     impl DepartureBoard for EventQueue<u32> {
         fn with_slots(_slots: usize) -> Self {
             EventQueue::new()

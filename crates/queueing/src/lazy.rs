@@ -1,22 +1,28 @@
-//! The [`LazyBoard`]: a slot-keyed **lazy-deletion** scheduler for
-//! workloads with at most one pending event per slot.
+//! The [`LazyBoard`]: a slot-keyed scheduler for workloads with at
+//! most one pending event per slot, which orders its entries lazily —
+//! they sit unsorted until their bag comes up.
 //!
 //! The cluster serving loop keeps exactly one pending departure per
-//! busy server, over a fixed slot universe. Both general schedulers
-//! pay structural costs that workload never needs — the heap its
-//! `log n` sift, the calendar wheel its arena, bucket chains, ring
-//! refills and sorted-bucket maintenance, and an eager tournament tree
-//! over the slots would replay `log n` compare rounds on *every*
+//! busy server, over a fixed slot universe, and schedules a server's
+//! next departure only after its last one has popped. Both general
+//! schedulers pay structural costs that workload never needs — the
+//! heap its `log n` sift, the calendar wheel its arena, bucket chains,
+//! ring refills and sorted-bucket maintenance, and an eager tournament
+//! tree over the slots would replay `log n` compare rounds on *every*
 //! schedule and pop. The lazy board drops all of it:
 //!
+//! * **Only idle slots are scheduled.** [`LazyBoard::schedule`]
+//!   accepts a slot only when it has no pending entry, and panics
+//!   otherwise, in every build. Each pending slot therefore has exactly
+//!   one *candidate* — in a bag, a ring bucket or the top list — and
+//!   that candidate leaves the board when the slot pops. Nothing is
+//!   ever deleted late, and every candidate the board meets is live.
 //! * **Authoritative state is one dense array.** `schedule(slot, t)`
 //!   writes a packed `(time, seq)` key into a per-slot array — one
 //!   store, no heap insert, no bucket chain, no tree replay; the time
 //!   round-trips exactly through the key's monotone bit map, so no raw
-//!   time is stored anywhere. Rescheduling a slot that already has a
-//!   pending entry is the *same* one store: the old entry is not
-//!   deleted, it is superseded (the key embeds a fresh insertion
-//!   sequence) and collected lazily later.
+//!   time is stored anywhere. The sequence half is a fresh insertion
+//!   number, which orders exact-time ties.
 //! * **Candidates live in unsorted bags.** Each schedule also appends
 //!   a `(time bits, slot)` candidate — never a sorted insert, never a
 //!   memmove — to the bag of its *global* bag index `g`: the key's
@@ -28,17 +34,13 @@
 //!   candidates behind the cursor (a schedule into the past) drop into
 //!   the cursor's own bag, which therefore may mix indices — harmless,
 //!   because ordering never relies on bag membership alone.
-//! * **`pop` is a branchless argmin over one small bag, validated
-//!   against the authoritative array.** The cursor's bag holds every
-//!   candidate that could be the front (see the invariant below); a
-//!   short compare/select scan finds its minimal time bits, one
-//!   compare against the winning slot's authoritative key catches both
-//!   overwrites and already-popped slots (sequence numbers are
-//!   globally unique), and stale candidates are swept on contact.
-//!   Exact-time ties fall to a cold path that re-compares the tying
-//!   candidates' *live* keys, so the insertion sequence breaks ties
-//!   exactly as a heap would. A drained bag advances the cursor one
-//!   index (`O(1)`, no scan); a drained lap refills from the far level.
+//! * **`pop` is a branchless argmin over one small bag.** The cursor's
+//!   bag holds every candidate that could be the front (see the
+//!   invariant below); a short compare/select scan finds its minimal
+//!   time bits. Exact-time ties fall to a cold path that compares the
+//!   tying slots' keys, so the insertion sequence breaks ties exactly
+//!   as a heap would. A drained bag advances the cursor one index
+//!   (`O(1)`, no scan); a drained lap refills from the far level.
 //!   The bag geometry (the shift) is re-derived from the live
 //!   population's measured head spread when a bag outgrows `BAG_CAP` —
 //!   the escape hatch for time-scale drift, never on the steady-state
@@ -58,20 +60,19 @@
 //!   instead of a re-sweep of the whole far population every lap. A
 //!   sweep whose new window catches less than `1 / SWEEP_YIELD` of what
 //!   it examined means the geometry no longer fits the population, and
-//!   rebuilds it. Parked candidates are 8-byte `(slot, tag)` pairs —
-//!   the time is re-read from the authoritative key when they leave the
-//!   far level — held in chains of fixed-size chunks drawn from one
-//!   arena, so the far level's footprint follows its live population
-//!   rather than each bucket's peak.
+//!   rebuilds it. A parked candidate is its 4-byte slot — the time is
+//!   re-read from the authoritative key when it leaves the far level —
+//!   held in chains of fixed-size chunks drawn from one arena, so the
+//!   far level's footprint follows its live population rather than
+//!   each bucket's peak.
 //! * **Front probes are cached.** The located front `(key, slot, bag
 //!   position)` is memoized; the refusal side of
 //!   [`LazyBoard::pop_if_before`] and [`LazyBoard::min_time_bound`]
-//!   (the cluster drive loop's front probe after every pop) revalidate
-//!   it with two compares instead of rescanning, and the following
-//!   take removes it by position without relocating. A
-//!   schedule below the cached key *becomes* the cache (it provably
-//!   lands in the cursor's bag); an overwrite of the cached slot fails
-//!   the full-key revalidation by construction.
+//!   (the cluster drive loop's front probe after every pop) answer from
+//!   it instead of rescanning, and the following take removes it by
+//!   position without relocating. Only that take invalidates the cache,
+//!   and it clears it; a schedule below the cached key *becomes* the
+//!   cache (it provably lands in the cursor's bag).
 //! * **Lap refills can be observed.** A refill moves one lap's worth
 //!   of candidates — the next departures — into an empty near window.
 //!   [`LazyBoard::min_time_bound`] takes a hook called once per slot
@@ -87,23 +88,21 @@
 //! time, via the monotone bit map), and the cursor invariant makes the
 //! cursor-bag argmin the global front: a candidate is only ever placed
 //! at a bag position at or ahead of the cursor, and the cursor only
-//! advances past empty bags, so the earliest live entry's candidate is
-//! always in the first non-empty bag the cursor meets, with only
-//! stale or equal-index candidates before it. The far level keeps that
-//! invariant: it only releases a lap's candidates when the cursor
-//! enters that lap, and a top sweep happens only when the near window
-//! and the ring are both empty, so it re-bases the cursor at or below
-//! every live entry. The oracle proptests drive the board against an
-//! independent lazy-deletion binary heap through overwrite storms, tie
-//! storms, `pop_if_before` window edges and, at 16384 slots, far-future
+//! advances past empty bags, so the earliest entry's candidate is
+//! always in the first non-empty bag the cursor meets. The far level
+//! keeps that invariant: it only releases a lap's candidates when the
+//! cursor enters that lap, and a top sweep happens only when the near
+//! window and the ring are both empty, so it re-bases the cursor at or
+//! below every pending entry. The oracle proptests drive the board
+//! against an independent binary heap through tie storms,
+//! `pop_if_before` window edges and, at 16384 slots, far-future
 //! cohorts and time-scale jumps, and require identical output streams.
 //!
-//! Unlike the general schedulers, scheduling here is **keyed**: a
-//! second `schedule` for the same slot *replaces* the pending entry
-//! instead of adding a sibling. That is why the board does not
-//! implement [`EventScheduler`](crate::EventScheduler): callers that
-//! need multiset semantics want the heap or the calendar, not this
-//! board.
+//! Unlike the general schedulers, scheduling here is **keyed**: a slot
+//! holds at most one entry, and the board refuses a second. That is
+//! why the board does not implement
+//! [`EventScheduler`](crate::EventScheduler): callers that need
+//! multiset semantics want the heap or the calendar, not this board.
 
 use crate::events::Time;
 use crate::stats::LazyStats;
@@ -163,32 +162,18 @@ fn unpack_time(key: u128) -> Time {
     from_monotone_bits((key >> 64) as u64)
 }
 
-/// A far-level candidate: `(slot, tag of its time bits)`. The full
-/// time is re-read from the authoritative key when the candidate leaves
-/// the far level; the tag tells a superseded candidate from the live
-/// one without storing the whole time — 8 bytes, half a bag candidate.
-type Parked = (u32, u32);
-
-/// The 32-bit tag of a key's time bits: both halves folded, so times
-/// that differ only in their high bits (round numbers) or only in their
-/// low bits (nearby samples) get distinct tags.
-#[inline]
-fn tag(hi: u64) -> u32 {
-    (hi ^ (hi >> 32)) as u32
-}
-
-/// Parked candidates per arena chunk (128 bytes of candidates): small,
+/// Parked candidates per arena chunk (64 bytes of slots): small,
 /// because every non-empty list holds one partial chunk.
 const CHUNK: usize = 16;
 
 /// End of a chunk chain, and the empty free list.
 const NIL: u32 = u32::MAX;
 
-/// One arena chunk: up to [`CHUNK`] parked candidates, and the index of
-/// the next chunk of its chain (or of the free list).
+/// One arena chunk: up to [`CHUNK`] parked slots, and the index of the
+/// next chunk of its chain (or of the free list).
 #[derive(Debug, Clone, Copy)]
 struct Chunk {
-    items: [Parked; CHUNK],
+    items: [u32; CHUNK],
     next: u32,
 }
 
@@ -229,15 +214,15 @@ impl Arena {
         }
     }
 
-    /// Appends `parked` to `chain`, taking a chunk from the free list
+    /// Appends `slot` to `chain`, taking a chunk from the free list
     /// (or growing the arena) when the tail is full.
     #[inline]
-    fn push(&mut self, chain: &mut Chain, parked: Parked) {
+    fn push(&mut self, chain: &mut Chain, slot: u32) {
         let fill = chain.len as usize % CHUNK;
         if fill == 0 {
             let c = if self.free == NIL {
                 self.chunks.push(Chunk {
-                    items: [(0, 0); CHUNK],
+                    items: [0; CHUNK],
                     next: NIL,
                 });
                 (self.chunks.len() - 1) as u32
@@ -254,15 +239,15 @@ impl Arena {
             }
             chain.tail = c;
         }
-        self.chunks[chain.tail as usize].items[fill] = parked;
+        self.chunks[chain.tail as usize].items[fill] = slot;
         chain.len += 1;
     }
 
     /// Detaches the head chunk of `chain` and returns it to the free
-    /// list, handing back a copy of it and the number of candidates it
+    /// list, handing back a copy of it and the number of slots it
     /// holds; `None` once the chain is empty. The copy lets the caller
     /// push into other chains, reusing the chunk, while it reads.
-    fn pop_chunk(&mut self, chain: &mut Chain) -> Option<([Parked; CHUNK], usize)> {
+    fn pop_chunk(&mut self, chain: &mut Chain) -> Option<([u32; CHUNK], usize)> {
         if chain.len == 0 {
             return None;
         }
@@ -353,42 +338,41 @@ fn head_of(keys: impl Iterator<Item = u64>) -> (u64, u64, usize) {
 #[inline]
 pub fn ignore_refill(_slot: u32) {}
 
-/// A slot-keyed lazy-deletion event scheduler: at most one pending
-/// `(time, slot)` entry per slot, O(1) overwrite on reschedule, pops
-/// in `(time, insertion sequence)` order via candidate validation.
+/// A slot-keyed event scheduler: at most one pending `(time, slot)`
+/// entry per slot, scheduled only while the slot is idle, popped in
+/// `(time, insertion sequence)` order.
 ///
 /// See the module docs for the mechanism. The slot universe grows on
-/// demand ([`LazyBoard::schedule`] accepts any slot), or can be
+/// demand ([`LazyBoard::schedule`] accepts any idle slot), or can be
 /// pre-sized with [`LazyBoard::with_slots`].
 #[derive(Debug, Clone)]
 pub struct LazyBoard {
     /// Authoritative packed `(time, seq)` key per slot; [`IDLE_KEY`]
-    /// when the slot has no pending entry. The single source of truth
-    /// every candidate is validated against.
+    /// when the slot has no pending entry. Candidates carry only the
+    /// slot (and, in the bags, the time bits), so this is the single
+    /// source of truth.
     keys: Vec<u128>,
     /// Unsorted candidate `(time bits, slot)` pairs per physical bag.
     /// Entries of one bag share a global bag index (plus any
     /// behind-cursor candidates dumped into the cursor's bag); pops
     /// argmin-scan the cursor's bag only.
     bags: [Vec<(u64, u32)>; BAGS],
-    /// Far level, first tier: one unsorted chain of [`Parked`]
-    /// candidates per future lap in `(current lap, top_floor]`, lap `l`
-    /// in bucket `l mod ring.len()`. A lap refill drains exactly one
-    /// bucket.
+    /// Far level, first tier: one unsorted chain of parked slots per
+    /// future lap in `(current lap, top_floor]`, lap `l` in bucket
+    /// `l mod ring.len()`. A lap refill drains exactly one bucket.
     ring: Vec<Chain>,
-    /// Candidates currently in `ring` (stale ones included): the
-    /// dry test that sends the lap walk to the top sweep.
+    /// Candidates currently in `ring`: the dry test that sends the lap
+    /// walk to the top sweep.
     far: usize,
     /// Last lap the ring covers; laps past it park in `top`. Moves only
     /// when a top sweep re-bases the window.
     top_floor: u64,
-    /// Far level, second tier: [`Parked`] candidates past `top_floor`,
-    /// unsorted, swept only when the ring runs dry.
+    /// Far level, second tier: parked slots past `top_floor`, unsorted,
+    /// swept only when the ring runs dry.
     top: Chain,
     /// Chunk storage of every ring bucket and of `top`.
     arena: Arena,
-    /// Smallest global bag index pushed to `top` since its last sweep
-    /// (stale pushes included): a lower bound on every live one, so
+    /// Smallest global bag index pushed to `top` since its last sweep:
     /// the sweep re-bases there without a separate min pass.
     top_min: u64,
     /// Cursor: the global bag index being drained. Candidates are
@@ -405,23 +389,21 @@ pub struct LazyBoard {
     /// monotonicity and rough occupancy matter. Re-derived from the
     /// measured head spread at each rebuild.
     shift: u32,
-    /// Memoized front: `(key, slot, bag position)` of the last entry
-    /// [`LazyBoard::front`] located in the cursor's bag, or
-    /// `(`[`IDLE_KEY`]`, ..)` for none. Valid as long as the bag entry
-    /// at that position and the authoritative key both still match —
-    /// schedules only append (positions are stable) or replace the
-    /// cache when they beat it, sweeps and takes relocate or clear.
+    /// Memoized front: `(key, slot, bag position)` of the entry
+    /// [`LazyBoard::front`] last located in the cursor's bag, or
+    /// `(`[`IDLE_KEY`]`, ..)` for none. Schedules only append to bags
+    /// (positions are stable) or replace the cache when they beat it;
+    /// the take of the front, the only removal from a bag, clears it.
     front: (u128, u32, u32),
-    /// Candidates currently in bags (stale ones included): the
-    /// cursor-advance dry test, so an empty near window jumps straight
-    /// to the refill instead of probing bags one by one.
+    /// Candidates currently in bags: the cursor-advance dry test, so an
+    /// empty near window jumps straight to the refill instead of
+    /// probing bags one by one.
     near: usize,
     /// Pops since the last geometry rebuild (the rebuild rate limit).
     pops_since_rebuild: u64,
-    /// Live (pending) entries — authoritative count, not candidates.
+    /// Pending entries.
     len: usize,
-    /// Next insertion sequence number (globally unique, never reused:
-    /// key equality therefore implies the candidate is current).
+    /// Next insertion sequence number (globally unique, never reused).
     seq: u64,
     /// Always-on internals counters.
     stats: LazyStats,
@@ -470,12 +452,6 @@ impl LazyBoard {
         board
     }
 
-    /// Number of slots the board currently covers.
-    #[must_use]
-    pub fn slots(&self) -> usize {
-        self.keys.len()
-    }
-
     /// Live (pending) entries on the board.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -502,32 +478,31 @@ impl LazyBoard {
         }
     }
 
-    /// Schedules (or **reschedules**) `slot`'s pending event at `time`.
+    /// Schedules idle `slot`'s event at `time`.
     ///
-    /// If the slot already has a pending entry it is superseded in
-    /// place — one store, no search; the old entry's bag candidate
-    /// dies lazily on contact. The fresh entry gets a new insertion
-    /// sequence, so among exact time ties it pops after everything
-    /// already scheduled, exactly as a heap insert would.
+    /// The entry gets a fresh insertion sequence, so among exact time
+    /// ties it pops after everything already scheduled, exactly as a
+    /// heap insert would.
     ///
     /// `inline(always)`: the body is a couple of stores and a push,
     /// but it sits past the inliner's default threshold, and an
     /// outlined `schedule` costs more than the work it does.
     ///
     /// # Panics
-    /// Panics if `time` is not finite (the
-    /// [`EventScheduler`](crate::EventScheduler) contract) or `slot`
-    /// does not fit the `u32` candidate index.
+    /// Panics if `slot` already has a pending entry, or if `time` is not
+    /// finite (the [`EventScheduler`](crate::EventScheduler) contract).
     #[inline(always)]
     pub fn schedule(&mut self, slot: u32, time: Time) {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         self.ensure_slot(slot as usize);
+        assert!(
+            self.keys[slot as usize] == IDLE_KEY,
+            "slot {slot} already has a pending entry"
+        );
         let hi = monotone_bits(time);
         let key = (u128::from(hi) << 64) | u128::from(self.seq);
         self.seq += 1;
-        let old = self.keys[slot as usize];
-        self.len += usize::from(old == IDLE_KEY);
-        self.stats.overwrites += u64::from(old != IDLE_KEY);
+        self.len += 1;
         self.stats.ring_inserts += 1;
         self.keys[slot as usize] = key;
         let g = hi >> self.shift;
@@ -540,51 +515,48 @@ impl LazyBoard {
             // A candidate beating the cached front always lands in the
             // cursor's bag (its index can only be at or behind the
             // cached one), so it *becomes* the cache; ties keep the
-            // cache (earlier sequence pops first). An *invalid* cache
-            // must stay invalid — every finite key beats the sentinel,
-            // but nothing proves it beats the uncached population.
+            // cache (earlier sequence pops first). An empty cache must
+            // stay empty — every finite key beats the sentinel, but
+            // nothing proves it beats the uncached population.
             if self.front.0 != IDLE_KEY && key < self.front.0 {
                 self.front = (key, slot, (self.bags[b].len() - 1) as u32);
             }
         } else {
-            self.park(g, (slot, tag(hi)));
+            self.park(g, slot);
         }
     }
 
-    /// Parks a candidate of global bag index `g`, past the current lap,
-    /// in the far level: its lap's ring bucket inside the window, else
-    /// the top list.
+    /// Parks `slot`, whose candidate has global bag index `g` past the
+    /// current lap, in the far level: its lap's ring bucket inside the
+    /// window, else the top list.
     #[inline]
-    fn park(&mut self, g: u64, parked: Parked) {
+    fn park(&mut self, g: u64, slot: u32) {
         let lap = g / BAGS as u64;
         if lap <= self.top_floor {
             let mask = self.ring.len() - 1;
-            self.arena.push(&mut self.ring[lap as usize & mask], parked);
+            self.arena.push(&mut self.ring[lap as usize & mask], slot);
             self.far += 1;
         } else {
             self.top_min = self.top_min.min(g);
-            self.arena.push(&mut self.top, parked);
+            self.arena.push(&mut self.top, slot);
         }
     }
 
-    /// The live `(time bits, global bag index)` of a parked candidate,
-    /// or `None` when it is stale: its slot popped, or rescheduled (the
-    /// tag no longer matches). A tag collision after a reschedule lets
-    /// a stale candidate through as a duplicate of the live one — which
-    /// the bags tolerate, since they validate against `keys` again.
+    /// The `(time bits, global bag index)` of a parked slot, read from
+    /// its authoritative key.
     #[inline]
-    fn unpark(&self, (slot, parked_tag): Parked) -> Option<(u64, u64)> {
+    fn unpark(&self, slot: u32) -> (u64, u64) {
         let key = self.keys[slot as usize];
+        debug_assert_ne!(key, IDLE_KEY, "parked slot {slot} is pending");
         let hi = (key >> 64) as u64;
-        (key != IDLE_KEY && tag(hi) == parked_tag).then_some((hi, hi >> self.shift))
+        (hi, hi >> self.shift)
     }
 
-    /// Locates the front of the queue — the earliest live `(time,
-    /// seq)` entry — as `(key, slot, position in the cursor's bag)`,
-    /// sweeping stale candidates and advancing the cursor along the
-    /// way. Memoizes the result. Callers guarantee `len > 0`. A lap
-    /// refill on the way reports its slots to `on_refill` (see
-    /// [`LazyBoard::min_time_bound`]).
+    /// Locates the front of the queue — the earliest `(time, seq)`
+    /// entry — as `(key, slot, position in the cursor's bag)`,
+    /// advancing the cursor along the way. Memoizes the result. Callers
+    /// guarantee `len > 0`. A lap refill on the way reports its slots
+    /// to `on_refill` (see [`LazyBoard::min_time_bound`]).
     #[inline]
     fn locate(&mut self, on_refill: &mut impl FnMut(u32)) -> (u128, u32, u32) {
         loop {
@@ -610,55 +582,32 @@ impl LazyBoard {
                 m = if lt { h } else { m };
                 pos = if lt { i } else { pos };
             }
-            let (h, s) = bag[pos];
-            let key = self.keys[s as usize];
-            if (key >> 64) as u64 != h {
-                // Superseded or already popped: sweep and retry.
-                self.stats.stale_pops += 1;
-                self.bags[b].swap_remove(pos);
-                self.near -= 1;
-                continue;
-            }
-            if ties > 0 {
-                if let Some(found) = self.tie_locate(b, m) {
-                    self.front = found;
-                    return found;
-                }
-                continue;
-            }
-            let found = (key, s, pos as u32);
+            let found = if ties > 0 {
+                self.tie_locate(b, m)
+            } else {
+                let s = bag[pos].1;
+                (self.keys[s as usize], s, pos as u32)
+            };
+            debug_assert_eq!(
+                (found.0 >> 64) as u64,
+                m,
+                "a candidate carries its key's time"
+            );
             self.front = found;
             return found;
         }
     }
 
     /// Exact-time tie in the cursor's bag: order among ties is by
-    /// insertion sequence, which lives in the *authoritative* keys
-    /// (an overwrite at the same time moves the slot behind the tie),
-    /// so the tying candidates' live keys are compared directly.
-    /// Returns `None` if every tying candidate turned out stale.
+    /// insertion sequence, which lives in the authoritative keys, so
+    /// the tying slots' keys are compared directly.
     #[cold]
-    fn tie_locate(&mut self, b: usize, m: u64) -> Option<(u128, u32, u32)> {
-        // Phase 1: sweep stale candidates tying the minimal time.
-        let mut i = 0;
-        while i < self.bags[b].len() {
-            let (h, s) = self.bags[b][i];
-            if h == m && (self.keys[s as usize] >> 64) as u64 != h {
-                self.stats.stale_pops += 1;
-                self.bags[b].swap_remove(i);
-                self.near -= 1;
-                continue;
-            }
-            i += 1;
-        }
-        // Phase 2: minimal live key (the sequence breaks the tie).
-        let mut best: Option<(u128, u32, u32)> = None;
+    fn tie_locate(&self, b: usize, m: u64) -> (u128, u32, u32) {
+        let mut best = (IDLE_KEY, 0, 0);
         for (i, &(h, s)) in self.bags[b].iter().enumerate() {
-            if h == m {
-                let key = self.keys[s as usize];
-                if best.is_none_or(|(bk, _, _)| key < bk) {
-                    best = Some((key, s, i as u32));
-                }
+            let key = self.keys[s as usize];
+            if h == m && key < best.0 {
+                best = (key, s, i as u32);
             }
         }
         best
@@ -694,8 +643,8 @@ impl LazyBoard {
         let mut scanned = 0;
         while self.near == 0 {
             if self.far == 0 {
-                // Near window and ring both empty: every live entry is
-                // parked on top.
+                // Near window and ring both empty: every pending entry
+                // is parked on top.
                 assert!(self.top.len > 0, "live entries exist");
                 let swept = self.top.len as usize;
                 scanned += swept;
@@ -717,19 +666,15 @@ impl LazyBoard {
             let lap = self.glob / BAGS as u64;
             let idx = lap as usize & (self.ring.len() - 1);
             let mut bucket = std::mem::replace(&mut self.ring[idx], Chain::EMPTY);
-            scanned += bucket.len as usize;
-            self.far -= bucket.len as usize;
+            let moved = bucket.len as usize;
+            scanned += moved;
+            self.far -= moved;
+            self.near += moved;
             while let Some((items, n)) = self.arena.pop_chunk(&mut bucket) {
-                for &parked in &items[..n] {
-                    match self.unpark(parked) {
-                        // A tag collision can name another lap: that
-                        // live entry has its own candidate there.
-                        Some((hi, g)) if g / BAGS as u64 == lap => {
-                            self.bags[(g as usize) & (BAGS - 1)].push((hi, parked.0));
-                            self.near += 1;
-                        }
-                        _ => self.stats.ring_drops += 1,
-                    }
+                for &slot in &items[..n] {
+                    let (hi, g) = self.unpark(slot);
+                    debug_assert_eq!(g / BAGS as u64, lap, "a ring bucket holds one lap");
+                    self.bags[(g as usize) & (BAGS - 1)].push((hi, slot));
                 }
             }
         }
@@ -742,9 +687,9 @@ impl LazyBoard {
 
     /// Sweeps the top list of a dry ring: re-bases the window at the
     /// earliest parked index, moving candidates of the new lap into the
-    /// bags and those inside the new window into the ring, and dropping
-    /// popped slots. Only called with the near window and the ring
-    /// empty, so every live entry is parked here.
+    /// bags and those inside the new window into the ring. Only called
+    /// with the near window and the ring empty, so every pending entry
+    /// is parked here.
     fn sweep_top(&mut self) {
         self.glob = self.top_min;
         let base = self.glob / BAGS as u64;
@@ -753,26 +698,24 @@ impl LazyBoard {
         self.top_min = u64::MAX;
         let mut top = std::mem::replace(&mut self.top, Chain::EMPTY);
         while let Some((items, n)) = self.arena.pop_chunk(&mut top) {
-            for &parked in &items[..n] {
-                match self.unpark(parked) {
-                    Some((hi, g)) if g < self.lap_end => {
-                        self.bags[(g as usize) & (BAGS - 1)].push((hi, parked.0));
-                        self.near += 1;
-                    }
-                    Some((_, g)) => self.park(g, parked),
-                    None => self.stats.ring_drops += 1,
+            for &slot in &items[..n] {
+                let (hi, g) = self.unpark(slot);
+                if g < self.lap_end {
+                    self.bags[(g as usize) & (BAGS - 1)].push((hi, slot));
+                    self.near += 1;
+                } else {
+                    self.park(g, slot);
                 }
             }
         }
     }
 
-    /// Re-derives the bag geometry from the live population and
-    /// redistributes every live entry (dropping all stale candidates
-    /// wholesale) — the escape hatch for an anchor shift that drifted
-    /// orders of magnitude off the actual event gaps, paid only when a
-    /// bag outgrows [`BAG_CAP`] or a top sweep falls short of
-    /// [`SWEEP_YIELD`], never on the steady-state path. The ring grows
-    /// here if the slot universe has since grown.
+    /// Re-derives the bag geometry from the pending population and
+    /// redistributes every pending entry — the escape hatch for an
+    /// anchor shift that drifted orders of magnitude off the actual
+    /// event gaps, paid only when a bag outgrows [`BAG_CAP`] or a top
+    /// sweep falls short of [`SWEEP_YIELD`], never on the steady-state
+    /// path. The ring grows here if the slot universe has since grown.
     #[cold]
     fn rebuild(&mut self) {
         self.stats.rebuild_scans += 1;
@@ -823,41 +766,31 @@ impl LazyBoard {
                     self.bags[b].push((hi, slot as u32));
                     self.near += 1;
                 } else {
-                    self.park(g, (slot as u32, tag(hi)));
+                    self.park(g, slot as u32);
                 }
             }
         }
     }
 
-    /// The validated front `(key, slot, bag position)`: the memoized
-    /// probe when it still holds — two compares — else a relocation
-    /// (whose lap refills, if any, report to `on_refill`).
+    /// The front `(key, slot, bag position)`: the memoized one when
+    /// set, else a relocation (whose lap refills, if any, report to
+    /// `on_refill`).
     #[inline]
     fn front(&mut self, on_refill: &mut impl FnMut(u32)) -> (u128, u32, u32) {
         debug_assert!(self.len > 0);
-        let (key, s, p) = self.front;
-        if key != IDLE_KEY {
-            // Position still holds this candidate, and the slot's
-            // authoritative key is still this key (an overwrite — even
-            // at the same time — changes the sequence half and fails
-            // the compare; a smaller newcomer replaced the cache in
-            // `schedule`).
-            let b = (self.glob as usize) & (BAGS - 1);
-            if self.bags[b].get(p as usize) == Some(&((key >> 64) as u64, s))
-                && self.keys[s as usize] == key
-            {
-                return (key, s, p);
-            }
+        if self.front.0 != IDLE_KEY {
+            return self.front;
         }
         self.locate(on_refill)
     }
 
-    /// Removes the validated front — `(key, slot, pos)` as returned by
+    /// Removes the front — `(key, slot, pos)` as returned by
     /// [`LazyBoard::front`] — and marks its slot idle.
     #[inline]
     fn take_front(&mut self, key: u128, slot: u32, pos: u32) -> (Time, u32) {
         let b = (self.glob as usize) & (BAGS - 1);
         debug_assert_eq!(self.bags[b][pos as usize], (((key >> 64) as u64), slot));
+        debug_assert_eq!(self.keys[slot as usize], key);
         self.bags[b].swap_remove(pos as usize);
         self.near -= 1;
         self.pops_since_rebuild += 1;
@@ -867,8 +800,8 @@ impl LazyBoard {
         (unpack_time(key), slot)
     }
 
-    /// Pops the earliest `(time, seq)` entry as `(time, slot)`,
-    /// discarding stale candidates until the true minimum surfaces.
+    /// Pops the earliest `(time, seq)` entry as `(time, slot)`; the
+    /// slot becomes idle.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, u32)> {
         if self.len == 0 {
@@ -880,9 +813,8 @@ impl LazyBoard {
 
     /// Pops the earliest entry if it is strictly before `bound`
     /// (arrival merges: the bound wins exact ties). The refusal path
-    /// revalidates the memoized front and compares — in an arrival
-    /// merge refusals are the common outcome, so they stay off the scan
-    /// path.
+    /// reads the memoized front and compares — in an arrival merge
+    /// refusals are the common outcome, so they stay off the scan path.
     #[inline]
     pub fn pop_if_before(&mut self, bound: Time) -> Option<(Time, u32)> {
         if self.len == 0 {
@@ -895,23 +827,10 @@ impl LazyBoard {
         Some(self.take_front(key, slot, pos))
     }
 
-    /// Time of the earliest pending entry. Read-only, so it answers
-    /// from the authoritative array directly: the minimum live key is
-    /// the front, stale bag candidates notwithstanding.
-    #[must_use]
-    pub fn peek(&self) -> Option<Time> {
-        if self.len == 0 {
-            return None;
-        }
-        let best = self.keys.iter().copied().min().expect("live entries exist");
-        Some(unpack_time(best))
-    }
-
     /// Time of the earliest pending entry, located through the bags
-    /// (sweeping stale front candidates — hence `&mut`). The cluster's
-    /// drive loop mirrors it in a register and merges its event
-    /// streams on it. The name is contractual — callers may rely on it
-    /// as a lower bound — but the front candidate is validated, so the
+    /// (hence `&mut`). The cluster's drive loop mirrors it in a
+    /// register and merges its event streams on it. The name is
+    /// contractual — callers may rely on it as a lower bound — but the
     /// value returned is in fact exact.
     ///
     /// If locating the front drains the near window and refills it from
@@ -922,9 +841,8 @@ impl LazyBoard {
     /// per-slot state it will read when they pop. The hook only
     /// observes: the board's state and pop order do not depend on it.
     /// It sees only refills made here, not inside [`LazyBoard::pop`].
-    /// Every reported slot has a pending entry; a slot may repeat when a
-    /// superseded candidate's tag collides with its live one. A caller
-    /// that does not look ahead passes [`ignore_refill`].
+    /// Every reported slot has a pending entry, and none repeats. A
+    /// caller that does not look ahead passes [`ignore_refill`].
     #[inline]
     #[must_use]
     pub fn min_time_bound(&mut self, mut on_refill: impl FnMut(u32)) -> Option<Time> {
@@ -948,47 +866,13 @@ mod tests {
         b.schedule(1, 2.0);
         b.schedule(4, 2.0);
         b.schedule(0, 9.0);
-        assert_eq!(b.peek(), Some(2.0));
+        assert_eq!(b.min_time_bound(ignore_refill), Some(2.0));
         assert_eq!(b.pop(), Some((2.0, 1)), "earlier seq wins the tie");
         assert_eq!(b.pop(), Some((2.0, 4)));
         assert_eq!(b.pop(), Some((5.0, 3)));
         assert_eq!(b.pop(), Some((9.0, 0)));
         assert_eq!(b.pop(), None);
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn overwrite_replaces_and_reorders() {
-        let mut b = LazyBoard::with_slots(4);
-        b.schedule(0, 5.0);
-        b.schedule(1, 7.0);
-        // Slot 0 rescheduled later than slot 1: the old 5.0 entry must
-        // never pop.
-        b.schedule(0, 9.0);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.pop(), Some((7.0, 1)));
-        assert_eq!(b.pop(), Some((9.0, 0)));
-        assert_eq!(b.pop(), None);
-        assert_eq!(b.stats().overwrites, 1);
-        assert!(
-            b.stats().stale_pops + b.stats().ring_drops >= 1,
-            "the 5.0 candidate died lazily (in a bag or parked)"
-        );
-    }
-
-    #[test]
-    fn same_time_overwrite_moves_the_slot_behind_the_tie() {
-        // Slot 0 at t=1 (seq 0), slot 1 at t=1 (seq 1), then slot 0
-        // *rescheduled* to the same t=1 (seq 2): the overwrite must
-        // push slot 0 behind slot 1 in the tie order, exactly as a
-        // heap delete+reinsert would.
-        let mut b = LazyBoard::with_slots(2);
-        b.schedule(0, 1.0);
-        b.schedule(1, 1.0);
-        b.schedule(0, 1.0);
-        assert_eq!(b.pop(), Some((1.0, 1)));
-        assert_eq!(b.pop(), Some((1.0, 0)));
-        assert_eq!(b.pop(), None);
     }
 
     #[test]
@@ -1018,50 +902,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "slot 3 already has a pending entry")]
+    fn scheduling_a_pending_slot_panics() {
+        let mut b = LazyBoard::with_slots(4);
+        b.schedule(3, 1.0);
+        b.schedule(3, 2.0);
+    }
+
+    #[test]
     fn grows_on_demand_and_min_bound_is_a_lower_bound() {
         let mut b = LazyBoard::new();
-        assert_eq!(b.slots(), 0);
         b.schedule(100, 4.0);
-        assert_eq!(b.slots(), 101);
         assert!(b.min_time_bound(ignore_refill).is_some_and(|t| t <= 4.0));
         b.schedule(3, 1.0);
         assert!(b.min_time_bound(ignore_refill).is_some_and(|t| t <= 1.0));
         assert_eq!(b.pop(), Some((1.0, 3)));
         assert_eq!(b.pop(), Some((4.0, 100)));
-    }
-
-    #[test]
-    fn reschedule_storm_is_rediscovered() {
-        // Spread population, pop a stretch, then reschedule a block of
-        // still-pending slots to the far future: their old candidates
-        // must die lazily and the board must keep exact time order
-        // throughout — lap refills included.
-        let n = 4 * TARGET_FILL;
-        let drained = BAGS + 2;
-        let mut b = LazyBoard::with_slots(n);
-        for s in 0..n {
-            b.schedule(s as u32, s as f64);
-        }
-        for want in 0..drained as u32 {
-            assert_eq!(b.pop(), Some((f64::from(want), want)));
-        }
-        // The storm: every slot in [drained, n/2) jumps to the far
-        // future, superseding its indexed candidate.
-        for s in drained..n / 2 {
-            b.schedule(s as u32, 1000.0 + s as f64);
-        }
-        assert_eq!(b.stats().overwrites, (n / 2 - drained) as u64);
-        let mut last = f64::NEG_INFINITY;
-        for _ in 0..n - drained {
-            let (t, _) = b.pop().expect("all entries pop");
-            assert!(t >= last, "pops stay time-ordered through the storm");
-            last = t;
-        }
-        assert_eq!(b.pop(), None);
-        assert!(
-            b.stats().stale_pops + b.stats().ring_drops > 0,
-            "superseded candidates died lazily"
-        );
     }
 
     #[test]
@@ -1171,10 +1027,7 @@ mod tests {
     fn matches_binary_heap_on_a_hold_workload() {
         // The simulation-shaped drive against the heap oracle: random
         // schedules over a 64-slot universe with exact-tie bursts,
-        // popped in lockstep. (The proptest in tests/lazy_board.rs
-        // adds overwrite storms; this hold
-        // workload keeps the one-pending-per-slot discipline so the
-        // plain heap is directly comparable.)
+        // popped in lockstep.
         let mut board = LazyBoard::with_slots(64);
         let mut heap: EventQueue<u32> = EventQueue::new();
         let mut pending = [false; 64];
@@ -1213,7 +1066,6 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(board.stats().stale_pops, 0, "no overwrites, no staleness");
         assert!(
             board.stats().ring_inserts > 0,
             "every schedule indexes exactly once"
@@ -1299,8 +1151,7 @@ mod tests {
         // past the ring (reached by a top sweep), probing the front
         // through the hook before every pop as the cluster's drive loop
         // does. A probe that refills must report exactly the near
-        // window's slots: the window was empty before the refill, and a
-        // hold leaves no stale candidates for the probe to sweep. A
+        // window's slots: the window was empty before the refill. A
         // probe that does not refill reports nothing. A twin board
         // probed without the hook pins the pop order.
         let slots = 4096u32;
@@ -1363,7 +1214,6 @@ mod tests {
             "only {checked} of {refills} refills compared"
         );
         assert!(cohort_reported, "the top sweep into the cohort reported it");
-        assert_eq!(b.stats().stale_pops, 0, "a hold leaves nothing stale");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!   FIFO-on-ties determinism contract), the binary-heap
 //!   [`EventQueue`] reference implementation and oracle, and the
 //!   simulation clock,
-//! * [`lazy`] — the [`LazyBoard`]: slot-keyed lazy deletion for the
-//!   at-most-one-event-per-slot workload (O(1) overwrite schedules,
-//!   stale-tolerant candidate bags validated on pop, a two-level far
-//!   side refilled one lap at a time) — the departure board of the
+//! * [`lazy`] — the [`LazyBoard`]: a slot-keyed scheduler for the
+//!   at-most-one-event-per-slot workload (O(1) schedules of idle
+//!   slots, unsorted candidate bags argmin-scanned on pop, a two-level
+//!   far side refilled one lap at a time) — the departure board of the
 //!   cluster's drive loop,
 //! * [`calendar`] — the [`CalendarQueue`]: a bucketed timing wheel with
 //!   dynamic bucket-width resizing and an overflow ladder, amortised

@@ -2,41 +2,26 @@
 //! every [`LazyBoard`](crate::LazyBoard) maintains.
 //!
 //! The counters live on the board's **amortised** paths (lap refills,
-//! rebuilds) and on the *deviation* branches of its hot path (an
-//! overwrite, a stale discard), which the dominant
-//! one-pending-per-slot workload never takes — so the common
-//! schedule/pop pair pays nothing. The block is cheap enough to keep on
-//! unconditionally (no registry gate), and entirely wall-clock/RNG-free,
-//! so it cannot perturb a simulated schedule.
+//! rebuilds), apart from one increment per schedule — so the common
+//! schedule/pop pair pays next to nothing. The block is cheap enough
+//! to keep on unconditionally (no registry gate), and entirely
+//! wall-clock/RNG-free, so it cannot perturb a simulated schedule.
 
 use bnb_stats::Mergeable;
 use bnb_telemetry::{Log2Histogram, MetricsSnapshot};
 
 /// Internals counters of one [`LazyBoard`](crate::LazyBoard): the
-/// mechanism fingerprint of slot-keyed lazy deletion. Overwrites
-/// measure how much delete work lazy deletion deferred; stale pops and
-/// ring drops count where the superseded candidates were finally
-/// collected (on bag contact or at a lap refill); rebuild scans and
-/// slots scanned price the geometry re-derivations; refill scanned and
-/// the refill sweep histogram price the far level's lap refills and
-/// top sweeps. Harvest with [`LazyStats::record_into`], or merge shards
+/// mechanism fingerprint of its bags and far level. Ring inserts
+/// count the candidates schedules indexed; rebuild scans and slots
+/// scanned price the geometry re-derivations; refill scanned and the
+/// refill sweep histogram price the far level's lap refills and top
+/// sweeps. Harvest with [`LazyStats::record_into`], or merge shards
 /// through [`Mergeable`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LazyStats {
-    /// Schedules that replaced a still-pending entry for the same slot
-    /// — the O(1) lazy reschedule that a heap would pay a
-    /// delete-and-reinsert for.
-    pub overwrites: u64,
-    /// Bag candidates swept at pop time because an overwrite (or the
-    /// slot's earlier pop) had invalidated them — the deferred
-    /// deletions, finally collected on contact.
-    pub stale_pops: u64,
     /// Candidates indexed by schedules — one bag or far-level append
     /// each; never a sorted insert.
     pub ring_inserts: u64,
-    /// Candidates found superseded while parked in the far level and
-    /// dropped during a lap refill or top sweep, never reaching a bag.
-    pub ring_drops: u64,
     /// Geometry rebuilds: the bag shift re-derived from the live
     /// population's head spread after a bag outgrew its cap.
     pub rebuild_scans: u64,
@@ -63,10 +48,7 @@ impl LazyStats {
     /// Harvests this block into a [`MetricsSnapshot`] under `lazy.*`
     /// metric names.
     pub fn record_into(&self, snapshot: &mut MetricsSnapshot) {
-        snapshot.add_counter("lazy.overwrites", self.overwrites);
-        snapshot.add_counter("lazy.stale_pops", self.stale_pops);
         snapshot.add_counter("lazy.ring_inserts", self.ring_inserts);
-        snapshot.add_counter("lazy.ring_drops", self.ring_drops);
         snapshot.add_counter("lazy.rebuild_scans", self.rebuild_scans);
         snapshot.add_counter("lazy.slots_scanned", self.slots_scanned);
         snapshot.add_counter("lazy.refill_scanned", self.refill_scanned);
@@ -76,10 +58,7 @@ impl LazyStats {
 
 impl Mergeable for LazyStats {
     fn merge_from(&mut self, other: &Self) {
-        self.overwrites += other.overwrites;
-        self.stale_pops += other.stale_pops;
         self.ring_inserts += other.ring_inserts;
-        self.ring_drops += other.ring_drops;
         self.rebuild_scans += other.rebuild_scans;
         self.slots_scanned += other.slots_scanned;
         self.refill_scanned += other.refill_scanned;
@@ -94,14 +73,10 @@ mod tests {
     #[test]
     fn lazy_merge_and_record_cover_every_field() {
         let mut a = LazyStats::new();
-        a.overwrites = 3;
-        a.stale_pops = 2;
         a.slots_scanned = 64;
         a.refill_scanned = 300;
         a.refill_sweep.record(256);
         let mut b = LazyStats::new();
-        b.overwrites = 1;
-        b.ring_drops = 5;
         b.rebuild_scans = 7;
         b.ring_inserts = 9;
         b.refill_scanned = 12;
@@ -110,10 +85,7 @@ mod tests {
         a.merge_from(&b);
         let mut snap = MetricsSnapshot::new();
         a.record_into(&mut snap);
-        assert_eq!(snap.counter("lazy.overwrites"), Some(4));
-        assert_eq!(snap.counter("lazy.stale_pops"), Some(2));
         assert_eq!(snap.counter("lazy.ring_inserts"), Some(9));
-        assert_eq!(snap.counter("lazy.ring_drops"), Some(5));
         assert_eq!(snap.counter("lazy.rebuild_scans"), Some(7));
         assert_eq!(snap.counter("lazy.slots_scanned"), Some(64));
         assert_eq!(snap.counter("lazy.refill_scanned"), Some(312));

@@ -1,30 +1,29 @@
 //! Property tests of the [`LazyBoard`] against an independent
-//! lazy-deletion binary-heap oracle.
+//! binary-heap oracle.
 //!
-//! The board's three claims — O(1) overwrite schedules, stale-tolerant
+//! The board's three claims — O(1) schedules of idle slots, unsorted
 //! candidate bags, a two-level far side refilled one lap at a time —
 //! must jointly behave as one stable *slot-keyed* priority queue: at
-//! most one live entry per slot, superseded in place by reschedules,
-//! popped in `(time, insertion sequence)` order. The oracle here is deliberately
-//! *not* the crate's own `EventQueue`: it is a plain
-//! `std::collections::BinaryHeap` over `(time, seq, slot)` plus an
-//! authoritative per-slot sequence table, validating entries on pop
-//! exactly as the textbook lazy-deletion heap does — so these tests
+//! most one pending entry per slot, popped in `(time, insertion
+//! sequence)` order. The oracle here is deliberately *not* the crate's
+//! own `EventQueue`: it is a plain `std::collections::BinaryHeap` over
+//! `(time, seq, slot)` plus a table of idle slots — so these tests
 //! cannot share a bug with any scheduler implementation in the crate.
 //!
-//! Both sides assign sequence numbers in the same schedule order, and
-//! the oracle pops only entries whose sequence is still the slot's
-//! authoritative one — so asserting bitwise-equal `(time, slot)` pop
-//! streams pins the full `(time, seq)` determinism contract. The op
-//! mix drives the regimes the issue names: **overwrite storms**
-//! (reschedule one slot repeatedly, exact same-time overwrites
-//! included), **tie storms** (many slots at one instant), and
-//! `pop_if_before` **window edges** (`bound == time` must not pop). A
-//! large-population drive adds the far side's regimes: cohorts parked
-//! past the ring (top sweeps and window re-bases) and time-scale jumps
-//! (mid-run geometry rebuilds). It runs a second time with the front
-//! probed through the refill hook before every pop, as the cluster's
-//! drive loop probes it, to show the hook leaves the pop stream alone.
+//! Both sides assign sequence numbers in the same schedule order, so
+//! asserting bitwise-equal `(time, slot)` pop streams pins the full
+//! `(time, seq)` determinism contract. The board accepts only idle
+//! slots, so each schedule of a drive takes the first idle slot at or
+//! after the one its op names (wrapping around, or growing the
+//! universe when every slot is pending): every op schedules its full
+//! count. The op mix drives the regimes the board must get right:
+//! **tie storms** (many slots at one instant) and `pop_if_before`
+//! **window edges** (`bound == time` must not pop). A large-population
+//! drive adds the far side's regimes: cohorts parked past the ring (top
+//! sweeps and window re-bases) and time-scale jumps (mid-run geometry
+//! rebuilds). It runs a second time with the front probed through the
+//! refill hook before every pop, as the cluster's drive loop probes
+//! it, to show the hook leaves the pop stream alone.
 //!
 //! The last test guards the far side's cost without a timer: on a hold
 //! pattern, far-level candidates examined per pop stay a small constant
@@ -35,19 +34,16 @@ use bnb_queueing::{EventQueue, LazyBoard};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
-/// Slot universe of the small drives (the board also grows on demand; a
-/// fixed universe keeps overwrites frequent).
+/// Slot universe of the small drives (the board also grows on demand,
+/// and the drives grow it when every slot is pending).
 const SLOTS: usize = 48;
 
 /// Slot universe of the large-population drive: enough laps of pending
 /// entries that the far ring, sized from the slot count, is exercised
 /// well past its minimum.
 const LARGE_SLOTS: usize = 16_384;
-
-/// Sequence value of an idle slot in the oracle's authoritative table.
-const IDLE: u64 = u64::MAX;
 
 /// A `(time, seq)` key ordered time-ascending then seq-ascending.
 /// Times are finite by construction, so `total_cmp` agrees with the
@@ -69,91 +65,89 @@ impl Ord for Key {
     }
 }
 
-/// The textbook lazy-deletion heap: every schedule pushes, overwrites
-/// only bump the slot's authoritative sequence, and pop discards heap
-/// entries whose sequence is no longer authoritative.
+/// A min-heap of `(time, seq, slot)` entries, and the idle slots of its
+/// universe `0..slots`, from which it picks the slot of each schedule.
 struct Oracle {
     heap: BinaryHeap<Reverse<(Key, u32)>>,
-    current: Vec<u64>,
+    idle: BTreeSet<u32>,
+    slots: u32,
     next_seq: u64,
-    len: usize,
 }
 
 impl Oracle {
     fn new(slots: usize) -> Self {
         Oracle {
             heap: BinaryHeap::new(),
-            current: vec![IDLE; slots],
+            idle: (0..slots as u32).collect(),
+            slots: slots as u32,
             next_seq: 0,
-            len: 0,
         }
     }
 
-    fn schedule(&mut self, slot: u32, time: f64) {
-        if self.current[slot as usize] == IDLE {
-            self.len += 1;
-        }
-        self.current[slot as usize] = self.next_seq;
+    /// Schedules `time` on the first idle slot at or after `want`,
+    /// wrapping around, or on a fresh slot past the universe when every
+    /// slot is pending. Returns the slot.
+    fn schedule(&mut self, want: u32, time: f64) -> u32 {
+        let free = self
+            .idle
+            .range(want..)
+            .next()
+            .or_else(|| self.idle.first())
+            .copied();
+        let slot = match free {
+            Some(slot) => {
+                self.idle.remove(&slot);
+                slot
+            }
+            None => {
+                self.slots += 1;
+                self.slots - 1
+            }
+        };
         self.heap.push(Reverse((Key(time, self.next_seq), slot)));
         self.next_seq += 1;
-    }
-
-    /// Discards stale heap tops so `peek`/`pop_if_before` see the live
-    /// minimum (discarding is permanent and safe: a stale entry can
-    /// never become live again).
-    fn settle(&mut self) {
-        while let Some(Reverse((Key(_, seq), slot))) = self.heap.peek() {
-            if self.current[*slot as usize] == *seq {
-                break;
-            }
-            self.heap.pop();
-        }
+        slot
     }
 
     fn pop(&mut self) -> Option<(f64, u32)> {
-        self.settle();
         let Reverse((Key(t, _), slot)) = self.heap.pop()?;
-        self.current[slot as usize] = IDLE;
-        self.len -= 1;
+        self.idle.insert(slot);
         Some((t, slot))
     }
 
     fn pop_if_before(&mut self, bound: f64) -> Option<(f64, u32)> {
-        self.settle();
-        if self
-            .heap
-            .peek()
-            .is_some_and(|Reverse((Key(t, _), _))| *t < bound)
-        {
+        if self.peek().is_some_and(|t| t < bound) {
             self.pop()
         } else {
             None
         }
     }
 
-    fn peek(&mut self) -> Option<f64> {
-        self.settle();
+    fn peek(&self) -> Option<f64> {
         self.heap.peek().map(|Reverse((Key(t, _), _))| *t)
+    }
+
+    fn is_pending(&self, slot: u32) -> bool {
+        slot < self.slots && !self.idle.contains(&slot)
     }
 }
 
-/// One step of a board drive.
+/// Schedules `time` on both sides, on the idle slot the oracle picks
+/// for `want`.
+fn schedule(board: &mut LazyBoard, oracle: &mut Oracle, want: u32, time: f64) {
+    board.schedule(oracle.schedule(want, time), time);
+}
+
+/// One step of a board drive. Every slot an op names is the first
+/// choice of [`Oracle::schedule`], which moves on to the next idle one.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Schedule (or overwrite) one slot at this absolute time.
+    /// Schedule one slot at this absolute time.
     Schedule(u32, f64),
-    /// Reschedule the *same* slot `count` times across a narrow band —
-    /// `width == 0` degenerates to exact same-time overwrites.
-    OverwriteStorm {
-        slot: u32,
-        base: f64,
-        width: f64,
-        count: usize,
-    },
-    /// Schedule a run of distinct slots at one exact instant.
+    /// Schedule a run of slots at one exact instant.
     TieStorm { first: u32, time: f64, count: usize },
-    /// Schedule (or overwrite) a run of `count` consecutive slots at
-    /// scattered times in `last_pop + base + [0, spread)`.
+    /// Schedule a run of `count` slots at scattered times in
+    /// `last_pop + base + [0, spread)`.
     Cohort {
         first: u32,
         count: usize,
@@ -189,22 +183,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (slot.clone(), time_strategy()).prop_map(|(s, t)| Op::Schedule(s, t)),
         (slot.clone(), time_strategy()).prop_map(|(s, t)| Op::Schedule(s, t)),
         (slot.clone(), time_strategy()).prop_map(|(s, t)| Op::Schedule(s, t)),
-        (slot.clone(), 0.0f64..100.0, 0.0f64..2.0, 1usize..24).prop_map(
-            |(slot, base, width, count)| Op::OverwriteStorm {
-                slot,
-                base,
-                width,
-                count
-            }
-        ),
-        (slot.clone(), 0.0f64..100.0, 1usize..24).prop_map(|(slot, base, count)| {
-            Op::OverwriteStorm {
-                slot,
-                base,
-                width: 0.0,
-                count,
-            }
-        }),
         (slot, 0.0f64..60.0, 1usize..24).prop_map(|(first, time, count)| Op::TieStorm {
             first,
             time,
@@ -245,7 +223,7 @@ fn check_pop(
 /// A large-population op: cohorts at the hold's density (ring traffic),
 /// far-future cohorts past the ring (top sweeps and re-bases), dense
 /// microsecond-gap cohorts (a time-scale jump that forces a rebuild),
-/// overwrite and tie storms, long pops and window-edge pops.
+/// tie storms, long pops and window-edge pops.
 fn large_op_strategy() -> impl Strategy<Value = Op> {
     let slot = 0u32..LARGE_SLOTS as u32;
     let cohort = |(first, count, base, spread)| Op::Cohort {
@@ -259,14 +237,6 @@ fn large_op_strategy() -> impl Strategy<Value = Op> {
         (slot.clone(), 1024usize..8192, 0.0f64..2.0, 0.5f64..8.0).prop_map(cohort),
         (slot.clone(), 256usize..4096, 1e3f64..1e6, 0.0f64..1e3).prop_map(cohort),
         (slot.clone(), 512usize..4096, 0.0f64..4.0, 1e-6f64..1e-3).prop_map(cohort),
-        (slot.clone(), 0.0f64..4.0, 0.0f64..0.5, 1usize..64).prop_map(
-            |(slot, base, width, count)| Op::OverwriteStorm {
-                slot,
-                base,
-                width,
-                count
-            }
-        ),
         (slot, 0.0f64..4.0, 1usize..256).prop_map(|(first, time, count)| Op::TieStorm {
             first,
             time,
@@ -281,11 +251,7 @@ fn large_op_strategy() -> impl Strategy<Value = Op> {
 /// Probes the board's front through its refill hook, as the cluster's
 /// drive loop does before each pop: the bound must be the oracle's
 /// front, and every slot a refill reports must have a pending entry.
-fn probe_front(
-    step: usize,
-    board: &mut LazyBoard,
-    oracle: &mut Oracle,
-) -> Result<(), TestCaseError> {
+fn probe_front(step: usize, board: &mut LazyBoard, oracle: &Oracle) -> Result<(), TestCaseError> {
     let mut reported = Vec::new();
     let bound = board.min_time_bound(|slot| reported.push(slot));
     prop_assert_eq!(
@@ -296,7 +262,7 @@ fn probe_front(
     );
     for slot in reported {
         prop_assert!(
-            oracle.current[slot as usize] != IDLE,
+            oracle.is_pending(slot),
             "refill reported idle slot {} at step {}",
             slot,
             step
@@ -307,37 +273,20 @@ fn probe_front(
 
 /// Drives a board over `slots` slots and the oracle through one op
 /// sequence, asserting identical `(time, slot)` pop streams, identical
-/// peeks and live counts after every op, and an identical drain tail.
-/// With `hooked`, every pop is preceded by a [`probe_front`].
+/// fronts (through [`probe_front`]) and live counts after every op, and
+/// an identical drain tail. With `hooked`, every pop is preceded by a
+/// [`probe_front`] too.
 fn assert_matches_oracle(slots: usize, ops: &[Op], hooked: bool) -> Result<(), TestCaseError> {
     let mut board = LazyBoard::with_slots(slots);
     let mut oracle = Oracle::new(slots);
     let mut last_pop = 0.0f64;
     for (step, op) in ops.iter().enumerate() {
         match *op {
-            Op::Schedule(slot, t) => {
-                board.schedule(slot, t);
-                oracle.schedule(slot, t);
-            }
-            Op::OverwriteStorm {
-                slot,
-                base,
-                width,
-                count,
-            } => {
-                for i in 0..count {
-                    let frac = f64::from((i as u32).wrapping_mul(2_654_435_769) >> 16) / 65_536.0;
-                    let t = last_pop + base + width * frac;
-                    board.schedule(slot, t);
-                    oracle.schedule(slot, t);
-                }
-            }
+            Op::Schedule(slot, t) => schedule(&mut board, &mut oracle, slot, t),
             Op::TieStorm { first, time, count } => {
                 for i in 0..count {
                     let slot = (first + i as u32) % slots as u32;
-                    let t = last_pop + time;
-                    board.schedule(slot, t);
-                    oracle.schedule(slot, t);
+                    schedule(&mut board, &mut oracle, slot, last_pop + time);
                 }
             }
             Op::Cohort {
@@ -350,14 +299,13 @@ fn assert_matches_oracle(slots: usize, ops: &[Op], hooked: bool) -> Result<(), T
                     let slot = (first + i as u32) % slots as u32;
                     let frac = f64::from((i as u32).wrapping_mul(2_654_435_769) >> 16) / 65_536.0;
                     let t = last_pop + base + spread * frac;
-                    board.schedule(slot, t);
-                    oracle.schedule(slot, t);
+                    schedule(&mut board, &mut oracle, slot, t);
                 }
             }
             Op::Pop(k) => {
                 for _ in 0..k {
                     if hooked {
-                        probe_front(step, &mut board, &mut oracle)?;
+                        probe_front(step, &mut board, &oracle)?;
                     }
                     let got = check_pop(step, oracle.pop(), board.pop())?;
                     if let Some(t) = oracle.peek() {
@@ -372,7 +320,7 @@ fn assert_matches_oracle(slots: usize, ops: &[Op], hooked: bool) -> Result<(), T
                 let bound = last_pop + delta;
                 for _ in 0..max {
                     if hooked {
-                        probe_front(step, &mut board, &mut oracle)?;
+                        probe_front(step, &mut board, &oracle)?;
                     }
                     let got = check_pop(
                         step,
@@ -386,23 +334,21 @@ fn assert_matches_oracle(slots: usize, ops: &[Op], hooked: bool) -> Result<(), T
                 }
             }
         }
-        prop_assert_eq!(oracle.len, board.len(), "live count at step {}", step);
         prop_assert_eq!(
-            oracle.peek().map(f64::to_bits),
-            board.peek().map(f64::to_bits),
-            "peek at step {}",
+            oracle.heap.len(),
+            board.len(),
+            "live count at step {}",
             step
         );
+        probe_front(step, &mut board, &oracle)?;
     }
     loop {
         if hooked {
-            probe_front(usize::MAX, &mut board, &mut oracle)?;
+            probe_front(usize::MAX, &mut board, &oracle)?;
         }
-        let a = oracle.pop();
-        if !check_pop(usize::MAX, a, board.pop())? {
+        if !check_pop(usize::MAX, oracle.pop(), board.pop())? {
             break;
         }
-        let _ = a;
     }
     prop_assert_eq!(board.len(), 0);
     Ok(())
@@ -411,9 +357,9 @@ fn assert_matches_oracle(slots: usize, ops: &[Op], hooked: bool) -> Result<(), T
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary interleavings of schedules, overwrite storms, tie
-    /// storms and both pop flavours: the board emits the lazy-deletion
-    /// heap oracle's exact `(time, slot)` stream.
+    /// Arbitrary interleavings of schedules, tie storms and both pop
+    /// flavours: the board emits the heap oracle's exact `(time, slot)`
+    /// stream.
     #[test]
     fn lazy_board_matches_lazy_heap_oracle(
         ops in prop::collection::vec(op_strategy(), 1..300)
@@ -421,29 +367,10 @@ proptest! {
         assert_matches_oracle(SLOTS, &ops, false)?;
     }
 
-    /// Sustained overwrite storms with no relief: one hot slot is
-    /// rescheduled over and over (stale candidates pile into the ring
-    /// and overflow it) while bounded pops collect the survivors.
-    #[test]
-    fn sustained_overwrite_storms_stay_exact(
-        bursts in prop::collection::vec((0u32..SLOTS as u32, 0.0f64..10.0, 4usize..24), 2..16),
-        drain_between in prop::collection::vec(0usize..8, 2..16),
-    ) {
-        let mut ops = Vec::new();
-        for (&(slot, base, count), &p) in bursts.iter().zip(&drain_between) {
-            ops.push(Op::OverwriteStorm { slot, base, width: 0.25, count });
-            ops.push(Op::TieStorm { first: slot, time: base, count: 6 });
-            ops.push(Op::Pop(p));
-        }
-        ops.push(Op::Pop(10_000));
-        assert_matches_oracle(SLOTS, &ops, false)?;
-    }
-
     /// Entries pinned to the window edge: a monotone clock pops with
     /// `pop_if_before` at exactly the times entries sit on, so the
     /// strictly-before contract is tested where `bound == time` — with
-    /// the entry freshly scheduled, overwritten to the same instant,
-    /// and tied across slots.
+    /// the entry freshly scheduled and tied across slots.
     #[test]
     fn window_edge_bounds_are_strictly_before(
         edges in prop::collection::vec(0.25f64..16.0, 4..40),
@@ -455,8 +382,9 @@ proptest! {
             t += gap;
             let slot = (i % SLOTS) as u32;
             for _ in 0..=k {
-                // Same slot, same instant, repeatedly: an exact-time
-                // overwrite storm sitting right on the window edge.
+                // Same instant, repeatedly, each on the next idle slot:
+                // an exact-time tie storm sitting right on the window
+                // edge.
                 ops.push(Op::Schedule(slot, t));
             }
             ops.push(Op::Schedule((slot + 7) % SLOTS as u32, t));
@@ -472,8 +400,8 @@ proptest! {
 
     /// The large-population drive: thousands of pending entries spread
     /// over many laps, far-future cohorts parked past the ring, dense
-    /// cohorts that force a mid-run rebuild, storms and window-edge pops
-    /// — the board still emits the oracle's exact stream.
+    /// cohorts that force a mid-run rebuild, tie storms and window-edge
+    /// pops — the board still emits the oracle's exact stream.
     #[test]
     fn large_population_matches_lazy_heap_oracle(
         ops in prop::collection::vec(large_op_strategy(), 8..40)

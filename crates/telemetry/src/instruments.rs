@@ -1,6 +1,6 @@
-//! Counting instruments: relaxed-atomic [`Counter`]s and [`Gauge`]s
-//! for concurrent contexts, and the fixed-bucket [`Log2Histogram`]
-//! every latency/occupancy distribution in the workspace records into.
+//! Counting instruments: relaxed-atomic [`Counter`]s for concurrent
+//! contexts, and the fixed-bucket [`Log2Histogram`] every
+//! latency/occupancy distribution in the workspace records into.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,46 +32,6 @@ impl Counter {
     }
 
     /// The current tally.
-    #[inline]
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins level (queue depth, fleet size). Relaxed atomics;
-/// [`Gauge::dec`] saturates at zero rather than wrapping.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A fresh zero gauge.
-    #[must_use]
-    pub const fn new() -> Self {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Sets the level.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the level by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Lowers the level by one, saturating at zero.
-    #[inline]
-    pub fn dec(&self) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
-    }
-
-    /// The current level.
     #[inline]
     #[must_use]
     pub fn get(&self) -> u64 {
@@ -249,17 +209,6 @@ mod tests {
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
-    }
-
-    #[test]
-    fn gauge_dec_saturates() {
-        let g = Gauge::new();
-        g.dec();
-        assert_eq!(g.get(), 0);
-        g.inc();
-        g.set(7);
-        g.dec();
-        assert_eq!(g.get(), 6);
     }
 
     #[test]

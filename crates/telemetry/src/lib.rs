@@ -1,8 +1,7 @@
 //! `bnb-telemetry` — a hand-rolled observability layer for the
-//! balls-into-bins workspace: counters, gauges, log₂ histograms,
-//! sampled spans and two export formats (chrome://tracing JSON and
-//! Prometheus text exposition), all in safe Rust with no external
-//! dependencies.
+//! balls-into-bins workspace: counters, log₂ histograms, sampled spans
+//! and two export formats (chrome://tracing JSON and Prometheus text
+//! exposition), all in safe Rust with no external dependencies.
 //!
 //! # Design constraints
 //!
@@ -14,7 +13,7 @@
 //! - Enabled spans sample 1-in-N (`N` a power of two, a mask test on a
 //!   wrapping tick), so `Instant::now()` is paid on a small fraction of
 //!   iterations.
-//! - [`Counter`]/[`Gauge`] are relaxed atomics for concurrent contexts
+//! - [`Counter`]s are relaxed atomics for concurrent contexts
 //!   (the router data plane); single-threaded hot structures keep
 //!   plain-word stats and fold them into a [`MetricsSnapshot`] at
 //!   harvest time.
@@ -45,7 +44,7 @@ pub mod span;
 
 pub use bnb_stats::Mergeable;
 pub use export::{render_chrome_trace, render_prometheus};
-pub use instruments::{Counter, Gauge, Log2Histogram};
+pub use instruments::{Counter, Log2Histogram};
 pub use registry::Registry;
 pub use snapshot::MetricsSnapshot;
 pub use span::{Span, SpanToken, TraceEvent};
