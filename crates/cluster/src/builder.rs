@@ -162,15 +162,6 @@ impl Sim {
             Sim::Sharded(sim) => sim.telemetry_snapshot(),
         }
     }
-
-    /// The spec this simulator runs.
-    #[must_use]
-    pub fn spec(&self) -> &ClusterSpec {
-        match self {
-            Sim::Serial(sim) => sim.spec(),
-            Sim::Sharded(sim) => sim.spec(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -211,6 +202,6 @@ mod tests {
         assert!(matches!(sim, Sim::Sharded(_)));
         let m = sim.run();
         assert_eq!(m.completed + m.dropped, m.requests);
-        assert_eq!(sim.spec().requests, 10_000);
+        assert_eq!(m.requests, 10_000);
     }
 }

@@ -526,12 +526,6 @@ impl ShardedClusterSim {
         self.workers
     }
 
-    /// The spec this simulator runs.
-    #[must_use]
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
-    }
-
     /// Runs the full request budget and drains the queues; returns the
     /// final metrics. A second call is a no-op returning the same
     /// metrics.

@@ -195,7 +195,12 @@ impl DepartureBoard for LazyBoard {
 /// [`crate::SimBuilder`].
 #[derive(Debug)]
 pub struct ClusterSim {
-    spec: ClusterSpec,
+    /// The spec fields a run reads after build: the placement policy
+    /// (for the lookahead gate), the request budget and the churn
+    /// schedule.
+    placement: PlacementSpec,
+    requests: u64,
+    churn: Option<ChurnConfig>,
     fleet: Fleet,
     router: PlacementEngine,
     arrivals: ArrivalSampler,
@@ -209,14 +214,13 @@ pub struct ClusterSim {
     joins: u64,
     leaves: u64,
     /// Every completed request's latency, filed in its radix bucket at 6
-    /// bytes a value, with the running sum and max;
-    /// [`ClusterMetrics::collect`] summarises and frees it. `drive`
-    /// reserves its chunks from the request budget.
+    /// bytes a value, or 5 when the key's low byte is zero, with the
+    /// running sum and max; [`ClusterMetrics::collect`] summarises and
+    /// frees it. `drive` reserves its chunks from the request budget.
     latencies: SampleSummary,
-    /// The latency store's radix buckets in use and chunks allocated,
-    /// read just before `collect` consumes it.
-    latency_buckets: u64,
-    latency_chunks: u64,
+    /// The latency store's counters, read just before `collect`
+    /// consumes it (see [`ClusterSim::telemetry_snapshot`]).
+    latency_store: [(&'static str, u64); 4],
     /// Metrics of the finished run (computed once; reruns return it).
     result: Option<ClusterMetrics>,
     /// Per-component spans (inert unless [`crate::SimBuilder::telemetry`]
@@ -277,14 +281,15 @@ impl ClusterSim {
             joins: 0,
             leaves: 0,
             latencies: SampleSummary::new(),
-            latency_buckets: 0,
-            latency_chunks: 0,
+            latency_store: store_counters(&SampleSummary::new()),
             result: None,
             tele: SimTelemetry::disabled(),
             lazy_stats: LazyStats::new(),
             stale_departures: 0,
             lookahead_touches: 0,
-            spec,
+            placement: spec.placement,
+            requests: spec.requests,
+            churn: spec.churn,
         }
     }
 
@@ -305,25 +310,25 @@ impl ClusterSim {
     /// (`sim.stale_departures`), fleet records the lookahead loaded
     /// early (`sim.lookahead_touches`), admissions that overflowed a
     /// server's inline ring (`fleet.fifo_spills`), the latency store's
-    /// radix buckets in use and 64-value chunks allocated
-    /// (`latency.buckets`, `latency.chunks`), and arrival-thinning
+    /// radix buckets in use, chunks allocated, bytes held and narrow
+    /// chunks closed early (`latency.buckets`, `latency.chunks`,
+    /// `latency.bytes`, `latency.early_closes`), and arrival-thinning
     /// counts — into one exportable snapshot. Meaningful after
     /// [`ClusterSim::run`]; the internals counters are live (always on)
     /// even when the spans were never enabled.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
-        self.tele.harvest(
-            &self.lazy_stats,
-            &[
-                ("sim.arrived", self.arrived),
-                ("sim.stale_departures", self.stale_departures),
-                ("sim.lookahead_touches", self.lookahead_touches),
-                ("fleet.fifo_spills", self.fleet.fifo_spills()),
-                ("latency.buckets", self.latency_buckets),
-                ("latency.chunks", self.latency_chunks),
-            ],
-            self.arrivals.thinning_counts(),
-        )
+        let counters: Vec<(&str, u64)> = [
+            ("sim.arrived", self.arrived),
+            ("sim.stale_departures", self.stale_departures),
+            ("sim.lookahead_touches", self.lookahead_touches),
+            ("fleet.fifo_spills", self.fleet.fifo_spills()),
+        ]
+        .into_iter()
+        .chain(self.latency_store)
+        .collect();
+        self.tele
+            .harvest(&self.lazy_stats, &counters, self.arrivals.thinning_counts())
     }
 
     /// Runs the full request budget and drains the queues; returns the
@@ -344,8 +349,7 @@ impl ClusterSim {
         } else {
             self.drive::<B, false>()
         };
-        self.latency_buckets = self.latencies.buckets_used() as u64;
-        self.latency_chunks = self.latencies.chunks_allocated() as u64;
+        self.latency_store = store_counters(&self.latencies);
         let metrics = ClusterMetrics::collect(
             &self.fleet,
             std::mem::take(&mut self.latencies),
@@ -363,7 +367,7 @@ impl ClusterSim {
     /// d = 2 placement on a fleet whose record array outgrows
     /// [`LOOKAHEAD_FOOTPRINT`].
     fn lookahead(&self) -> bool {
-        matches!(self.spec.placement, PlacementSpec::DChoice { d: 2 })
+        matches!(self.placement, PlacementSpec::DChoice { d: 2 })
             && std::mem::size_of_val(self.fleet.servers()) > LOOKAHEAD_FOOTPRINT
     }
 
@@ -387,14 +391,13 @@ impl ClusterSim {
         /// per request otherwise) without outrunning the latency the
         /// drain loop can observe.
         const ARRIVAL_BLOCK: usize = 64;
-        let requests = self.spec.requests;
+        let requests = self.requests;
         if requests == 0 {
             return 0.0;
         }
         self.latencies.reserve(requests as usize);
         let needs_key = self.router.needs_key();
         let (mut next_churn, churn_interval) = self
-            .spec
             .churn
             .map_or((f64::INFINITY, f64::INFINITY), |c| (c.start, c.interval));
         let mut departures = B::with_slots(self.fleet.n_slots());
@@ -545,12 +548,16 @@ impl ClusterSim {
     pub fn fleet(&self) -> &Fleet {
         &self.fleet
     }
+}
 
-    /// The spec this simulator runs.
-    #[must_use]
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
-    }
+/// The latency store's telemetry counters.
+fn store_counters(store: &SampleSummary) -> [(&'static str, u64); 4] {
+    [
+        ("latency.buckets", store.buckets_used() as u64),
+        ("latency.chunks", store.chunks_allocated() as u64),
+        ("latency.bytes", store.bytes() as u64),
+        ("latency.early_closes", store.early_closes() as u64),
+    ]
 }
 
 #[cfg(test)]
@@ -652,25 +659,32 @@ mod tests {
 
     #[test]
     fn latency_store_counters_describe_the_store_collect_freed() {
-        // Every completed latency sits in a 64-value chunk of its radix
-        // bucket, and only a bucket's last chunk is partial.
+        // Every completed latency sits in a chunk of its radix bucket: a
+        // wide chunk holds up to 64 values, a narrow one up to 76. Only
+        // a bucket's last chunk and narrow chunks closed early are
+        // partial, and each early close follows a full chunk.
         for scenario in registry() {
             let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
             let mut sim = SimBuilder::scenario(scenario, requests).seed(3).build();
             let m = sim.run();
             let snap = sim.telemetry_snapshot();
-            let buckets = snap.counter("latency.buckets").expect("latency.buckets");
-            let chunks = snap.counter("latency.chunks").expect("latency.chunks");
+            let counter = |name| snap.counter(name).expect(name);
+            let buckets = counter("latency.buckets");
+            let chunks = counter("latency.chunks");
+            let bytes = counter("latency.bytes");
+            let early = counter("latency.early_closes");
             let id = scenario.id;
             assert!(
                 buckets > 0 && buckets <= m.completed,
                 "{id}: {buckets} buckets"
             );
-            assert!(chunks >= m.completed.div_ceil(64), "{id}: {chunks} chunks");
+            assert!(chunks >= m.completed.div_ceil(76), "{id}: {chunks} chunks");
+            assert!(early <= m.completed / 64, "{id}: {early} early closes");
             assert!(
-                chunks <= m.completed / 64 + buckets,
+                chunks <= m.completed / 64 + early + buckets,
                 "{id}: {chunks} chunks"
             );
+            assert_eq!(bytes, chunks * 388, "{id}: {bytes} bytes");
         }
     }
 

@@ -59,46 +59,68 @@ impl AliasTable {
     /// value, or sums to zero.
     #[must_use]
     pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "alias table needs at least one weight");
-        assert!(
-            weights.len() <= u32::MAX as usize,
-            "alias table limited to u32 indices"
-        );
+        Self::from_weight_iter(weights.iter().copied())
+    }
+
+    /// Builds the table [`AliasTable::new`] builds from the collected
+    /// weights, reading them once, in order, without the slice.
+    ///
+    /// # Panics
+    /// Panics under the same conditions as [`AliasTable::new`].
+    #[must_use]
+    pub fn from_weight_iter(weights: impl IntoIterator<Item = f64>) -> Self {
+        // Each column holds its weight's bits, then its scaled weight's
+        // (mean 1.0), until Vose's loop packs it.
         let mut total = 0.0;
-        for (i, &w) in weights.iter().enumerate() {
-            assert!(w.is_finite() && w >= 0.0, "weight {i} invalid: {w}");
-            total += w;
-        }
+        let mut cols: Vec<u64> = weights
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| {
+                assert!(w.is_finite() && w >= 0.0, "weight {i} invalid: {w}");
+                total += w;
+                w.to_bits()
+            })
+            .collect();
+        let n = cols.len();
+        assert!(n > 0, "alias table needs at least one weight");
+        assert!(n <= u32::MAX as usize, "alias table limited to u32 indices");
         assert!(total > 0.0, "total weight must be positive");
 
-        let n = weights.len();
-        // Scaled weights: mean 1.0.
+        // Vose's two worklists share one array: the small stack grows
+        // from the front (`work[..small]`), the large one from the back
+        // (`work[large..]`, top at `work[large]`). Each index sits in
+        // one of them until its column is packed, so they never meet.
         let scale = n as f64 / total;
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-        let mut small: Vec<u32> = Vec::with_capacity(n);
-        let mut large: Vec<u32> = Vec::with_capacity(n);
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(i as u32);
+        let mut work = vec![0u32; n];
+        let (mut small, mut large) = (0, n);
+        for (i, col) in cols.iter_mut().enumerate() {
+            let scaled = f64::from_bits(*col) * scale;
+            *col = scaled.to_bits();
+            if scaled < 1.0 {
+                work[small] = i as u32;
+                small += 1;
             } else {
-                large.push(i as u32);
+                large -= 1;
+                work[large] = i as u32;
             }
         }
-
-        let mut cols: Vec<u64> = (0..n as u32).map(|i| pack_col(u32::MAX, i)).collect();
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            cols[s as usize] = pack_col(to_fixed(scaled[s as usize]), l);
+        while small > 0 && large < n {
+            small -= 1;
+            let (s, l) = (work[small] as usize, work[large]);
+            let scaled_s = f64::from_bits(cols[s]);
+            cols[s] = pack_col(to_fixed(scaled_s), l);
             // Donate the excess of `l` to cover `s`'s deficit.
-            scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
-            if scaled[l as usize] < 1.0 {
-                large.pop();
-                small.push(l);
+            let scaled_l = (f64::from_bits(cols[l as usize]) + scaled_s) - 1.0;
+            cols[l as usize] = scaled_l.to_bits();
+            if scaled_l < 1.0 {
+                large += 1;
+                work[small] = l;
+                small += 1;
             }
         }
         // Whatever remains in either list has probability 1 of itself
         // (floating-point leftovers hover around 1.0).
-        for &i in small.iter().chain(large.iter()) {
+        for &i in work[..small].iter().chain(&work[large..]) {
             cols[i as usize] = pack_col(u32::MAX, i);
         }
 
@@ -112,8 +134,7 @@ impl AliasTable {
     /// Panics if `capacities` is empty or all zero.
     #[must_use]
     pub fn from_capacities(capacities: &[u64]) -> Self {
-        let weights: Vec<f64> = capacities.iter().map(|&c| c as f64).collect();
-        AliasTable::new(&weights)
+        AliasTable::from_weight_iter(capacities.iter().map(|&c| c as f64))
     }
 
     /// Exact sampling probability of index `i` as encoded by the table
@@ -204,6 +225,69 @@ impl WeightedSampler for AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The columns of Vose's build as the textbook has it: a scaled
+    /// copy of the weights and two worklists, each a LIFO stack filled
+    /// in index order.
+    fn textbook_cols(weights: &[f64]) -> Vec<u64> {
+        let n = weights.len();
+        let total: f64 = weights.iter().fold(0.0, |t, &w| t + w);
+        let scale = n as f64 / total;
+        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
+        let (mut small, mut large): (Vec<u32>, Vec<u32>) =
+            (0..n as u32).partition(|&i| scaled[i as usize] < 1.0);
+        let mut cols: Vec<u64> = (0..n as u32).map(|i| pack_col(u32::MAX, i)).collect();
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            cols[s as usize] = pack_col(to_fixed(scaled[s as usize]), l);
+            scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
+            if scaled[l as usize] < 1.0 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        for &i in small.iter().chain(&large) {
+            cols[i as usize] = pack_col(u32::MAX, i);
+        }
+        cols
+    }
+
+    proptest! {
+        /// Random weights, with zeros, ties and wide ranges, build
+        /// exactly the textbook's columns, so every draw agrees too.
+        #[test]
+        fn build_matches_the_textbook_vose_build(
+            weights in proptest::collection::vec(
+                prop_oneof![
+                    0.0f64..100.0,
+                    Just(0.0),
+                    (1u64..9).prop_map(|k| k as f64),
+                    (0.0f64..1.0).prop_map(|x| x * 1e12),
+                ],
+                1..300,
+            ),
+        ) {
+            prop_assume!(weights.iter().sum::<f64>() > 0.0);
+            let table = AliasTable::new(&weights);
+            prop_assert_eq!(&table.cols, &textbook_cols(&weights));
+            prop_assert_eq!(table.total.to_bits(), weights.iter().fold(0.0, |t: f64, &w| t + w).to_bits());
+        }
+    }
+
+    #[test]
+    fn two_class_fleet_builds_the_textbook_columns() {
+        // A 65536×1 + 65536×8 fleet's speeds, as the cluster simulator
+        // passes them.
+        let speeds: Vec<u64> = (0..1 << 17)
+            .map(|i| if i < 1 << 16 { 1 } else { 8 })
+            .collect();
+        let weights: Vec<f64> = speeds.iter().map(|&s| s as f64).collect();
+        assert_eq!(
+            AliasTable::from_capacities(&speeds).cols,
+            textbook_cols(&weights)
+        );
+    }
 
     #[test]
     fn encoded_probabilities_match_weights() {

@@ -453,11 +453,13 @@ impl Routes {
             | PlacementSpec::ShortestQueue { .. }
             | PlacementSpec::UniformDChoice { .. } => {
                 let uniform = matches!(self.spec, PlacementSpec::UniformDChoice { .. });
-                let weights: Vec<f64> = members
-                    .iter()
-                    .map(|m| if uniform { 1.0 } else { m.speed as f64 })
-                    .collect();
-                self.alias = Some(AliasTable::new(&weights));
+                self.alias = Some(AliasTable::from_weight_iter(members.iter().map(|m| {
+                    if uniform {
+                        1.0
+                    } else {
+                        m.speed as f64
+                    }
+                })));
             }
             PlacementSpec::ConsistentHash { vnodes }
             | PlacementSpec::HashThenProbe { vnodes, .. } => {

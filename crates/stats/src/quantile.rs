@@ -3,10 +3,11 @@
 //! [`quantile`] sorts a copy, and [`quantile_select`] quickselects one
 //! level in place. [`SampleSummary`] serves a sample built value by
 //! value, such as a simulator's latencies: it keeps the sum and the max
-//! as values arrive and files each value under its radix bucket, so
-//! several levels cost a counting radix select over the few buckets
-//! that hold the wanted order statistics, never a pass over the whole
-//! sample. All three return the same type-7 values bit for bit.
+//! as values arrive and files each value under its radix bucket in 6
+//! bytes, or 5 when the low byte of its key is zero, so several levels
+//! cost a counting radix select over the few buckets that hold the
+//! wanted order statistics, never a pass over the whole sample. All
+//! three return the same type-7 values bit for bit.
 
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of `values` using linear
 /// interpolation between order statistics (type-7 / R default definition).
@@ -127,19 +128,52 @@ pub fn from_monotone_bits(key: u64) -> f64 {
 /// 16 bits (sign, exponent and the top 4 mantissa bits).
 const BUCKETS: usize = 1 << 16;
 
-/// Values per chunk of a bucket's chain.
-const CHUNK: usize = 64;
+/// Bytes per chunk of a bucket's chain.
+const CHUNK_BYTES: usize = 384;
 
-/// The link of a bucket's first chunk, and the tail of an empty bucket.
-/// Chunk references are 1-based (`c + 1` names `chunks[c]`), so freshly
-/// zeroed tails mean every bucket is empty.
+/// Values a wide chunk holds: the low 48 bits of each key, 6 bytes a
+/// value.
+const WIDE: usize = 64;
+
+/// Values a narrow chunk holds: key bits 8..48, 5 bytes a value, for
+/// keys whose low byte is zero.
+const NARROW: usize = 76;
+
+/// The byte of a narrow chunk, past its values, that keeps the room it
+/// had left when it closed early (zero when it closed full).
+const ROOM_AT: usize = CHUNK_BYTES - 1;
+
+// Wide values fill a chunk; narrow values, as many as fit, end before
+// its room byte.
+const _: () =
+    assert!(6 * WIDE == CHUNK_BYTES && 5 * NARROW <= ROOM_AT && 5 * (NARROW + 1) > ROOM_AT);
+
+/// The link of a bucket's first chunk, and the last chunk of an empty
+/// bucket. Chunk references are 1-based (`c + 1` names `chunks[c]`), so
+/// freshly zeroed tail words mean every bucket is empty.
 const NO_CHUNK: u32 = 0;
 
-/// Up to [`CHUNK`] values of one radix bucket. The bucket fixes a
-/// key's top 16 bits, so a value is stored as the low 48 bits of its
-/// [`monotone_bits`] key: three 16-bit digits, most significant first.
-/// 6 bytes per value.
-type Chunk = [[u16; 3]; CHUNK];
+/// Set in a chunk reference when the chunk it names is narrow.
+const NARROW_REF: u32 = 1 << 31;
+
+/// The arena index of the chunk `reference` names.
+#[inline]
+fn chunk_index(reference: u32) -> usize {
+    (reference & !NARROW_REF) as usize - 1
+}
+
+/// The values a bucket's last chunk still has room for, from the
+/// bucket's tail word and count (see `SampleSummary::tails`).
+#[inline]
+fn room_left(tail: u64, count: u32) -> usize {
+    ((tail >> 32) as u32).wrapping_sub(count) as usize
+}
+
+/// Up to [`WIDE`] or [`NARROW`] values of one radix bucket. The bucket
+/// fixes a key's top 16 bits, so a wide chunk stores the low 48 bits
+/// of each value's [`monotone_bits`] key in 6 little-endian bytes, and
+/// a narrow one bits 8..48 in 5 bytes. Either way 384 bytes.
+type Chunk = [u8; CHUNK_BYTES];
 
 /// One bucket's chain of chunks, read from its last chunk back.
 #[derive(Clone, Copy)]
@@ -147,8 +181,9 @@ struct Chain<'a> {
     chunks: &'a [Chunk],
     links: &'a [u32],
     bucket: u64,
-    tail: u32,
-    /// Values in the chain (non-zero).
+    /// The bucket's tail word.
+    tail: u64,
+    /// Values in the chain.
     count: u32,
 }
 
@@ -156,16 +191,30 @@ impl Chain<'_> {
     /// Calls `f` with the [`monotone_bits`] key of every value in the
     /// chain.
     fn for_each(self, mut f: impl FnMut(u64)) {
-        // Only the last chunk is partial; the earlier ones are full.
-        let mut fill = (self.count as usize - 1) % CHUNK + 1;
-        let mut at = self.tail;
-        while at != NO_CHUNK {
-            let c = at as usize - 1;
-            for &[d2, d1, d0] in &self.chunks[c][..fill] {
-                f(self.bucket << 48 | u64::from(d2) << 32 | u64::from(d1) << 16 | u64::from(d0));
+        let top = self.bucket << 48;
+        let mut reference = self.tail as u32;
+        // Room in the last chunk. An earlier wide chunk is full, and an
+        // earlier narrow one keeps its room at `ROOM_AT`.
+        let mut last_room = Some(room_left(self.tail, self.count));
+        while reference != NO_CHUNK {
+            let c = chunk_index(reference);
+            let chunk = &self.chunks[c];
+            if reference & NARROW_REF != 0 {
+                let room = last_room.take().unwrap_or(usize::from(chunk[ROOM_AT]));
+                for value in chunk[..5 * (NARROW - room)].chunks_exact(5) {
+                    let mut bytes = [0; 8];
+                    bytes[1..6].copy_from_slice(value);
+                    f(top | u64::from_le_bytes(bytes));
+                }
+            } else {
+                let room = last_room.take().unwrap_or(0);
+                for value in chunk[..6 * (WIDE - room)].chunks_exact(6) {
+                    let mut bytes = [0; 8];
+                    bytes[..6].copy_from_slice(value);
+                    f(top | u64::from_le_bytes(bytes));
+                }
             }
-            fill = CHUNK;
-            at = self.links[c];
+            reference = self.links[c];
         }
     }
 }
@@ -177,16 +226,24 @@ impl Chain<'_> {
 /// [`SampleSummary::push`] adds the value to the sum, raises the max
 /// when the value is greater, and appends it to one of 65536 buckets
 /// keyed by the top 16 bits of [`monotone_bits`]. A bucket is a chain
-/// of 64-value chunks that keeps only the low 48 bits of each key, 6
-/// bytes per value; every chain draws its chunks from one arena, and
-/// only a chain's last chunk is partial. [`SampleSummary::into_quantiles`]
-/// finds the buckets holding the order statistics each level needs
-/// from the bucket counts, then runs a counting radix select (three
-/// 16-bit digit passes) over each of those chains. The values are, bit
-/// for bit, those of [`quantile_sorted`] on the sample sorted by
-/// `total_cmp`. The first value allocates the 512 KiB of bucket counts
-/// and chain tails; the select reuses the counts as its digit
-/// histogram, so it allocates nothing in proportion to the sample.
+/// of 384-byte chunks drawn from one arena. A wide chunk keeps the low
+/// 48 bits of 64 keys, 6 bytes a value. A narrow chunk keeps 76 keys
+/// whose low byte is zero without that byte, 5 bytes a value: a
+/// simulator clock that has run to 2^k leaves the low k − e mantissa
+/// bits of a latency in binade e zero. A bucket's first chunk is wide.
+/// It opens a narrow chunk when every key of its previous chunk and
+/// the opening key have a zero low byte; a key with a non-zero low
+/// byte closes a narrow chunk early, and the bucket goes on in a wide
+/// one. `push` checks every key, so nothing is assumed and nothing is
+/// rounded. Only a chain's last chunk and early-closed chunks are
+/// partial. [`SampleSummary::into_quantiles`] finds the buckets
+/// holding the order statistics each level needs from the bucket
+/// counts, then runs a counting radix select (three 16-bit digit
+/// passes) over each of those chains. The values are, bit for bit,
+/// those of [`quantile_sorted`] on the sample sorted by `total_cmp`.
+/// The first value allocates the 768 KiB of bucket counts and tail
+/// words; the select reuses the counts as its digit histogram, so it
+/// allocates nothing in proportion to the sample.
 ///
 /// `From<Vec<f64>>` builds the same summary from a finished sample,
 /// pushing in vector order.
@@ -208,13 +265,19 @@ pub struct SampleSummary {
     max: f64,
     /// Values per bucket; empty until the first value arrives.
     counts: Vec<u32>,
-    /// Each bucket's last chunk (`NO_CHUNK` while the bucket is empty);
-    /// allocated with `counts`.
-    tails: Vec<u32>,
+    /// Each bucket's tail word: the reference to its last chunk in the
+    /// low 32 bits and, in the high 32, the bucket count at which that
+    /// chunk is full. The tail word changes only when a chunk opens. An
+    /// empty bucket's zero word names no chunk and is full at count 0,
+    /// so its first value opens one. Allocated with `counts`.
+    tails: Vec<u64>,
     /// The arena every chain draws its chunks from.
     chunks: Vec<Chunk>,
-    /// `links[c]`: the chunk before `chunks[c]` in its chain.
+    /// `links[c]`: the reference to the chunk before `chunks[c]` in its
+    /// chain.
     links: Vec<u32>,
+    /// Narrow chunks closed before they were full.
+    early_closes: usize,
 }
 
 impl Default for SampleSummary {
@@ -244,17 +307,19 @@ impl SampleSummary {
             tails: Vec::new(),
             chunks: Vec::new(),
             links: Vec::new(),
+            early_closes: 0,
         }
     }
 
     /// Reserves chunks for `additional` more values, so pushing them
-    /// never moves the arena. They open at most `additional / 64`
-    /// chunks they fill plus one partial chunk in each bucket they
-    /// reach, and they reach at most `min(additional, 65536)` buckets.
-    /// Capacity no value reaches is never written, so its pages are
-    /// never touched.
+    /// never moves the arena. Full chunks hold at least 64 values each.
+    /// A narrow chunk opens only after a full chunk, so a chunk closes
+    /// early at most once per full chunk before it; and each bucket the
+    /// values reach, at most `min(additional, 65536)` of them, adds one
+    /// partial last chunk. Capacity no value reaches is never written,
+    /// so its pages are never touched.
     pub fn reserve(&mut self, additional: usize) {
-        let chunks = additional.div_ceil(CHUNK) + additional.min(BUCKETS);
+        let chunks = 2 * additional.div_ceil(WIDE) + additional.min(BUCKETS);
         self.chunks.reserve(chunks);
         self.links.reserve(chunks);
     }
@@ -275,15 +340,69 @@ impl SampleSummary {
         }
         let key = monotone_bits(x);
         let b = (key >> 48) as usize;
-        let at = self.counts[b] as usize % CHUNK;
+        let count = self.counts[b];
         self.counts[b] += 1;
-        if at == 0 {
-            self.links.push(self.tails[b]);
-            self.chunks.push([[0; 3]; CHUNK]);
-            self.tails[b] = self.chunks.len() as u32;
+        let clean = key & 0xFF == 0;
+        // The tail word is written only when a chunk opens, so values
+        // filed in one bucket one after another do not wait on a store.
+        let mut tail = self.tails[b];
+        let mut room = room_left(tail, count);
+        if room == 0 || (tail as u32 & NARROW_REF != 0 && !clean) {
+            tail = self.open_chunk(tail, room, count, clean);
+            self.tails[b] = tail;
+            room = room_left(tail, count);
         }
-        self.chunks[self.tails[b] as usize - 1][at] =
-            [(key >> 32) as u16, (key >> 16) as u16, key as u16];
+        let chunk = &mut self.chunks[chunk_index(tail as u32)];
+        let bytes = key.to_le_bytes();
+        if tail as u32 & NARROW_REF != 0 {
+            let at = 5 * (NARROW - room);
+            chunk[at..at + 5].copy_from_slice(&bytes[1..6]);
+        } else {
+            let at = 6 * (WIDE - room);
+            chunk[at..at + 6].copy_from_slice(&bytes[..6]);
+        }
+    }
+
+    /// Opens the next chunk of a bucket holding `count` values, given
+    /// its tail word and the `room` left in its last chunk, for a key
+    /// whose low byte is zero when `clean`; returns the new tail word.
+    /// The last chunk is full, or narrow while the key is not clean.
+    /// Out of line, so the loop a caller inlines `push` into stays
+    /// small: unless a chunk closes early, one push in 64 to 76 opens a
+    /// chunk.
+    #[cold]
+    #[inline(never)]
+    fn open_chunk(&mut self, tail: u64, room: usize, count: u32, clean: bool) -> u64 {
+        let last = tail as u32;
+        // Whether every key of the last chunk has a zero low byte.
+        let last_clean = if last == NO_CHUNK {
+            false
+        } else if last & NARROW_REF != 0 {
+            if room > 0 {
+                self.chunks[chunk_index(last)][ROOM_AT] = room as u8;
+                self.early_closes += 1;
+            }
+            true
+        } else {
+            // A wide chunk closes full; each value's low byte comes
+            // first.
+            let chunk = &self.chunks[chunk_index(last)];
+            chunk.iter().step_by(6).all(|&low| low == 0)
+        };
+        let narrow = last_clean && clean;
+        assert!(
+            self.chunks.len() < NARROW_REF as usize,
+            "latency store holds 2^31 chunks"
+        );
+        self.links.push(last);
+        self.chunks.push([0; CHUNK_BYTES]);
+        let (capacity, flag) = if narrow {
+            (NARROW, NARROW_REF)
+        } else {
+            (WIDE, 0)
+        };
+        let full_at = count.wrapping_add(capacity as u32);
+        u64::from(full_at) << 32 | u64::from(self.chunks.len() as u32 | flag)
     }
 
     /// Allocates the counts and tails zeroed, so a page of either is
@@ -292,7 +411,7 @@ impl SampleSummary {
     #[inline(never)]
     fn allocate_buckets(&mut self) {
         self.counts = vec![0; BUCKETS];
-        self.tails = vec![NO_CHUNK; BUCKETS];
+        self.tails = vec![0; BUCKETS];
     }
 
     /// Number of values pushed.
@@ -328,11 +447,23 @@ impl SampleSummary {
         self.counts.iter().filter(|&&c| c > 0).count()
     }
 
-    /// Chunks the buckets' chains hold: one per 64 values of a bucket,
-    /// rounded up.
+    /// Chunks the buckets' chains hold, wide and narrow.
     #[must_use]
     pub fn chunks_allocated(&self) -> usize {
         self.chunks.len()
+    }
+
+    /// Bytes the chains hold: 384 per chunk plus its 4-byte link.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.chunks.len() * (CHUNK_BYTES + std::mem::size_of::<u32>())
+    }
+
+    /// Narrow chunks closed before they were full, each by a key whose
+    /// low byte is non-zero.
+    #[must_use]
+    pub fn early_closes(&self) -> usize {
+        self.early_closes
     }
 
     /// The type-7 quantiles at levels `qs`, equal bit for bit to
@@ -719,11 +850,88 @@ mod tests {
         ((next() << 24) ^ next()) & ((1 << 48) - 1)
     }
 
+    /// A key of bucket `top` whose low byte is zero when `clean` and
+    /// non-zero otherwise, its other low bits uniform.
+    fn key_in(top: u64, clean: bool, next: &mut impl FnMut() -> u64) -> u64 {
+        let low = low48(next) & !0xFF;
+        top << 48 | low | if clean { 0 } else { 1 + next() % 255 }
+    }
+
+    /// The values of `keys`.
+    fn values_of(keys: impl IntoIterator<Item = u64>) -> Vec<f64> {
+        keys.into_iter().map(from_monotone_bits).collect()
+    }
+
+    /// `values` pushed into a summary reserved for them; panics if the
+    /// arena moved or the chains do not hold exactly the values' keys.
+    fn filled(values: &[f64]) -> SampleSummary {
+        let mut s = SampleSummary::new();
+        s.reserve(values.len());
+        let capacity = (s.chunks.capacity(), s.links.capacity());
+        values.iter().for_each(|&x| s.push(x));
+        assert_eq!(
+            (s.chunks.capacity(), s.links.capacity()),
+            capacity,
+            "the arena moved"
+        );
+        assert_eq!(s.links.len(), s.chunks.len());
+        let mut stored = Vec::with_capacity(values.len());
+        for (b, (&tail, &count)) in s.tails.iter().zip(&s.counts).enumerate() {
+            let chain = Chain {
+                chunks: &s.chunks,
+                links: &s.links,
+                bucket: b as u64,
+                tail,
+                count,
+            };
+            chain.for_each(|key| stored.push(key));
+        }
+        stored.sort_unstable();
+        let mut keys: Vec<u64> = values.iter().map(|&x| monotone_bits(x)).collect();
+        keys.sort_unstable();
+        assert!(stored == keys, "the chains do not hold the pushed keys");
+        s
+    }
+
+    /// The chunks and early closes the width rule gives `values`, from
+    /// each bucket's keys in push order: a bucket's first chunk is
+    /// wide, and it opens a narrow chunk when every key of the chunk
+    /// before and the opening key have a zero low byte.
+    fn width_model(values: &[f64]) -> (usize, usize) {
+        let (mut chunks, mut early) = (0, 0);
+        // Per bucket, its open chunk: narrow, values, all clean.
+        let mut open = std::collections::HashMap::<u64, (bool, usize, bool)>::new();
+        for &x in values {
+            let key = monotone_bits(x);
+            let clean = key & 0xFF == 0;
+            let prev = open.get(&(key >> 48)).copied();
+            let next = match prev {
+                Some((narrow, n, all))
+                    if n < if narrow { NARROW } else { WIDE } && (clean || !narrow) =>
+                {
+                    (narrow, n + 1, all && clean)
+                }
+                _ => {
+                    chunks += 1;
+                    if matches!(prev, Some((true, n, _)) if n < NARROW) {
+                        early += 1;
+                    }
+                    (clean && prev.is_some_and(|(_, _, all)| all), 1, clean)
+                }
+            };
+            open.insert(key >> 48, next);
+        }
+        (chunks, early)
+    }
+
     #[test]
-    fn store_keeps_six_bytes_per_value_plus_one_partial_chunk_per_bucket() {
-        let chunk_bytes = std::mem::size_of::<Chunk>();
-        assert_eq!(chunk_bytes, 6 * CHUNK);
+    fn store_keeps_six_bytes_a_value_or_five_when_the_low_byte_is_zero() {
+        assert_eq!(std::mem::size_of::<Chunk>(), 6 * WIDE);
+        let per_chunk = CHUNK_BYTES + 4;
         let mut next = lcg(6);
+
+        // Full-precision keys: a zero low byte is rare, so no chunk is
+        // ever all clean and every chunk is wide.
         let mut s = SampleSummary::new();
         for _ in 0..100_000 {
             s.push(-((next() + 1) as f64 / (1u64 << 44) as f64).ln());
@@ -731,39 +939,99 @@ mod tests {
         // Buckets filled exactly to a chunk boundary, one past it and
         // one short of it.
         for (top, count) in [
-            (0x9000u64, CHUNK),
-            (0x9001, CHUNK + 1),
-            (0x9002, 2 * CHUNK - 1),
+            (0x9000u64, WIDE),
+            (0x9001, WIDE + 1),
+            (0x9002, 2 * WIDE - 1),
         ] {
             for _ in 0..count {
-                s.push(from_monotone_bits(top << 48 | low48(&mut next)));
+                s.push(from_monotone_bits(key_in(top, false, &mut next)));
             }
         }
         let used = s.buckets_used();
         assert!(used > 3);
-        let full_or_partial: usize = s.counts.iter().map(|&c| (c as usize).div_ceil(CHUNK)).sum();
-        assert_eq!(s.chunks_allocated(), full_or_partial);
-        assert_eq!(s.links.len(), s.chunks.len());
-        assert!(s.chunks.len() * chunk_bytes <= 6 * s.len() + used * chunk_bytes);
-        assert!(s.chunks.len() * chunk_bytes > 6 * s.len());
+        let wide: usize = s.counts.iter().map(|&c| (c as usize).div_ceil(WIDE)).sum();
+        assert_eq!(s.chunks_allocated(), wide);
+        assert_eq!(s.early_closes(), 0);
+        assert_eq!(s.bytes(), wide * per_chunk);
+        assert!(s.chunks.len() * CHUNK_BYTES <= 6 * s.len() + used * CHUNK_BYTES);
+        assert!(s.chunks.len() * CHUNK_BYTES > 6 * s.len());
+
+        // Clean keys: each bucket's first chunk is wide, the rest narrow.
+        let sizes = [1, WIDE, WIDE + 1, WIDE + NARROW, WIDE + NARROW + 1, 10_000];
+        let keys = sizes.iter().enumerate().flat_map(|(i, &n)| {
+            let mut next = lcg(i as u64);
+            (0..n).map(move |_| key_in(0xA000 + i as u64, true, &mut next))
+        });
+        let values = values_of(keys);
+        let s = filled(&values);
+        let want: usize = sizes
+            .iter()
+            .map(|&n| 1 + n.saturating_sub(WIDE).div_ceil(NARROW))
+            .sum();
+        assert_eq!(s.chunks_allocated(), want);
+        assert_eq!(s.early_closes(), 0);
+        assert!(s.bytes() > 5 * s.len() && s.bytes() < 6 * s.len());
+        assert_matches_sort(&values);
+
+        // Strict alternation never fills a chunk with clean keys, so it
+        // stays wide and never closes a chunk early.
+        let values = values_of((0..1000).map(|i| key_in(0xB000, i % 2 == 0, &mut next)));
+        let s = filled(&values);
+        assert_eq!(
+            (s.chunks_allocated(), s.early_closes()),
+            (1000usize.div_ceil(WIDE), 0)
+        );
+        assert_matches_sort(&values);
+
+        // A key with a non-zero low byte closes a narrow chunk early and
+        // opens a wide one; the next chunk is wide too.
+        let pattern = [(WIDE + 10, true), (1, false), (WIDE, true)];
+        let keys = pattern
+            .iter()
+            .flat_map(|&(n, clean)| std::iter::repeat_n(clean, n))
+            .map(|clean| key_in(0xC000, clean, &mut next))
+            .collect::<Vec<_>>();
+        let values = values_of(keys);
+        assert_matches_sort(&values);
+        let s = filled(&values);
+        assert_eq!((s.chunks_allocated(), s.early_closes()), (4, 1));
+        assert_eq!(width_model(&values), (4, 1));
     }
 
     #[test]
     fn reserved_arena_holds_values_spread_over_every_bucket() {
         // Each value opening its own bucket is the most chunks `n`
-        // values can take: one partial chunk each, up to every bucket.
+        // values can take without an early close: one partial chunk
+        // each, up to every bucket.
         let mut next = lcg(8);
         for (n, per_bucket) in [(2_000, 1), (2 * BUCKETS, 2)] {
-            let mut s = SampleSummary::new();
-            s.reserve(n);
-            let capacity = (s.chunks.capacity(), s.links.capacity());
-            for i in 0..n {
+            let values = values_of((0..n).map(|i| {
                 let top = (i / per_bucket * 7919 % BUCKETS) as u64;
-                s.push(from_monotone_bits(top << 48 | low48(&mut next)));
-            }
-            assert_eq!(s.chunks_allocated(), n / per_bucket);
-            assert_eq!((s.chunks.capacity(), s.links.capacity()), capacity);
+                top << 48 | low48(&mut next)
+            }));
+            assert_eq!(filled(&values).chunks_allocated(), n / per_bucket);
         }
+    }
+
+    #[test]
+    fn reserved_arena_holds_the_most_early_closes() {
+        // Per bucket, a full clean wide chunk, a narrow chunk closed
+        // early by its second key, a full dirty wide chunk, and again:
+        // three chunks per 129 values, in 300 interleaved buckets.
+        let mut next = lcg(9);
+        let cycle: Vec<bool> = std::iter::repeat_n(true, WIDE + 1)
+            .chain(std::iter::repeat_n(false, WIDE))
+            .collect();
+        let rounds = 5;
+        let keys = (0..rounds * cycle.len())
+            .flat_map(|i| (0..300).map(move |top| (top, i)))
+            .map(|(top, i)| key_in(top, cycle[i % cycle.len()], &mut next));
+        let values = values_of(keys);
+        assert_matches_sort(&values);
+        let s = filled(&values);
+        assert_eq!(s.early_closes(), 300 * rounds);
+        assert_eq!(s.chunks_allocated(), 300 * 3 * rounds);
+        assert_eq!(width_model(&values), (300 * 3 * rounds, 300 * rounds));
     }
 
     #[test]
@@ -786,7 +1054,7 @@ mod tests {
         // would panic on the index.
         for b in 0..BUCKETS {
             if b != wanted && s.counts[b] > 0 {
-                s.tails[b] = u32::MAX;
+                s.tails[b] = u64::from(!NARROW_REF);
             }
         }
         let [median] = s.into_quantiles([0.5]).expect("non-empty");
@@ -816,11 +1084,11 @@ mod tests {
                 (
                     any::<u16>(),
                     prop_oneof![
-                        Just(CHUNK - 1),
-                        Just(CHUNK),
-                        Just(CHUNK + 1),
-                        Just(2 * CHUNK),
-                        1usize..3 * CHUNK,
+                        Just(WIDE - 1),
+                        Just(WIDE),
+                        Just(WIDE + 1),
+                        Just(2 * WIDE),
+                        1usize..3 * WIDE,
                     ],
                     any::<bool>(),
                 ),
@@ -864,6 +1132,69 @@ mod tests {
             let values: Vec<f64> = ks.iter().map(|&k| 1.0 + k as f64 * f64::EPSILON).collect();
             prop_assert!(values.iter().all(|&x| bucket(x) == bucket(1.0)));
             assert_matches_sort(&values);
+        }
+
+        /// Buckets fed runs of keys with a zero or a non-zero low byte,
+        /// or strictly alternating ones, around the chunk sizes of both
+        /// widths, merged in an order that keeps each bucket's own, with
+        /// special values: the output matches the sort, the chunks and
+        /// early closes follow the width rule, and the reserved arena
+        /// never moves.
+        #[test]
+        fn summary_matches_sort_across_widths(
+            buckets in proptest::collection::vec(
+                (
+                    0u64..8,
+                    proptest::collection::vec(
+                        (
+                            0u8..3,
+                            prop_oneof![
+                                1usize..4,
+                                Just(WIDE - 1),
+                                Just(WIDE),
+                                Just(WIDE + 1),
+                                Just(NARROW - 1),
+                                Just(NARROW),
+                                Just(NARROW + 1),
+                                1usize..3 * NARROW,
+                            ],
+                        ),
+                        1..6,
+                    ),
+                ),
+                1..4,
+            ),
+            specials in proptest::collection::vec(0..SPECIALS.len(), 0..12),
+            seed in any::<u64>(),
+        ) {
+            let mut next = lcg(seed);
+            // Each bucket's keys, in its own order: 0 a clean run, 1 a
+            // dirty run, 2 strict alternation.
+            let mut queues: Vec<std::collections::VecDeque<u64>> = buckets
+                .iter()
+                .map(|(top, runs)| {
+                    let top = 0x3FF0 + top;
+                    runs.iter()
+                        .flat_map(|&(kind, n)| (0..n).map(move |i| kind == 0 || (kind == 2 && i % 2 == 0)))
+                        .map(|clean| key_in(top, clean, &mut next))
+                        .collect()
+                })
+                .collect();
+            let mut values = Vec::new();
+            while !queues.is_empty() {
+                let q = (next() % queues.len() as u64) as usize;
+                values.push(from_monotone_bits(queues[q].pop_front().expect("non-empty")));
+                if queues[q].is_empty() {
+                    queues.swap_remove(q);
+                }
+            }
+            for &i in &specials {
+                let at = (next() % (values.len() as u64 + 1)) as usize;
+                values.insert(at, SPECIALS[i]);
+            }
+            assert_matches_sort(&values);
+            let s = filled(&values);
+            prop_assert_eq!((s.chunks_allocated(), s.early_closes()), width_model(&values));
         }
 
         /// Pushing value by value and converting the finished vector
