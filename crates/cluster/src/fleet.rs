@@ -1,30 +1,29 @@
 //! The heterogeneous server fleet: finite-queue servers with latency
 //! bookkeeping and churn (servers joining and leaving mid-run).
 //!
-//! Each slot is **one cache-line-pair record** ([`ClusterServer`],
-//! 128 bytes, 128-byte aligned) holding exactly the state the
-//! cluster's serving loop and end-of-run metrics read: speed and its
-//! reciprocal, queue length, peak queue, completions, drops, a stable
-//! membership id for consistent-hash placement, the alive flag, and an
-//! inline ring of the admission times of the jobs in the system. The
-//! placement compare, `try_join`, `depart` and the departure-scheduling
-//! `1 / speed` all read the same record, so serving one request pulls
-//! one line pair per server it looks at.
+//! Each slot is **one cache-line record** ([`ClusterServer`], 64
+//! bytes, 64-byte aligned) holding exactly the state the cluster's
+//! serving loop and end-of-run metrics read: speed and its reciprocal,
+//! queue length, peak queue, completions, drops, the alive flag, the
+//! admission time of the job in service and the two ends of the list
+//! of jobs waiting behind it. The placement compare, `try_join`,
+//! `depart` and the departure-scheduling `1 / speed` all read the same
+//! line, so serving one request pulls one line per server it looks at.
 //!
-//! A server with more than `INLINE_ADMISSIONS` (8) jobs in the system
-//! keeps its oldest admissions in the ring and spills the newer ones,
-//! in FIFO order, to a side store owned by the fleet. Only slots that
-//! actually spill get a side buffer, and `fifo_spills` counts every
-//! admission that went there, so a ring too short for a workload shows
-//! up in the telemetry snapshot.
+//! The admission times of waiting jobs live in one fleet-wide pool of
+//! 16-byte `(time, next)` nodes, a FIFO list per server. Nodes freed by
+//! departures, and all the nodes of a server that leaves, go on a free
+//! list that is reused before the pool grows, so the pool follows the
+//! peak number of jobs waiting across the fleet, not its server count.
+//! `queued` counts the admissions that went through the pool and
+//! `pool_nodes` gives its high-water mark, for the telemetry snapshot.
 //!
 //! Slots are never reused or revived — a departed server's slot stays
 //! dead forever — so `is_alive()` alone identifies stale departure
-//! events after churn.
+//! events after churn, and a slot's index is its stable membership id.
 
 use bnb_queueing::events::Time;
 use bnb_router::{LoadView, Member, Membership};
-use std::collections::VecDeque;
 
 /// Outcome of offering a job to a server through [`Fleet::try_join`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,27 +37,20 @@ pub enum Admission {
     Dropped,
 }
 
-/// Admission times a server holds inline, in its own record. Sized so
-/// the ring fills the record's second cache line exactly; deeper
-/// queues spill to the fleet's side store.
-const INLINE_ADMISSIONS: usize = 8;
-
-/// `ClusterServer::spill` of a slot that has never spilled.
-const NO_SPILL: u32 = u32::MAX;
+/// The end of a pool list: the `head` of a server with no job waiting,
+/// and the `next` of a list's last node.
+const NIL: u32 = u32::MAX;
 
 /// One cluster server: queue counters plus latency and membership
-/// state, laid out as one 128-byte record on a 128-byte boundary.
+/// state, laid out as one 64-byte record on a 64-byte boundary.
 ///
-/// The first cache line holds the counters; the hot fields are
-/// `queue` and `speed` (read by every placement compare),
-/// `inv_speed` (every departure schedule), `max_queue`, `completed`
-/// and `head` (every join and depart) and `alive` (every join). The
-/// second line is the admission ring.
+/// The hot fields are `queue` and `speed` (read by every placement
+/// compare), `inv_speed` (every departure schedule), `max_queue`,
+/// `completed`, `first` and `head` (every join and depart) and `alive`
+/// (every join).
 #[derive(Debug, Clone)]
-#[repr(C, align(128))]
+#[repr(C, align(64))]
 pub struct ClusterServer {
-    /// Jobs in the system (queue + in service).
-    queue: u64,
     speed: u64,
     /// `1 / speed`, precomputed once per server.
     inv_speed: f64,
@@ -68,45 +60,37 @@ pub struct ClusterServer {
     completed: u64,
     /// Jobs rejected at a full queue.
     dropped: u64,
-    /// Stable membership id (never reused, feeds the hash ring).
-    id: u64,
-    /// Index of this slot's buffer in the fleet's side store, or
-    /// `NO_SPILL` until the slot first overflows its ring.
-    spill: u32,
-    /// Ring position of the oldest admission in the system.
-    head: u8,
+    /// Admission time of the job in service (stale while idle).
+    first: Time,
+    /// Jobs in the system (queue + in service).
+    queue: u32,
+    /// Pool nodes of the oldest and the newest waiting job; `head` is
+    /// `NIL` (and `tail` stale) while no job waits.
+    head: u32,
+    tail: u32,
     alive: bool,
-    /// Admission times of the oldest `min(queue, INLINE_ADMISSIONS)`
-    /// jobs in the system, FIFO from `head`, wrapping.
-    ring: [Time; INLINE_ADMISSIONS],
 }
 
-// Layout guard: a record is exactly one aligned cache-line pair, the
-// counters (`repr(C)` keeps declaration order) filling the first line
-// and the ring the second, whose positions fit the `u8` head. A field
-// that breaks this fails to compile.
+// Layout guard: a record is one aligned cache line, or this fails to compile.
 const _: () = {
-    assert!(std::mem::size_of::<ClusterServer>() == 128);
-    assert!(std::mem::align_of::<ClusterServer>() == 128);
-    assert!(std::mem::offset_of!(ClusterServer, ring) == 64);
-    assert!(INLINE_ADMISSIONS <= u8::MAX as usize);
+    assert!(std::mem::size_of::<ClusterServer>() == 64);
+    assert!(std::mem::align_of::<ClusterServer>() == 64);
 };
 
 impl ClusterServer {
-    fn new(speed: u64, id: u64) -> Self {
+    fn new(speed: u64) -> Self {
         assert!(speed > 0, "server speed must be positive");
         ClusterServer {
-            queue: 0,
             speed,
             inv_speed: 1.0 / speed as f64,
             max_queue: 0,
             completed: 0,
             dropped: 0,
-            id,
-            spill: NO_SPILL,
-            head: 0,
+            first: 0.0,
+            queue: 0,
+            head: NIL,
+            tail: NIL,
             alive: true,
-            ring: [0.0; INLINE_ADMISSIONS],
         }
     }
 
@@ -119,7 +103,7 @@ impl ClusterServer {
     /// Jobs currently in the system (queue + in service).
     #[must_use]
     pub fn queue_len(&self) -> u64 {
-        self.queue
+        u64::from(self.queue)
     }
 
     /// Largest queue length ever observed.
@@ -140,12 +124,6 @@ impl ClusterServer {
         self.dropped
     }
 
-    /// Stable membership id.
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Whether the server is currently part of the cluster.
     #[must_use]
     pub fn is_alive(&self) -> bool {
@@ -153,41 +131,67 @@ impl ClusterServer {
     }
 }
 
-/// The admissions that overflowed their server's inline ring: one FIFO
-/// buffer per slot that ever spilled, allocated on its first spill.
-#[derive(Debug, Clone, Default)]
-struct SpillStore {
-    buffers: Vec<VecDeque<Time>>,
-    /// Admissions pushed here, over the fleet's lifetime.
-    spills: u64,
+/// One waiting job's admission time, and the pool node of the job
+/// behind it on the same server (`NIL` at the end of the list).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    time: Time,
+    next: u32,
 }
 
-impl SpillStore {
-    /// Appends admission time `t` behind `s`'s full ring.
-    #[cold]
-    #[inline(never)]
-    fn push(&mut self, s: &mut ClusterServer, t: Time) {
-        if s.spill == NO_SPILL {
-            s.spill = u32::try_from(self.buffers.len()).expect("spill store overflow");
-            self.buffers.push(VecDeque::new());
+/// The admission times of every waiting job in the fleet: one FIFO
+/// list per server, threaded through shared nodes.
+#[derive(Debug, Clone)]
+struct Pool {
+    nodes: Vec<Node>,
+    /// First node of the free list, `NIL` when every node is in use.
+    free: u32,
+    /// Admissions appended here, over the fleet's lifetime.
+    queued: u64,
+}
+
+impl Pool {
+    /// Appends admission time `time` to `s`'s waiting list, on a free
+    /// node if there is one.
+    #[inline]
+    fn push(&mut self, s: &mut ClusterServer, time: Time) {
+        let node = Node { time, next: NIL };
+        let k = if self.free == NIL {
+            // A length within `u32` keeps the new index below `NIL`.
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len()).expect("admission pool overflow") - 1
+        } else {
+            let k = self.free;
+            self.free = self.nodes[k as usize].next;
+            self.nodes[k as usize] = node;
+            k
+        };
+        if s.head == NIL {
+            s.head = k;
+        } else {
+            self.nodes[s.tail as usize].next = k;
         }
-        self.buffers[s.spill as usize].push_back(t);
-        self.spills += 1;
+        s.tail = k;
+        self.queued += 1;
     }
 
-    /// Removes and returns `s`'s oldest spilled admission.
-    #[cold]
-    #[inline(never)]
-    fn pop(&mut self, s: &ClusterServer) -> Time {
-        self.buffers[s.spill as usize]
-            .pop_front()
-            .expect("a queue deeper than the ring has spilled admissions")
+    /// Unlinks `s`'s oldest waiting admission, frees its node and
+    /// returns the time.
+    #[inline]
+    fn pop(&mut self, s: &mut ClusterServer) -> Time {
+        let k = s.head;
+        let Node { time, next } = self.nodes[k as usize];
+        self.nodes[k as usize].next = self.free;
+        self.free = k;
+        s.head = next;
+        time
     }
 
-    /// Frees `s`'s buffer, if it has one (the slot is leaving).
-    fn release(&mut self, s: &ClusterServer) {
-        if s.spill != NO_SPILL {
-            self.buffers[s.spill as usize] = VecDeque::new();
+    /// Frees `s`'s whole waiting list at once (the server is leaving).
+    fn release(&mut self, s: &mut ClusterServer) {
+        if s.head != NIL {
+            self.nodes[s.tail as usize].next = self.free;
+            self.free = std::mem::replace(&mut s.head, NIL);
         }
     }
 }
@@ -197,15 +201,15 @@ impl SpillStore {
 #[derive(Debug, Clone)]
 pub struct Fleet {
     /// One record per slot, in creation order: the only home of each
-    /// server's queue length, speed and admission times. Placement
-    /// reads each candidate's `(queue, speed)` out of its record
-    /// ([`LoadView`]), so the winner's join hits a record in cache.
+    /// server's queue length and speed. Placement reads each
+    /// candidate's `(queue, speed)` out of its record ([`LoadView`]),
+    /// so the winner's join hits a record in cache.
     servers: Vec<ClusterServer>,
-    /// Admissions past a server's inline ring.
-    spilled: SpillStore,
+    /// Admission times of the jobs waiting behind a busy server.
+    pool: Pool,
     n_alive: usize,
-    next_id: u64,
-    queue_capacity: Option<u64>,
+    /// Queue bound, `u64::MAX` when unbounded.
+    queue_capacity: u64,
 }
 
 impl Fleet {
@@ -219,17 +223,15 @@ impl Fleet {
     pub fn new(speeds: &[u64], queue_capacity: Option<u64>) -> Self {
         assert!(!speeds.is_empty(), "fleet needs at least one server");
         assert!(queue_capacity != Some(0), "queue capacity must be positive");
-        let servers: Vec<ClusterServer> = speeds
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| ClusterServer::new(s, i as u64))
-            .collect();
         Fleet {
-            n_alive: servers.len(),
-            next_id: servers.len() as u64,
-            servers,
-            spilled: SpillStore::default(),
-            queue_capacity,
+            n_alive: speeds.len(),
+            servers: speeds.iter().map(|&s| ClusterServer::new(s)).collect(),
+            pool: Pool {
+                nodes: Vec::new(),
+                free: NIL,
+                queued: 0,
+            },
+            queue_capacity: queue_capacity.unwrap_or(u64::MAX),
         }
     }
 
@@ -260,11 +262,19 @@ impl Fleet {
         &self.servers
     }
 
-    /// Admissions that found their server's inline ring full and went
-    /// to the side store, over the fleet's lifetime.
+    /// Admissions that joined behind a busy server, and so went through
+    /// the waiting pool, over the fleet's lifetime.
     #[must_use]
-    pub fn fifo_spills(&self) -> u64 {
-        self.spilled.spills
+    pub fn queued(&self) -> u64 {
+        self.pool.queued
+    }
+
+    /// The waiting pool's high-water mark in nodes of 16 bytes: freed
+    /// nodes are reused before it grows, so this is the most jobs ever
+    /// waiting at once across the fleet.
+    #[must_use]
+    pub fn pool_nodes(&self) -> usize {
+        self.pool.nodes.len()
     }
 
     /// Indices of the alive servers, in creation order. Placement
@@ -280,15 +290,14 @@ impl Fleet {
             .collect()
     }
 
-    /// The alive servers as a router [`Membership`]: slots, stable ids
-    /// and speeds in creation order — what a churn tick rebuilds
-    /// [`bnb_router::PlacementEngine`] over. (A fresh fleet's
+    /// The alive servers as a router [`Membership`]: slots and speeds
+    /// in creation order, each slot its own id — what a churn tick
+    /// rebuilds [`bnb_router::PlacementEngine`] over. (A fresh fleet's
     /// membership is the identity over its speeds, so the simulator
     /// builds its first engine from the speeds instead, through
-    /// [`bnb_router::PlacementEngine::from_speeds`].) Ids are handed
-    /// out in creation order and never reused, so the member id list is
-    /// strictly increasing and churn rebuilds take the ring's
-    /// incremental path.
+    /// [`bnb_router::PlacementEngine::from_speeds`].) Slots are never
+    /// reused, so the member id list is strictly increasing and churn
+    /// rebuilds take the ring's incremental path.
     #[must_use]
     pub fn membership(&self) -> Membership {
         Membership::new(
@@ -296,9 +305,9 @@ impl Fleet {
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.alive)
-                .map(|(i, s)| Member {
-                    slot: i,
-                    id: s.id,
+                .map(|(slot, s)| Member {
+                    slot,
+                    id: slot as u64,
                     speed: s.speed,
                 })
                 .collect(),
@@ -309,27 +318,25 @@ impl Fleet {
     ///
     /// # Panics
     /// Panics if the server is not alive — placement must only route to
-    /// alive servers.
+    /// alive servers — or if its queue would pass `u32::MAX` jobs.
     #[inline]
     pub fn try_join(&mut self, i: usize, now: Time) -> Admission {
         let s = &mut self.servers[i];
         assert!(s.alive, "routed a request to a departed server");
-        if self.queue_capacity.is_some_and(|cap| s.queue >= cap) {
+        if u64::from(s.queue) >= self.queue_capacity {
             s.dropped += 1;
             return Admission::Dropped;
         }
-        if s.queue < INLINE_ADMISSIONS as u64 {
-            s.ring[(s.head as usize + s.queue as usize) % INLINE_ADMISSIONS] = now;
-        } else {
-            self.spilled.push(s, now);
-        }
-        s.queue += 1;
-        s.max_queue = s.max_queue.max(s.queue);
-        if s.queue == 1 {
+        let admission = if s.queue == 0 {
+            s.first = now;
             Admission::StartedService
         } else {
+            self.pool.push(s, now);
             Admission::Queued
-        }
+        };
+        s.queue = s.queue.checked_add(1).expect("queue length overflow");
+        s.max_queue = s.max_queue.max(u64::from(s.queue));
+        admission
     }
 
     /// `1 / speed` of slot `i` — how the departure-scheduling path
@@ -344,17 +351,17 @@ impl Fleet {
         self.servers[i].inv_speed
     }
 
-    /// Loads both cache lines of slot `i`'s record — the counters
-    /// (`queue`, `alive`) and the admission ring a departure reads — and
-    /// returns a value derived from them. The drive loop's lookahead
-    /// calls it for records it will read soon, so the misses overlap the
-    /// work in between; only the loads matter, the value only feeds a
-    /// sink.
+    /// Loads slot `i`'s record and the pool node of its oldest waiting
+    /// admission — what a departure reads — and returns a value derived
+    /// from them. The drive loop's lookahead calls it for records it
+    /// will read soon, so the misses overlap the work in between; only
+    /// the loads matter, the value only feeds a sink.
     #[inline]
     #[must_use]
     pub(crate) fn touch_record(&self, i: usize) -> u64 {
         let s = &self.servers[i];
-        s.queue ^ s.ring[0].to_bits()
+        let waiting = self.pool.nodes.get(s.head as usize);
+        u64::from(s.queue) ^ waiting.map_or(0, |n| n.time.to_bits())
     }
 
     /// The job in service on server `i` completes at `now`; returns its
@@ -367,47 +374,40 @@ impl Fleet {
     pub fn depart(&mut self, i: usize, now: Time) -> (Time, bool) {
         let s = &mut self.servers[i];
         assert!(s.queue > 0, "departure from an empty cluster server");
-        let head = s.head as usize;
-        let admitted = s.ring[head];
-        if s.queue > INLINE_ADMISSIONS as u64 {
-            // The freed head cell is the ring's new tail: refill it
-            // with the oldest spilled admission.
-            s.ring[head] = self.spilled.pop(s);
+        let admitted = s.first;
+        if s.head != NIL {
+            // The oldest waiting job enters service.
+            s.first = self.pool.pop(s);
         }
-        s.head = ((head + 1) % INLINE_ADMISSIONS) as u8;
         s.queue -= 1;
         s.completed += 1;
         (now - admitted, s.queue > 0)
     }
 
-    /// Server `i` leaves the cluster at `now`: its backlog (queued jobs
-    /// and the one in service) is orphaned and returned, and it stops
-    /// receiving traffic for good — slots are never revived, so pending
-    /// departure events for it are recognisably stale via
-    /// [`ClusterServer::is_alive`].
+    /// Server `i` leaves the cluster: its backlog (queued jobs and the
+    /// one in service) is orphaned and returned, its waiting list goes
+    /// back to the pool, and it stops receiving traffic for good — slots
+    /// are never revived, so pending departure events for it are
+    /// recognisably stale via [`ClusterServer::is_alive`].
     ///
     /// # Panics
     /// Panics if the server is already dead or is the last alive server.
-    pub fn deactivate(&mut self, i: usize, now: Time) -> u64 {
+    pub fn deactivate(&mut self, i: usize) -> u64 {
         assert!(self.n_alive > 1, "cannot deactivate the last alive server");
-        let _ = now; // kept for API symmetry with join/depart timestamps
         let s = &mut self.servers[i];
         assert!(s.alive, "server {i} is already dead");
         s.alive = false;
-        self.spilled.release(s);
+        self.pool.release(s);
         self.n_alive -= 1;
-        let orphans = s.queue;
-        s.queue = 0;
-        orphans
+        u64::from(std::mem::take(&mut s.queue))
     }
 
     /// A fresh server of the given speed joins the cluster; returns its
-    /// slot index. It gets a new stable id, so hash-ring placements give
-    /// it fresh arcs without disturbing anyone else's.
+    /// slot index, which is also its membership id. Slots are never
+    /// reused, so hash-ring placements give it fresh arcs without
+    /// disturbing anyone else's.
     pub fn activate_new(&mut self, speed: u64) -> usize {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.servers.push(ClusterServer::new(speed, id));
+        self.servers.push(ClusterServer::new(speed));
         self.n_alive += 1;
         self.servers.len() - 1
     }
@@ -429,7 +429,7 @@ impl LoadView for Fleet {
     #[inline]
     fn load(&self, slot: usize) -> (u64, u64) {
         let s = &self.servers[slot];
-        (s.queue, s.speed)
+        (u64::from(s.queue), s.speed)
     }
 }
 
@@ -438,6 +438,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+    use std::collections::VecDeque;
 
     #[test]
     fn fleet_load_view_mirrors_joins_and_departs() {
@@ -480,7 +481,7 @@ mod tests {
         fleet.try_join(0, 0.0);
         fleet.try_join(0, 0.1);
         fleet.try_join(0, 0.2);
-        let orphans = fleet.deactivate(0, 1.0);
+        let orphans = fleet.deactivate(0);
         assert_eq!(orphans, 3);
         assert_eq!(fleet.server(0).queue_len(), 0);
         assert!(!fleet.server(0).is_alive());
@@ -490,22 +491,31 @@ mod tests {
 
     #[test]
     fn activate_new_gets_fresh_id() {
-        let mut fleet = Fleet::new(&[1, 1], Some(4));
-        fleet.deactivate(1, 0.0);
+        let mut fleet = Fleet::new(&[1, 1, 2], Some(4));
+        fleet.deactivate(1);
         let slot = fleet.activate_new(8);
-        assert_eq!(slot, 2);
-        assert_eq!(fleet.server(slot).id(), 2, "ids are never reused");
+        assert_eq!(slot, 3, "slots are never reused");
+        fleet.deactivate(0);
+        assert_eq!(fleet.activate_new(1), 4);
         assert_eq!(fleet.server(slot).speed(), 8);
-        assert_eq!(fleet.n_alive(), 2);
-        assert_eq!(fleet.server(0).speed(), 1);
-        assert_eq!(fleet.alive_indices(), vec![0, 2]);
+        assert_eq!(fleet.n_alive(), 3);
+        assert_eq!(fleet.alive_indices(), vec![2, 3, 4]);
+        // Membership ids are the slots, so they strictly increase after
+        // churn and ring rebuilds stay incremental.
+        let members = fleet.membership();
+        let members = members.members();
+        assert_eq!(members.len(), 3);
+        assert!(members.iter().all(|m| m.id == m.slot as u64));
+        assert!(members.windows(2).all(|w| w[0].id < w[1].id));
+        let speeds: Vec<u64> = members.iter().map(|m| m.speed).collect();
+        assert_eq!(speeds, vec![2, 8, 1]);
     }
 
     #[test]
     #[should_panic(expected = "departed server")]
     fn routing_to_dead_server_panics() {
         let mut fleet = Fleet::new(&[1, 1], None);
-        fleet.deactivate(0, 0.0);
+        fleet.deactivate(0);
         let _ = fleet.try_join(0, 1.0);
     }
 
@@ -513,41 +523,43 @@ mod tests {
     #[should_panic(expected = "last alive server")]
     fn deactivating_last_server_panics() {
         let mut fleet = Fleet::new(&[1], None);
-        let _ = fleet.deactivate(0, 0.0);
+        let _ = fleet.deactivate(0);
     }
+
     #[test]
-    fn ring_wraps_spills_and_refills_in_fifo_order() {
-        let mut fleet = Fleet::new(&[1, 1], None);
-        // Move the ring head off zero so the deep queue below wraps.
-        for t in [0.0, 1.0, 2.0] {
-            fleet.try_join(0, t);
+    fn pool_lists_stay_fifo_and_reuse_freed_nodes() {
+        let mut fleet = Fleet::new(&[1, 1, 1], None);
+        // Interleave two servers' waiting lists through the pool.
+        for k in 0..6 {
+            fleet.try_join(k % 2, k as f64);
         }
-        for _ in 0..2 {
-            let _ = fleet.depart(0, 3.0);
+        assert_eq!(fleet.queued(), 4);
+        assert_eq!(fleet.pool_nodes(), 4);
+        for (k, a) in [0.0f64, 2.0, 4.0].into_iter().enumerate() {
+            let (latency, more) = fleet.depart(0, 10.0);
+            assert_eq!(latency.to_bits(), (10.0 - a).to_bits(), "job {k}");
+            assert_eq!(more, k < 2);
         }
-        // 1 job in the system; 20 more fill the ring and spill 13.
-        for k in 0..20 {
-            fleet.try_join(0, 10.0 + f64::from(k));
+        // Server 0's two freed nodes carry server 2's list before the
+        // pool grows.
+        for k in 0..3 {
+            fleet.try_join(2, 20.0 + f64::from(k));
         }
-        assert_eq!(fleet.server(0).queue_len(), 21);
-        assert_eq!(fleet.fifo_spills(), 13);
-        let mut admitted = vec![2.0];
-        admitted.extend((0..20).map(|k| 10.0 + f64::from(k)));
-        for (k, &a) in admitted.iter().enumerate() {
-            let (latency, more) = fleet.depart(0, 100.0);
-            assert_eq!(latency.to_bits(), (100.0 - a).to_bits(), "job {k}");
-            assert_eq!(more, k + 1 < admitted.len());
+        assert_eq!((fleet.queued(), fleet.pool_nodes()), (6, 4));
+        // Server 1 leaves with two jobs waiting: its nodes are freed at
+        // once and reused, with server 2's list intact.
+        assert_eq!(fleet.deactivate(1), 3);
+        for k in 3..7 {
+            fleet.try_join(2, 20.0 + f64::from(k));
         }
-        // The slot's side buffer is reused on the next overflow.
-        for k in 0..10 {
-            fleet.try_join(0, 200.0 + f64::from(k));
+        assert_eq!((fleet.queued(), fleet.pool_nodes()), (10, 6));
+        for k in 0..7 {
+            let (latency, more) = fleet.depart(2, 50.0);
+            let expected = 50.0 - (20.0 + f64::from(k));
+            assert_eq!(latency.to_bits(), expected.to_bits(), "job {k}");
+            assert_eq!(more, k < 6);
         }
-        assert_eq!(fleet.fifo_spills(), 15);
-        assert_eq!(fleet.spilled.buffers.len(), 1, "one buffer per slot");
-        // Leaving with a spilled backlog orphans it and frees the buffer.
-        assert_eq!(fleet.deactivate(0, 300.0), 10);
-        assert_eq!(fleet.spilled.buffers[0].capacity(), 0);
-        assert_eq!(fleet.server(1).queue_len(), 0, "neighbour untouched");
+        assert_eq!(fleet.server(0).queue_len(), 0, "neighbour untouched");
     }
 
     const MODEL_SLOTS: usize = 4;
@@ -586,21 +598,25 @@ mod tests {
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u32..58, 0usize..64, 1u32..=20).prop_map(|(kind, pick, burst)| match kind {
+        (0u32..60, 0usize..64, 1u32..=20).prop_map(|(kind, pick, burst)| match kind {
             0..=27 => Op::Join(pick, burst),
             28..=55 => Op::Depart(pick, burst),
             56 => Op::Deactivate(pick),
-            _ => Op::Activate(1 + pick as u64 % 8),
+            57 => Op::Activate(1 + pick as u64 % 8),
+            // A deep burst: one server's queue past 64 jobs.
+            _ => Op::Join(pick, 64 + burst),
         })
     }
 
     /// Replays `ops` on a fleet and on the `VecDeque` model in lockstep:
-    /// every latency must match bit for bit, and every slot's counters
-    /// after every step.
+    /// every latency must match bit for bit, every slot's counters after
+    /// every step, the pool's admissions, and its size the model's
+    /// high-water of waiting jobs (so freed nodes are reused first).
     fn check_against_model(capacity: Option<u64>, ops: &[Op]) -> Result<(), TestCaseError> {
         let mut fleet = Fleet::new(&[1, 3, 8, 2], capacity);
         let mut model = vec![ModelSlot::new(); MODEL_SLOTS];
-        let mut spills = 0u64;
+        let mut queued = 0u64;
+        let mut peak_waiting = 0usize;
         let mut step = 0u64;
         // Strictly increasing, irregular times: any FIFO mix-up shows
         // in a latency.
@@ -623,7 +639,7 @@ mod tests {
                             m.dropped += 1;
                             Admission::Dropped
                         } else {
-                            spills += u64::from(depth >= INLINE_ADMISSIONS as u64);
+                            queued += u64::from(depth > 0);
                             m.fifo.push_back(now);
                             m.max_queue = m.max_queue.max(depth + 1);
                             if depth == 0 {
@@ -633,6 +649,8 @@ mod tests {
                             }
                         };
                         prop_assert_eq!(fleet.try_join(i, now), expected);
+                        let waiting = model.iter().map(|m| m.fifo.len().saturating_sub(1));
+                        peak_waiting = peak_waiting.max(waiting.sum());
                     }
                 }
                 Op::Depart(pick, burst) => {
@@ -659,7 +677,7 @@ mod tests {
                     m.alive = false;
                     let orphans = m.fifo.len() as u64;
                     m.fifo.clear();
-                    prop_assert_eq!(fleet.deactivate(i, tick()), orphans);
+                    prop_assert_eq!(fleet.deactivate(i), orphans);
                 }
                 Op::Activate(speed) => {
                     prop_assert_eq!(fleet.activate_new(speed), model.len());
@@ -667,7 +685,8 @@ mod tests {
                 }
             }
             prop_assert_eq!(fleet.n_slots(), model.len());
-            prop_assert_eq!(fleet.fifo_spills(), spills);
+            prop_assert_eq!(fleet.queued(), queued);
+            prop_assert_eq!(fleet.pool_nodes(), peak_waiting);
             for (i, m) in model.iter().enumerate() {
                 let s = fleet.server(i);
                 prop_assert_eq!(s.queue_len(), m.fifo.len() as u64, "slot {i} queue");
@@ -683,17 +702,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random join/depart bursts and churn on a few slots
-        /// at capacities up to 64 (0 = unbounded): ring wraparound,
-        /// queues deeper than the ring with spill and refill, capacity
-        /// drops and slots leaving with a spilled backlog all replay
-        /// the `VecDeque` model exactly.
+        /// Random join/depart bursts and churn on a few slots, at
+        /// capacities up to 64 and unbounded: interleaved waiting lists
+        /// in the shared pool, capacity drops, nodes freed by departures
+        /// and by slots leaving with a backlog, and their reuse all
+        /// replay the `VecDeque` model exactly.
         #[test]
         fn fifo_matches_vecdeque_model(
-            capacity in 0u64..=64,
+            capacity in (0u64..128).prop_map(|c| (c < 64).then_some(c + 1)),
             ops in prop::collection::vec(op_strategy(), 1..200),
         ) {
-            check_against_model((capacity > 0).then_some(capacity), &ops)?;
+            check_against_model(capacity, &ops)?;
         }
     }
 }

@@ -17,9 +17,10 @@
 //!   processes, generated by the batched [`ArrivalSampler`] on a
 //!   dedicated RNG stream,
 //! * [`fleet`] — heterogeneous finite-queue servers with latency
-//!   bookkeeping and churn, one cache-line-pair record per server
-//!   (counters plus an inline admission ring) that placement reads and
-//!   joins write,
+//!   bookkeeping and churn, one cache-line record per server (counters
+//!   plus the admission time of the job in service) that placement
+//!   reads and joins write, and a fleet-wide pool holding the admission
+//!   times of waiting jobs,
 //! * placement — pluggable routing, served by the standalone
 //!   [`bnb_router`] data plane and re-exported here as
 //!   [`PlacementEngine`] and [`PlacementSpec`]: the paper's d-choice

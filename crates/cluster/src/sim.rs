@@ -39,7 +39,7 @@
 //! ## Lookahead
 //!
 //! On a wide fleet the loop waits on memory: every request and every
-//! departure reads a 128-byte server record that is rarely cached. But
+//! departure reads a 64-byte server record that is rarely cached. But
 //! the loop knows some of those addresses early, so it loads them
 //! before it needs them and the misses overlap the work in between
 //! (group prefetching, after Chen, Ailamaki, Gibbons & Mowry, ICDE
@@ -52,8 +52,8 @@
 //! * **departures** — when the board's front probe refills its near
 //!   window from the far level, the next ~100 departures become known
 //!   (the hook of [`LazyBoard::min_time_bound`]), and the loop loads
-//!   both lines of each one's record: the counters and the admission
-//!   ring [`Fleet::depart`] reads.
+//!   the record and its oldest waiting admission, the pool node
+//!   [`Fleet::depart`] promotes into service.
 //!
 //! The loads are compiled in only for d = 2 placement on a fleet whose
 //! record array is larger than `LOOKAHEAD_FOOTPRINT` (1 MiB, about one
@@ -105,7 +105,7 @@ pub(crate) const SERVICE_STREAM: u64 = 0x7372_7663; // "srvc"
 pub(crate) const CHURN_STREAM: u64 = 0x6368_726E; // "chrn"
 
 /// Fleet record footprint, in bytes, above which a run takes the
-/// lookahead arm: 1 MiB, 8192 records of 128 bytes — the order of one
+/// lookahead arm: 1 MiB, 16384 records of 64 bytes — the order of one
 /// core's private L2. Below it the records mostly stay cached, and the
 /// extra loads only cost instructions.
 const LOOKAHEAD_FOOTPRINT: usize = 1 << 20;
@@ -308,8 +308,9 @@ impl ClusterSim {
     /// counters (ring inserts, rebuilds, far-side refills),
     /// departures dropped because their server churned out
     /// (`sim.stale_departures`), fleet records the lookahead loaded
-    /// early (`sim.lookahead_touches`), admissions that overflowed a
-    /// server's inline ring (`fleet.fifo_spills`), the latency store's
+    /// early (`sim.lookahead_touches`), admissions that joined behind a
+    /// busy server (`fleet.queued`) and the waiting pool's high-water
+    /// mark in 16-byte nodes (`fleet.pool_nodes`), the latency store's
     /// radix buckets in use, chunks allocated, bytes held and narrow
     /// chunks closed early (`latency.buckets`, `latency.chunks`,
     /// `latency.bytes`, `latency.early_closes`), and arrival-thinning
@@ -322,7 +323,8 @@ impl ClusterSim {
             ("sim.arrived", self.arrived),
             ("sim.stale_departures", self.stale_departures),
             ("sim.lookahead_touches", self.lookahead_touches),
-            ("fleet.fifo_spills", self.fleet.fifo_spills()),
+            ("fleet.queued", self.fleet.queued()),
+            ("fleet.pool_nodes", self.fleet.pool_nodes() as u64),
         ]
         .into_iter()
         .chain(self.latency_store)
@@ -422,7 +424,7 @@ impl ClusterSim {
                 self.depart(&mut departures, server as usize, now);
                 dep_bound = if AHEAD {
                     // A lap refill names the next ~100 departures: load
-                    // both lines of their records now.
+                    // their records and oldest waiting admissions now.
                     let fleet = &self.fleet;
                     departures.front(|slot| {
                         sink ^= fleet.touch_record(slot as usize);
@@ -436,7 +438,7 @@ impl ClusterSim {
             if next_churn < next_arrival {
                 now = next_churn;
                 next_churn = if self.arrived < requests {
-                    self.churn_tick(now);
+                    self.churn_tick();
                     now + churn_interval
                 } else {
                     // The budget is offered: the run is draining, and
@@ -525,14 +527,14 @@ impl ClusterSim {
         }
     }
 
-    /// One churn tick at `now`: a random alive server leaves (its queue
-    /// is orphaned) and a fresh server of the same speed joins.
-    fn churn_tick(&mut self, now: Time) {
+    /// One churn tick: a random alive server leaves (its queue is
+    /// orphaned) and a fresh server of the same speed joins.
+    fn churn_tick(&mut self) {
         let alive = self.fleet.alive_indices();
         if alive.len() > 1 {
             let victim = alive[self.churn_rng.next_below(alive.len() as u64) as usize];
             let speed = self.fleet.server(victim).speed();
-            self.orphaned += self.fleet.deactivate(victim, now);
+            self.orphaned += self.fleet.deactivate(victim);
             self.leaves += 1;
             // A fresh server of the same speed joins: stationary capacity
             // mix, fresh arcs on the ring.
@@ -863,7 +865,10 @@ mod tests {
         // lookahead must not move a byte against the heap oracle (which
         // reports no refills). Hash-then-probe on the same fleet runs
         // the loop without loads: the gate admits d = 2 choice only.
-        let speeds = CapacityVector::two_class(8_192, 1, 8_192, 8);
+        // The fleet holds 2 MiB of records, twice the gate, and the
+        // budget spans ~0.45 time units: ~20 churn ticks, most of them
+        // while Exp(1) jobs still hold the slow servers.
+        let speeds = CapacityVector::two_class(16_384, 1, 16_384, 8);
         for placement in [
             PlacementSpec::DChoice { d: 2 },
             PlacementSpec::HashThenProbe { d: 2, vnodes: 4 },
@@ -879,7 +884,7 @@ mod tests {
                     start: 0.05,
                     interval: 0.02,
                 }),
-                requests: 30_000,
+                requests: 60_000,
             };
             let mut sim = ClusterSim::new(spec.clone(), 21);
             let m = sim.run();

@@ -147,13 +147,13 @@ fn telemetry_is_schedule_invisible_on_every_scenario() {
     // must replay the plain run exactly. (The heap oracle's half of
     // this check needs the crate-private board seam, so it lives in
     // `sim.rs`'s unit tests.)
-    let mut spilled_somewhere = false;
+    let mut pooled_somewhere = false;
     for scenario in registry() {
         let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
         let seed = 0x7E1E;
         let registry_on = Registry::with_sampling(0, 1 << 14); // sample everything
         let plain_off = run((scenario.build)(seed, requests), seed);
-        let (traced_on, snap, fleet_spills) = {
+        let (traced_on, snap, (queued, pool_nodes)) = {
             let mut sim = SimBuilder::scenario(scenario, requests)
                 .seed(seed)
                 .telemetry(&registry_on)
@@ -162,7 +162,9 @@ fn telemetry_is_schedule_invisible_on_every_scenario() {
             let Sim::Serial(serial) = &sim else {
                 panic!("{}: the builder's default engine is serial", scenario.id)
             };
-            (m, sim.telemetry_snapshot(), serial.fleet().fifo_spills())
+            let fleet = serial.fleet();
+            let pool = (fleet.queued(), fleet.pool_nodes() as u64);
+            (m, sim.telemetry_snapshot(), pool)
         };
         assert_eq!(
             plain_off, traced_on,
@@ -199,19 +201,22 @@ fn telemetry_is_schedule_invisible_on_every_scenario() {
             "{}: departure accounting does not balance",
             scenario.id
         );
-        // Admissions past a server's inline ring are harvested on every
-        // serial run, straight from the fleet's own counter.
+        // Admissions through the waiting pool, and its high-water mark,
+        // are harvested on every serial run, straight from the fleet.
         assert_eq!(
-            snap.counter("fleet.fifo_spills"),
-            Some(fleet_spills),
-            "{}: fleet spill counter missing from the snapshot",
+            (
+                snap.counter("fleet.queued"),
+                snap.counter("fleet.pool_nodes")
+            ),
+            (Some(queued), Some(pool_nodes)),
+            "{}: fleet pool counters missing from the snapshot",
             scenario.id
         );
-        spilled_somewhere |= fleet_spills > 0;
+        pooled_somewhere |= queued > 0 && pool_nodes > 0;
     }
     assert!(
-        spilled_somewhere,
-        "no registry scenario overflowed an inline admission ring"
+        pooled_somewhere,
+        "no registry scenario queued a job in the waiting pool"
     );
 }
 
