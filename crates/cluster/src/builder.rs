@@ -110,8 +110,10 @@ impl SimBuilder {
     /// Materialises the spec and constructs the simulator.
     ///
     /// # Panics
-    /// Panics if the spec is invalid (same validation as the engines)
-    /// or if `workers(0)` was requested.
+    /// Panics if the spec is invalid (same validation as the engines),
+    /// if the serial engine gets a server speed above `u32::MAX` (its
+    /// fleet records hold a speed in 32 bits), or if `workers(0)` was
+    /// requested.
     #[must_use]
     pub fn build(self) -> Sim {
         let spec = match self.source {

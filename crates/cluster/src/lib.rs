@@ -17,10 +17,10 @@
 //!   processes, generated by the batched [`ArrivalSampler`] on a
 //!   dedicated RNG stream,
 //! * [`fleet`] — heterogeneous finite-queue servers with latency
-//!   bookkeeping and churn, one cache-line record per server (counters
-//!   plus the admission time of the job in service) that placement
-//!   reads and joins write, and a fleet-wide pool holding the admission
-//!   times of waiting jobs,
+//!   bookkeeping and churn, one 32-byte record per server (speed,
+//!   counters and the ends of its job list) that placement reads and
+//!   joins write, and a fleet-wide pool holding the admission time of
+//!   every job in the system, the one in service first,
 //! * placement — pluggable routing, served by the standalone
 //!   [`bnb_router`] data plane and re-exported here as
 //!   [`PlacementEngine`] and [`PlacementSpec`]: the paper's d-choice

@@ -83,8 +83,8 @@ impl ClusterMetrics {
         let mut completed = Vec::with_capacity(servers.len());
         let mut max_queue = Vec::with_capacity(servers.len());
         let mut speed = Vec::with_capacity(servers.len());
-        for s in servers {
-            completed.push(s.completed());
+        for (i, s) in servers.iter().enumerate() {
+            completed.push(fleet.completed(i));
             max_queue.push(s.max_queue());
             speed.push(s.speed());
         }

@@ -39,7 +39,7 @@
 //! ## Lookahead
 //!
 //! On a wide fleet the loop waits on memory: every request and every
-//! departure reads a 64-byte server record that is rarely cached. But
+//! departure reads a 32-byte server record that is rarely cached. But
 //! the loop knows some of those addresses early, so it loads them
 //! before it needs them and the misses overlap the work in between
 //! (group prefetching, after Chen, Ailamaki, Gibbons & Mowry, ICDE
@@ -52,8 +52,8 @@
 //! * **departures** — when the board's front probe refills its near
 //!   window from the far level, the next ~100 departures become known
 //!   (the hook of [`LazyBoard::min_time_bound`]), and the loop loads
-//!   the record and its oldest waiting admission, the pool node
-//!   [`Fleet::depart`] promotes into service.
+//!   the record and the pool node of the job in service, whose
+//!   admission time [`Fleet::depart`] reads.
 //!
 //! The loads are compiled in only for d = 2 placement on a fleet whose
 //! record array is larger than `LOOKAHEAD_FOOTPRINT` (1 MiB, about one
@@ -105,7 +105,7 @@ pub(crate) const SERVICE_STREAM: u64 = 0x7372_7663; // "srvc"
 pub(crate) const CHURN_STREAM: u64 = 0x6368_726E; // "chrn"
 
 /// Fleet record footprint, in bytes, above which a run takes the
-/// lookahead arm: 1 MiB, 16384 records of 64 bytes — the order of one
+/// lookahead arm: 1 MiB, 32768 records of 32 bytes — the order of one
 /// core's private L2. Below it the records mostly stay cached, and the
 /// extra loads only cost instructions.
 const LOOKAHEAD_FOOTPRINT: usize = 1 << 20;
@@ -244,8 +244,9 @@ impl ClusterSim {
     /// # Panics
     /// Panics if the spec is invalid: empty fleet, bad placement
     /// parameters, invalid arrival process, non-positive churn interval,
-    /// or an unbounded-queue spec whose arrival rate reaches the fleet's
-    /// service capacity (the run could not drain).
+    /// an unbounded-queue spec whose arrival rate reaches the fleet's
+    /// service capacity (the run could not drain), or a server speed
+    /// above `u32::MAX` (a fleet record holds it in 32 bits).
     #[must_use]
     pub(crate) fn new(spec: ClusterSpec, seed: u64) -> Self {
         spec.arrivals.validate();
@@ -309,8 +310,9 @@ impl ClusterSim {
     /// departures dropped because their server churned out
     /// (`sim.stale_departures`), fleet records the lookahead loaded
     /// early (`sim.lookahead_touches`), admissions that joined behind a
-    /// busy server (`fleet.queued`) and the waiting pool's high-water
-    /// mark in 16-byte nodes (`fleet.pool_nodes`), the latency store's
+    /// busy server (`fleet.queued`) and the admission pool's high-water
+    /// mark in 12-byte nodes, the most jobs ever in the system at once
+    /// (`fleet.pool_nodes`), the latency store's
     /// radix buckets in use, chunks allocated, bytes held and narrow
     /// chunks closed early (`latency.buckets`, `latency.chunks`,
     /// `latency.bytes`, `latency.early_closes`), and arrival-thinning
@@ -351,6 +353,7 @@ impl ClusterSim {
         } else {
             self.drive::<B, false>()
         };
+        self.check_accounting();
         self.latency_store = store_counters(&self.latencies);
         let metrics = ClusterMetrics::collect(
             &self.fleet,
@@ -363,6 +366,30 @@ impl ClusterSim {
         );
         self.result = Some(metrics.clone());
         metrics
+    }
+
+    /// The per-run accounting invariant, checked after every drive:
+    /// each completion pushed one latency, and every arrival ended
+    /// completed, dropped at a full queue or orphaned by churn. The run
+    /// has drained, so no job is left in the system.
+    ///
+    /// # Panics
+    /// Panics, printing both sides, if either identity fails.
+    fn check_accounting(&self) {
+        let completed: u64 = (0..self.fleet.n_slots())
+            .map(|i| self.fleet.completed(i))
+            .sum();
+        let pushed = self.latencies.len() as u64;
+        let dropped = self.fleet.total_dropped();
+        let ended = completed + dropped + self.orphaned;
+        assert!(
+            completed == pushed && ended == self.arrived,
+            "run accounting broken: per-server completed {completed} vs latencies pushed \
+             {pushed}; completed {completed} + dropped {dropped} + orphaned {} = {ended} vs \
+             arrived {}",
+            self.orphaned,
+            self.arrived
+        );
     }
 
     /// Whether a run takes the lookahead arm (see the module docs):
@@ -734,6 +761,33 @@ mod tests {
     }
 
     #[test]
+    fn accounting_invariant_holds_on_every_scenario() {
+        // `run_on` checks the accounting identities after every drive
+        // and panics if one fails; every registry scenario runs it here,
+        // churn and drops included.
+        for scenario in registry() {
+            let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
+            let m = run((scenario.build)(6, requests), 6);
+            assert_eq!(
+                m.completed + m.dropped + m.orphaned,
+                requests,
+                "{}",
+                scenario.id
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "run accounting broken")]
+    fn accounting_check_fires_on_a_corrupted_count() {
+        // A record that starts at one completion gains a count that no
+        // latency and no arrival matches.
+        let mut sim = ClusterSim::new(base_spec(), 1);
+        sim.fleet.set_completed_low(3, 1);
+        let _ = sim.run();
+    }
+
+    #[test]
     fn conservation_with_churn() {
         let mut spec = base_spec();
         spec.churn = Some(ChurnConfig {
@@ -868,7 +922,7 @@ mod tests {
         // The fleet holds 2 MiB of records, twice the gate, and the
         // budget spans ~0.45 time units: ~20 churn ticks, most of them
         // while Exp(1) jobs still hold the slow servers.
-        let speeds = CapacityVector::two_class(16_384, 1, 16_384, 8);
+        let speeds = CapacityVector::two_class(32_768, 1, 32_768, 8);
         for placement in [
             PlacementSpec::DChoice { d: 2 },
             PlacementSpec::HashThenProbe { d: 2, vnodes: 4 },
@@ -884,7 +938,7 @@ mod tests {
                     start: 0.05,
                     interval: 0.02,
                 }),
-                requests: 60_000,
+                requests: 120_000,
             };
             let mut sim = ClusterSim::new(spec.clone(), 21);
             let m = sim.run();

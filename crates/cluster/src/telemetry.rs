@@ -68,7 +68,7 @@ impl SimTelemetry {
     }
 
     /// Harvests the spans plus the drive loop's own counters (the
-    /// arrival, stale-departure, lookahead and fleet waiting-pool counts,
+    /// arrival, stale-departure, lookahead and fleet admission-pool counts,
     /// as `(name, value)` pairs), the departure board's internals and
     /// the thinning counters into one snapshot.
     pub(crate) fn harvest(
