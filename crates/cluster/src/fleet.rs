@@ -463,12 +463,10 @@ fn carry(wraps: &mut BTreeMap<usize, u64>, i: usize) {
     *wraps.entry(i).or_insert(0) += 1;
 }
 
-/// The fleet as the router's [`LoadView`]: the simulator drives
-/// [`bnb_router::PlacementEngine`] directly against it — the same
-/// placement code path a live embedding runs against a
-/// [`bnb_router::FleetSnapshot`]. Each `(queue_len, speed)` read comes
-/// from the candidate's own record, the line `try_join` writes next if
-/// it wins.
+/// The fleet as the placement engine's [`LoadView`]: the simulator
+/// drives [`bnb_router::PlacementEngine`] directly against it. Each
+/// `(queue_len, speed)` read comes from the candidate's own record, the
+/// line `try_join` writes next if it wins.
 impl LoadView for Fleet {
     #[inline]
     fn load(&self, slot: usize) -> (u64, u64) {

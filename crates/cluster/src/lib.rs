@@ -22,7 +22,7 @@
 //!   joins write, and a fleet-wide pool holding the admission time of
 //!   every job in the system, the one in service first,
 //! * placement — pluggable routing, served by the standalone
-//!   [`bnb_router`] data plane and re-exported here as
+//!   [`bnb_router`] placement engine and re-exported here as
 //!   [`PlacementEngine`] and [`PlacementSpec`]: the paper's d-choice
 //!   Algorithm 1 over non-uniform capacities (block pre-sampled
 //!   candidates), consistent-hash successor placement, weighted

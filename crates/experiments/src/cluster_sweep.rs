@@ -48,7 +48,7 @@ pub struct ScenarioSweep {
     /// Placement family name after the d-override.
     pub placement: &'static str,
     /// Whether the placement actually varies with `d`
-    /// ([`bnb_router::PlacementSpec::has_d`]); a sweep over a
+    /// ([`bnb_cluster::PlacementSpec::has_d`]); a sweep over a
     /// load-oblivious policy shows seed noise, not a d curve.
     pub d_varies: bool,
     /// Requests per replica.

@@ -13,27 +13,40 @@
 
 use crate::hash::mix64;
 
-/// A weighted rendezvous hasher over nodes `0..weights.len()`.
+/// A weighted rendezvous hasher over nodes `0..n`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rendezvous {
-    weights: Vec<f64>,
+    /// `(weight, id)` of node `i`; the node is hashed under its id.
+    nodes: Vec<(f64, u64)>,
     seed: u64,
 }
 
 impl Rendezvous {
-    /// Creates a hasher with the given positive node weights.
+    /// Creates a hasher with the given positive node weights; node `i`
+    /// is hashed under id `i`.
     ///
     /// # Panics
     /// Panics if `weights` is empty or any weight is non-positive or
     /// non-finite.
     #[must_use]
     pub fn new(weights: Vec<f64>, seed: u64) -> Self {
-        assert!(!weights.is_empty(), "need at least one node");
+        Rendezvous::with_ids(weights.into_iter().zip(0..).collect(), seed)
+    }
+
+    /// Creates a hasher over `(weight, id)` nodes: node `i` is hashed
+    /// under its stable id, so it keeps its scores when other nodes
+    /// join or leave and its index shifts.
+    ///
+    /// # Panics
+    /// Panics under the conditions of [`Rendezvous::new`].
+    #[must_use]
+    pub fn with_ids(nodes: Vec<(f64, u64)>, seed: u64) -> Self {
+        assert!(!nodes.is_empty(), "need at least one node");
         assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
+            nodes.iter().all(|(w, _)| w.is_finite() && *w > 0.0),
             "weights must be positive"
         );
-        Rendezvous { weights, seed }
+        Rendezvous { nodes, seed }
     }
 
     /// Builds from integer capacities (the bin-capacity analogy).
@@ -45,17 +58,18 @@ impl Rendezvous {
     /// Number of nodes.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.weights.len()
+        self.nodes.len()
     }
 
     /// The score of node `i` for `key`: `−w_i / ln(u)` with
     /// `u = h(key, i) ∈ (0, 1)`. Higher wins.
     #[must_use]
     fn score(&self, key: u64, node: usize) -> f64 {
-        let h = mix64(self.seed ^ mix64(key) ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let (weight, id) = self.nodes[node];
+        let h = mix64(self.seed ^ mix64(key) ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         // Map to (0,1), avoiding exactly 0 and 1.
         let u = ((h >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64);
-        -self.weights[node] / u.ln()
+        -weight / u.ln()
     }
 
     /// The owner of `key`.
@@ -82,14 +96,6 @@ impl Rendezvous {
             (0..self.n()).map(|i| (self.score(key, i), i)).collect();
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
         scored.into_iter().take(d).map(|(_, i)| i).collect()
-    }
-
-    /// Returns a new hasher with one extra node of the given weight.
-    #[must_use]
-    pub fn with_added_node(&self, weight: f64) -> Rendezvous {
-        let mut weights = self.weights.clone();
-        weights.push(weight);
-        Rendezvous::new(weights, self.seed)
     }
 }
 
@@ -119,7 +125,7 @@ mod tests {
     #[test]
     fn adding_a_node_moves_only_its_keys() {
         let r = Rendezvous::from_capacities(&[3, 3, 3, 3], 7);
-        let grown = r.with_added_node(3.0);
+        let grown = Rendezvous::new(vec![3.0; 5], 7);
         let n_keys = 20_000u64;
         let mut moved_to_new = 0;
         for k in 0..n_keys {
@@ -137,6 +143,25 @@ mod tests {
             (moved_to_new as f64 - expected).abs() < 5.0 * expected.sqrt(),
             "moved {moved_to_new}, expected ≈ {expected}"
         );
+    }
+
+    #[test]
+    fn removing_a_node_moves_only_its_keys() {
+        // Node 1 leaves; the survivors keep their ids, so their scores
+        // hold although their indices shift down.
+        let r = Rendezvous::new(vec![1.0, 2.0, 3.0, 4.0], 5);
+        let shrunk = Rendezvous::with_ids(vec![(1.0, 0), (3.0, 2), (4.0, 3)], 5);
+        let id_of = [0usize, 2, 3];
+        let mut moved = 0;
+        for k in 0..20_000u64 {
+            let key = mix64(k);
+            let (before, after) = (r.owner(key), id_of[shrunk.owner(key)]);
+            if before != after {
+                assert_eq!(before, 1, "key moved between surviving nodes");
+                moved += 1;
+            }
+        }
+        assert!(moved > 0, "the leaver's keys must move");
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! sampling draws from a dedicated placement stream in pre-sampled
 //! blocks (through [`WeightedSampler::sample_batch`]), and residual
 //! tie-breaks draw from a separate tie stream — so placement randomness
-//! is independent of whatever streams the embedder runs and a trace
-//! stays bitwise reproducible in `(spec, seed, stream)`. A fresh
+//! is independent of whatever streams the caller runs and a trace
+//! stays bitwise reproducible in `(spec, seed)`. A fresh
 //! fleet's engine is built straight from its speeds
 //! ([`PlacementEngine::from_speeds`]), without a [`Membership`] list.
 //! On churn the engine is rebuilt from the new [`Membership`]; ring
@@ -113,42 +113,24 @@ struct Routes {
     /// Ring policies: membership ring over alive servers' stable ids,
     /// rebuilt incrementally on churn.
     ring: Option<MembershipRing>,
-    /// `Rendezvous`: HRW scores over alive speeds.
+    /// `Rendezvous`: HRW scores over alive speeds, hashed under the
+    /// servers' stable ids.
     rdv: Option<Rendezvous>,
 }
 
 impl PlacementEngine {
-    /// Builds the engine for a membership, on RNG stream 0 — the stream
-    /// the cluster simulator consumes, so a simulator trace and an
-    /// embedded single-handle trace agree byte for byte.
+    /// Builds the engine for a membership.
     ///
     /// # Panics
     /// Panics if a `d` parameter is outside `1..=MAX_D` or a `vnodes`
     /// parameter is zero.
     #[must_use]
     pub fn new(spec: PlacementSpec, membership: &Membership, seed: u64) -> Self {
-        Self::with_stream(spec, membership, seed, 0)
-    }
-
-    /// Builds the engine on an explicit RNG `stream`. Concurrent router
-    /// handles clone onto distinct streams so their candidate and
-    /// tie-break draws are independent — same `(spec, seed)`, disjoint
-    /// randomness.
-    ///
-    /// # Panics
-    /// Panics under the same conditions as [`PlacementEngine::new`].
-    #[must_use]
-    pub fn with_stream(
-        spec: PlacementSpec,
-        membership: &Membership,
-        seed: u64,
-        stream: u64,
-    ) -> Self {
-        Self::build(spec, Members::Listed(membership), seed, stream)
+        Self::build(spec, Members::Listed(membership), seed)
     }
 
     /// Builds the engine for a fresh fleet of servers with these
-    /// `speeds`, on RNG stream 0: the engine
+    /// `speeds`: the engine
     /// `new(spec, &Membership::from_speeds(speeds), seed)` builds
     /// (member `i` is slot `i` with id `i`), read from the slice
     /// without building the member list.
@@ -163,12 +145,13 @@ impl PlacementEngine {
             speeds.iter().all(|&s| s > 0),
             "member speeds must be positive"
         );
-        Self::build(spec, Members::Fresh(speeds), seed, 0)
+        Self::build(spec, Members::Fresh(speeds), seed)
     }
 
-    /// The one constructor body behind [`PlacementEngine::with_stream`]
-    /// and [`PlacementEngine::from_speeds`].
-    fn build(spec: PlacementSpec, members: Members<'_>, seed: u64, stream: u64) -> Self {
+    /// The one constructor body behind [`PlacementEngine::new`] and
+    /// [`PlacementEngine::from_speeds`]. Both RNG streams are derived
+    /// at stream index 0.
+    fn build(spec: PlacementSpec, members: Members<'_>, seed: u64) -> Self {
         match spec {
             PlacementSpec::DChoice { d }
             | PlacementSpec::ShortestQueue { d }
@@ -196,23 +179,13 @@ impl PlacementEngine {
                 ring: None,
                 rdv: None,
             },
-            place_rng: Xoshiro256PlusPlus::from_u64_seed(derive_seed(
-                seed,
-                PLACEMENT_STREAM,
-                stream,
-            )),
-            tie_rng: Xoshiro256PlusPlus::from_u64_seed(derive_seed(seed, TIE_STREAM, stream)),
+            place_rng: Xoshiro256PlusPlus::from_u64_seed(derive_seed(seed, PLACEMENT_STREAM, 0)),
+            tie_rng: Xoshiro256PlusPlus::from_u64_seed(derive_seed(seed, TIE_STREAM, 0)),
             cand_buf: Vec::new(),
             cand_pos: 0,
         };
         engine.refresh(members);
         engine
-    }
-
-    /// The placement spec in force.
-    #[must_use]
-    pub fn spec(&self) -> PlacementSpec {
-        self.routes.spec
     }
 
     /// Recomputes the derived structures after a membership change. Ring
@@ -259,7 +232,7 @@ impl PlacementEngine {
     /// Using an engine whose membership is stale (the fleet churned
     /// since the last [`PlacementEngine::rebuild`]) is a logic error
     /// the engine cannot detect by itself — a leave+join pair keeps the
-    /// alive *count* unchanged — so embedders keep a backstop
+    /// alive *count* unchanged — so callers keep a backstop
     /// downstream (the cluster simulator's `Fleet::try_join` panics
     /// when a request is routed to a departed slot).
     #[inline]
@@ -470,8 +443,8 @@ impl Routes {
                 }
             }
             PlacementSpec::Rendezvous => {
-                let weights: Vec<f64> = members.iter().map(|m| m.speed as f64).collect();
-                self.rdv = Some(Rendezvous::new(weights, self.seed));
+                let nodes = members.iter().map(|m| (m.speed as f64, m.id)).collect();
+                self.rdv = Some(Rendezvous::with_ids(nodes, self.seed));
             }
         }
     }
@@ -755,23 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_streams_diverge() {
-        // Cloned router handles route on distinct RNG streams: same
-        // (spec, seed), different candidate draws.
-        let fleet = two_class_fleet();
-        let m = fleet.membership();
-        let mut s0 = PlacementEngine::with_stream(PlacementSpec::DChoice { d: 2 }, &m, 9, 0);
-        let mut s1 = PlacementEngine::with_stream(PlacementSpec::DChoice { d: 2 }, &m, 9, 1);
-        let agree = (0..512)
-            .filter(|_| s0.place(&fleet, 0) == s1.place(&fleet, 0))
-            .count();
-        assert!(
-            agree < 512,
-            "independent streams must not replay each other"
-        );
-    }
-
-    #[test]
     fn consistent_hash_is_key_pure_and_deterministic() {
         let fleet = two_class_fleet();
         let m = fleet.membership();
@@ -828,34 +784,54 @@ mod tests {
 
     #[test]
     fn rebuild_after_churn_reroutes_only_necessary_keys() {
-        let fleet = TestFleet::new(&[2; 10]);
-        let m = fleet.membership();
-        let mut engine = PlacementEngine::new(PlacementSpec::ConsistentHash { vnodes: 16 }, &m, 9);
-        let keys: Vec<u64> = (0..2000u64).map(mix64).collect();
-        let before: Vec<usize> = keys.iter().map(|&k| engine.place(&fleet, k)).collect();
-        let victim = 3;
-        let survivors = Membership::new(
-            m.members()
-                .iter()
-                .copied()
-                .filter(|mm| mm.slot != victim)
+        // Slots 0..10 are the initial members; slot 10 is a joiner past
+        // the old `n_slots()`. Two churns, each in one rebuild: slot 3
+        // departs, and slot 3 departs while slot 10 joins.
+        let fleet = TestFleet::new(&[2; 11]);
+        let m = Membership::new(fleet.membership().members()[..10].to_vec());
+        let (victim, joiner) = (3, 10);
+        let survivors = m.members().iter().copied().filter(|mm| mm.slot != victim);
+        let departed = Membership::new(survivors.clone().collect());
+        let swapped = Membership::new(
+            survivors
+                .chain([Member {
+                    slot: joiner,
+                    id: joiner as u64,
+                    speed: 2,
+                }])
                 .collect(),
         );
-        engine.rebuild(&survivors);
-        let mut moved = 0;
-        for (i, &k) in keys.iter().enumerate() {
-            let after = engine.place(&fleet, k);
-            if after != before[i] {
-                moved += 1;
-                assert_eq!(
-                    before[i], victim,
-                    "a key moved that the departed server never owned"
-                );
+        let keys: Vec<u64> = (0..2000u64).map(mix64).collect();
+        for spec in [
+            PlacementSpec::ConsistentHash { vnodes: 16 },
+            PlacementSpec::Rendezvous,
+        ] {
+            for (churn, next) in [("departure", &departed), ("departure + join", &swapped)] {
+                let name = spec.name();
+                let mut engine = PlacementEngine::new(spec, &m, 9);
+                let before: Vec<usize> = keys.iter().map(|&k| engine.place(&fleet, k)).collect();
+                engine.rebuild(next);
+                let (mut moved, mut joined) = (0, 0);
+                for (i, &k) in keys.iter().enumerate() {
+                    let after = engine.place(&fleet, k);
+                    assert_ne!(after, victim, "{name}, {churn}: key on the departed slot");
+                    joined += usize::from(after == joiner);
+                    if after != before[i] {
+                        moved += 1;
+                        assert!(
+                            before[i] == victim || after == joiner,
+                            "{name}, {churn}: key {i} moved {} -> {after}",
+                            before[i]
+                        );
+                    }
+                }
+                // The victim owned ≈ 1/10 of the keys; all of those move.
+                assert!(moved > 0, "{name}, {churn}: no key moved");
+                if next.n_slots() > m.n_slots() {
+                    assert!(joined > 0, "{name}, {churn}: the joiner gets no key");
+                }
             }
-            assert_ne!(after, victim, "key still routed to the departed server");
         }
-        // The victim owned ≈ 1/10 of the keys; all (and only) those move.
-        assert!(moved > 0, "the departed server's keys must move");
     }
 
     #[test]

@@ -1,43 +1,7 @@
-//! Counting instruments: relaxed-atomic [`Counter`]s for concurrent
-//! contexts, and the fixed-bucket [`Log2Histogram`] every
+//! Counting instruments: the fixed-bucket [`Log2Histogram`] every
 //! latency/occupancy distribution in the workspace records into.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use bnb_stats::Mergeable;
-
-/// A monotonically increasing event count. Relaxed atomics: increments
-/// from any thread, no ordering guarantees beyond the final tally —
-/// exactly the semantics the router's join/depart RMW counts need.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A fresh zero counter.
-    #[must_use]
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current tally.
-    #[inline]
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Number of buckets in a [`Log2Histogram`]: one per power of two of
 /// the `u64` value range, so recording never clips.
@@ -202,14 +166,6 @@ impl Mergeable for Log2Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let c = Counter::new();
-        c.incr();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-    }
 
     #[test]
     fn bucket_index_octaves() {

@@ -13,10 +13,8 @@
 //! - Enabled spans sample 1-in-N (`N` a power of two, a mask test on a
 //!   wrapping tick), so `Instant::now()` is paid on a small fraction of
 //!   iterations.
-//! - [`Counter`]s are relaxed atomics for concurrent contexts
-//!   (the router data plane); single-threaded hot structures keep
-//!   plain-word stats and fold them into a [`MetricsSnapshot`] at
-//!   harvest time.
+//! - Hot structures keep plain-word stats and fold them into a
+//!   [`MetricsSnapshot`] at harvest time.
 //! - Telemetry is **schedule-invisible**: nothing here draws from the
 //!   simulation RNG streams or reorders events, so enabling it cannot
 //!   change simulation artifacts (pinned by the cluster differential
@@ -44,7 +42,7 @@ pub mod span;
 
 pub use bnb_stats::Mergeable;
 pub use export::{render_chrome_trace, render_prometheus};
-pub use instruments::{Counter, Log2Histogram};
+pub use instruments::Log2Histogram;
 pub use registry::Registry;
 pub use snapshot::MetricsSnapshot;
 pub use span::{Span, SpanToken, TraceEvent};

@@ -14,9 +14,10 @@
 //!   Byers et al. d-point game, Chord finger tables.
 //! * [`queueing`] — the event schedulers the cluster simulator runs on:
 //!   the lazy departure board, the calendar queue, the heap oracle.
-//! * [`router`] — the embeddable placement data plane: the placement
-//!   policies behind one [`Router`](bnb_router::Router) trait, with
-//!   lock-free epoch-published fleet views for concurrent embedders.
+//! * [`router`] — the placement engine: Algorithm 1 and the other
+//!   placement policies behind one
+//!   [`PlacementEngine`](bnb_router::PlacementEngine), generic over any
+//!   per-slot load view.
 //! * [`cluster`] — the heterogeneous-cluster simulator: paper-faithful
 //!   traffic served end to end through `bnb-router` placement, with
 //!   churn; built through [`SimBuilder`](bnb_cluster::SimBuilder);
@@ -83,8 +84,5 @@ pub mod prelude {
         ByersGame, ChordOverlay, ChurnSimulator, HashRing, MembershipRing, Rendezvous,
     };
     pub use bnb_queueing::{EventQueue, EventScheduler};
-    pub use bnb_router::{
-        FleetReader, FleetSnapshot, FleetView, LoadView, Member, Membership, PlacementEngine,
-        PlacementSpec, Router, RouterBuilder, RouterHandle, ServerId,
-    };
+    pub use bnb_router::{LoadView, Member, Membership, PlacementEngine, PlacementSpec};
 }
