@@ -138,8 +138,7 @@ impl SimBuilder {
 /// surface over both.
 #[derive(Debug)]
 pub enum Sim {
-    /// The serial engine: one drive loop on the slot-keyed departure
-    /// board.
+    /// The serial engine: one drive loop with uniformized departures.
     Serial(Box<ClusterSim>),
     /// The space-sharded parallel engine.
     Sharded(Box<ShardedClusterSim>),

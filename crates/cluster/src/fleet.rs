@@ -25,8 +25,8 @@
 //! wraps, so [`Fleet::completed`] stays exact.
 //!
 //! Slots are never reused or revived — a departed server's slot stays
-//! dead forever — so `is_alive()` alone identifies stale departure
-//! events after churn, and a slot's index is its stable membership id.
+//! dead forever — so `is_alive()` alone identifies a retired server,
+//! and a slot's index is its stable membership id.
 
 use bnb_queueing::events::Time;
 use bnb_router::{LoadView, Member, Membership};
@@ -35,8 +35,8 @@ use std::collections::BTreeMap;
 /// Outcome of offering a job to a server through [`Fleet::try_join`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
-    /// The server was idle; the job starts service immediately (the
-    /// caller must schedule its departure).
+    /// The server was idle; the job starts service immediately (an
+    /// engine that keeps departure times schedules its departure).
     StartedService,
     /// The job joined a busy server's queue.
     Queued,

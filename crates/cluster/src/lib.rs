@@ -32,11 +32,14 @@
 //!   implements [`bnb_router::LoadView`]),
 //! * [`sim`] — the deterministic serial engine: one drive loop for
 //!   every placement policy, arrival process and churn schedule, with
-//!   departures on `bnb-queueing`'s slot-keyed
-//!   [`LazyBoard`](bnb_queueing::LazyBoard), churn ticks and arrivals
-//!   merged as scalar registers, and the ring placements rebalanced
-//!   incrementally through [`bnb_hashring::churn::MembershipRing`] on
-//!   each churn tick,
+//!   **uniformized departures** and no departure board — one Poisson
+//!   stream of potential departures at the fleet's total speed, each
+//!   naming a slot in proportion to its speed and completing its head
+//!   job if it is busy, about 1/ρ of them per arrival — merged with
+//!   arrivals and churn ticks as scalar registers; after the last
+//!   arrival each busy server drains its own queue. Ring placements are
+//!   rebalanced incrementally through
+//!   [`bnb_hashring::churn::MembershipRing`] on each churn tick,
 //! * [`sharded`] — the space-sharded parallel engine: the fleet split
 //!   into contiguous slot ranges across worker threads, placement
 //!   routed against a frozen per-epoch load view, cross-shard joins
@@ -56,13 +59,16 @@
 //!   d-sweep runner,
 //! * [`telemetry`] — the per-component [`bnb_telemetry`] span set
 //!   threaded through the drive loop (off by default, one predicted
-//!   branch per component when off) and the end-of-run harvest of
-//!   departure-board internals and thinning counters.
+//!   branch per component when off) and the end-of-run harvest of the
+//!   departure counters (potential, idle and drain departures) and
+//!   thinning counters.
 //!
 //! Every run is a pure function of `(scenario, seed)`: randomness flows
-//! through dedicated derived streams (arrivals, service, placement,
-//! tie-breaks, churn), so the same seed replays the identical trace,
-//! byte for byte, on any departure board and any thread count.
+//! through dedicated derived streams (arrivals, service, named slots,
+//! placement, tie-breaks, churn), so the same seed replays the
+//! identical trace, byte for byte, on any thread count. The serial
+//! engine is checked in law, not in bytes, against an exact answer key
+//! for small fleets and against the departure-board engine it replaced.
 //!
 //! ```
 //! use bnb_cluster::{find_scenario, SimBuilder};

@@ -3,38 +3,56 @@
 //!
 //! ## The drive loop
 //!
-//! One loop serves every placement policy and every arrival process,
-//! with and without churn. It merges three event streams, each led by
-//! a scalar register:
+//! Every server serves at Exp(speed): `ClusterSpec` has no other service
+//! law. So the fleet is a continuous-time Markov chain, and the loop
+//! simulates it exactly by **uniformization** (Jensen 1953), with no
+//! per-server departure time at all. It merges three event streams,
+//! each led by a scalar register:
 //!
 //! * **arrivals** — block pre-sampled on their own stream, the next one
 //!   held in `next_arrival`;
-//! * **departures** — bare `u32` server slots on a slot-keyed
-//!   [`LazyBoard`]. The fleet holds at most one pending departure per
-//!   server, and the board accepts a schedule only for a slot with
-//!   none pending, so a schedule is an array store and a bag append,
-//!   and a pop an argmin over one small bag (no per-event enum
-//!   dispatch, no heap or wheel maintenance). The board's front time
-//!   is mirrored in the `dep_bound` register;
+//! * **potential departures** — one Poisson process at rate S, the sum
+//!   of the alive speeds (`next_departure`). Each one names an alive
+//!   slot with probability speed / S. If that server is busy, its head
+//!   job completes; if it is idle, nothing happens. Churn replaces a
+//!   leaver with a server of the same speed, so S never changes. The
+//!   epochs and the named slots do not depend on the state, so both are
+//!   pre-sampled: the gaps through the service stream's
+//!   [`ExponentialBlock`], scaled by `1/S`, and the names 64 at a time
+//!   (see `NamedSlots`);
 //! * **churn ticks** — `next_churn`, one tick per [`ChurnConfig`]
 //!   interval (`INFINITY` without churn).
 //!
 //! The earliest event goes first. At an exact time tie the arrival goes
 //! first, then the departure, then the churn tick (a job finishing the
-//! instant its server leaves completes rather than orphans);
-//! departures tied with each other pop in insertion order. A tick retires a server by
-//! deactivating its slot. The retired server's pending departure stays
-//! on the board: slots are never revived, so when it pops `is_alive`
-//! marks it stale, and it only advances the clock. After the last
-//! arrival the one tick still pending fires as a no-op, so the
-//! horizon covers it.
+//! instant its server leaves completes rather than orphans). A tick
+//! retires a server by deactivating its slot, orphaning its queue, and
+//! writes the fresh joiner into the leaver's place among the named
+//! slots. A potential departure that names an idle server is not an
+//! event: the clock and the horizon move only on arrivals, completions
+//! and churn ticks.
+//!
+//! A run costs about 1/ρ potential departures per arrival, where ρ is
+//! the offered load over S; the idle share, about 1 − ρ of them, is
+//! the price of having no departure board. `sim.potential_departures`,
+//! `sim.idle_departures` and `sim.drain_departures` count them, and
+//! potential − idle + drain = completed on every run.
+//!
+//! **The drain.** After the last arrival, uniformizing the tail would
+//! spend most potential departures on servers that have already emptied.
+//! So the loop stops there, and each alive busy server serves out its
+//! own queue, one Exp(1) / speed service time per job from the service
+//! stream. This is exact by memorylessness: at the last arrival every
+//! job in service has an Exp(speed) residual. Churn retires nobody while
+//! the run drains; the tick still pending then fires as a no-op, so the
+//! horizon is the latest of the last arrival, the last completion and
+//! that tick.
 //!
 //! Every request takes one path: one [`PlacementEngine::place`] call
 //! against the fleet's per-server records (the same record the join
 //! then writes), with a request key computed only for the key-driven
-//! (ring) policies, then [`Fleet::try_join`]; a job that starts service
-//! schedules its departure on the board, and every departure pops from
-//! it. How d = 2 is placed is the engine's business alone.
+//! (ring) policies, then [`Fleet::try_join`]. How d = 2 is placed is
+//! the engine's business alone.
 //!
 //! ## Lookahead
 //!
@@ -49,10 +67,9 @@
 //!   counters line (`queue`, `speed`) of request i + 4's two
 //!   candidates, read out of the router's pre-sampled candidate block
 //!   ([`PlacementEngine::peek_d2`]);
-//! * **departures** — when the board's front probe refills its near
-//!   window from the far level, the next ~100 departures become known
-//!   (the hook of [`LazyBoard::min_time_bound`]), and the loop loads
-//!   the record and the pool node of the job in service, whose
+//! * **departures** — when a block of 64 named slots is sampled, the
+//!   next 64 potential departures are known, and the loop loads each
+//!   one's record and the pool node of its job in service, whose
 //!   admission time [`Fleet::depart`] reads.
 //!
 //! The loads are compiled in only for d = 2 placement on a fleet whose
@@ -67,42 +84,53 @@
 //! ## Determinism contract
 //!
 //! A run is a pure function of `(spec, seed)`. Randomness flows through
-//! **dedicated derived streams** — arrivals, service, placement
-//! candidates, tie-breaks and churn each own a
-//! [`derive_seed`]-separated RNG — and each stream is consumed in
-//! event order, which the tie rule above fixes. Within a stream, draws
-//! are block pre-sampled (arrival gaps and Exp(1) service variates
-//! through [`bnb_distributions::ExponentialBlock`]'s ziggurat stream,
-//! placement candidates through the batched alias sampler), which moves
-//! RNG work off the per-event path without changing any draw: the same
-//! seed replays the identical event trace, byte for byte, in the
-//! rendered metrics. The unit tests replay every registry scenario on a
-//! binary-heap departure board and require byte-identical output.
+//! **dedicated derived streams** — arrivals, service (departure epochs,
+//! then drain service times), named slots, placement candidates,
+//! tie-breaks and churn each own a [`derive_seed`]-separated RNG — and
+//! each stream is consumed in event order, which the tie rule above
+//! fixes. Within a stream, draws are block pre-sampled (arrival gaps
+//! and Exp(1) variates through [`bnb_distributions::ExponentialBlock`]'s
+//! ziggurat stream, named slots 64 at a time, placement candidates
+//! through the batched alias sampler), which moves RNG work off the
+//! per-event path without changing any draw: the same seed replays the
+//! identical event trace, byte for byte, in the rendered metrics.
+//! Uniformization changes which draws a run makes, not the law of its
+//! output: the unit tests check the engine against an exact answer key
+//! for small fleets (`bnb_analysis::queueing_key`) and, scenario by
+//! scenario over 30 seeds, against the earlier engine that kept one
+//! pending departure per busy server on a board.
 
 use crate::arrivals::{ArrivalProcess, ArrivalSampler};
-use crate::fleet::{Admission, Fleet};
+use crate::fleet::Fleet;
 use crate::metrics::ClusterMetrics;
 use crate::telemetry::SimTelemetry;
 use bnb_core::CapacityVector;
 use bnb_distributions::{derive_seed, ExponentialBlock, Xoshiro256PlusPlus};
 use bnb_hashring::hash::mix64;
 use bnb_queueing::events::Time;
-use bnb_queueing::lazy::ignore_refill;
-use bnb_queueing::{LazyBoard, LazyStats};
 use bnb_router::PlacementSpec;
 use bnb_router::{LoadView, PlacementEngine};
-use bnb_stats::{Mergeable, SampleSummary};
+use bnb_stats::SampleSummary;
 use bnb_telemetry::{MetricsSnapshot, Registry};
+use std::collections::BTreeMap;
+
+#[cfg(test)]
+mod board_oracle;
+#[cfg(test)]
+mod exact_key;
 
 /// Stream id of the arrival-time RNG (gaps + thinning acceptances).
 /// Shared with the sharded engine: both derive the arrival stream as
 /// `derive_seed(seed, ARRIVAL_STREAM, 0)` so the offered traffic is a
 /// function of the seed alone, not of which engine replays it.
 pub(crate) const ARRIVAL_STREAM: u64 = 0x6172_7276; // "arrv"
-/// Stream id of the Exp(1) service-variate RNG.
+/// Stream id of the Exp(1) RNG: potential-departure gaps, then the
+/// drain's service times.
 pub(crate) const SERVICE_STREAM: u64 = 0x7372_7663; // "srvc"
 /// Stream id of the churn victim-selection RNG.
 pub(crate) const CHURN_STREAM: u64 = 0x6368_726E; // "chrn"
+/// Stream id of the RNG naming each potential departure's slot.
+const NAMING_STREAM: u64 = 0x6E61_6D65; // "name"
 
 /// Fleet record footprint, in bytes, above which a run takes the
 /// lookahead arm: 1 MiB, 32768 records of 32 bytes — the order of one
@@ -112,6 +140,9 @@ const LOOKAHEAD_FOOTPRINT: usize = 1 << 20;
 
 /// How many requests ahead the lookahead arm loads candidate records.
 const LOOKAHEAD_REQUESTS: usize = 4;
+
+/// Named slots pre-sampled per refill.
+const NAMED_BLOCK: usize = 64;
 
 /// Periodic churn: every `interval` time units (starting at `start`),
 /// one random alive server leaves and a fresh server of the same speed
@@ -143,52 +174,138 @@ pub struct ClusterSpec {
     pub requests: u64,
 }
 
-/// The departure schedule the drive loop runs on: at most one pending
-/// departure per server slot, popped in `(time, insertion sequence)`
-/// order. [`LazyBoard`] in production; the unit tests plug in the
-/// binary heap as the oracle. The loop only ever schedules a slot with
-/// no pending departure — the lazy board refuses any other — so the
-/// board's keyed semantics and the heap's multiset semantics coincide.
-pub(crate) trait DepartureBoard {
-    /// An empty board sized for `slots` slots (it may grow past them).
-    fn with_slots(slots: usize) -> Self;
-    /// Schedules `slot`'s departure at `time`.
-    fn schedule(&mut self, slot: u32, time: Time);
-    /// Pops the earliest departure as `(time, slot)`.
-    fn pop(&mut self) -> Option<(Time, u32)>;
-    /// The exact time of the earliest pending departure, `INFINITY`
-    /// when none is pending. If finding it refills the board's near
-    /// window, `on_refill` is called with the slot of every departure
-    /// the refill moved there — the next departures to pop, for the
-    /// loop's lookahead. A board without such a window never calls it.
-    fn front(&mut self, on_refill: impl FnMut(u32)) -> Time;
-    /// The board's internals counters, if it keeps any.
-    fn stats(&self) -> Option<&LazyStats>;
+/// One speed class of [`NamedSlots`].
+#[derive(Debug, Clone, Copy)]
+struct NamedClass {
+    /// Total weight of the classes before this one.
+    base: u64,
+    /// Weight of one slot of this class: its speed in every run; the
+    /// exact-key tests plant other weights.
+    weight: u64,
+    /// Position of the class's first slot in [`NamedSlots::slots`].
+    first: u32,
 }
 
-impl DepartureBoard for LazyBoard {
-    fn with_slots(slots: usize) -> Self {
-        LazyBoard::with_slots(slots)
+/// Which slot each potential departure names: an alive slot, with
+/// probability proportional to its speed.
+///
+/// The alive slots are kept grouped by speed class, with each class's
+/// cumulative integer weight (count × speed). A draw `r` below the
+/// total weight S finds its class `c` by weight and then the slot at
+/// position `(r − base_c) / speed_c` within it: exactly speed / S per
+/// slot. Draws are pre-sampled as positions, 64 at a time, and read as
+/// slots only when used. A churn tick writes the joiner into its
+/// leaver's position (the two share a speed), so a draw made before the
+/// tick names a slot of the current membership with the right law.
+#[derive(Debug)]
+struct NamedSlots {
+    /// Alive slots, grouped by class in ascending speed.
+    slots: Vec<u32>,
+    classes: Vec<NamedClass>,
+    /// The classes' total weight.
+    total: u64,
+    rng: Xoshiro256PlusPlus,
+    /// Pre-sampled draws, as positions in `slots`.
+    block: [u32; NAMED_BLOCK],
+    /// Next unused draw in `block`.
+    pos: usize,
+}
+
+impl NamedSlots {
+    /// The alive slots of `fleet`, each weighted by `weight(speed)`.
+    fn new(fleet: &Fleet, weight: fn(u64) -> u64, rng: Xoshiro256PlusPlus) -> Self {
+        let mut by_speed: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        for (slot, server) in fleet.servers().iter().enumerate() {
+            if server.is_alive() {
+                by_speed
+                    .entry(server.speed())
+                    .or_default()
+                    .push(slot_u32(slot));
+            }
+        }
+        let mut slots = Vec::with_capacity(fleet.n_alive());
+        let mut classes = Vec::with_capacity(by_speed.len());
+        let mut total = 0u64;
+        for (speed, members) in by_speed {
+            let weight = weight(speed);
+            classes.push(NamedClass {
+                base: total,
+                weight,
+                first: slots.len() as u32,
+            });
+            total = (members.len() as u64)
+                .checked_mul(weight)
+                .and_then(|w| w.checked_add(total))
+                .expect("the fleet's total speed fits 64 bits");
+            slots.extend(members);
+        }
+        NamedSlots {
+            slots,
+            classes,
+            total,
+            rng,
+            block: [0; NAMED_BLOCK],
+            pos: NAMED_BLOCK,
+        }
     }
 
+    /// Whether the pre-sampled block is used up.
     #[inline]
-    fn schedule(&mut self, slot: u32, time: Time) {
-        LazyBoard::schedule(self, slot, time);
+    fn exhausted(&self) -> bool {
+        self.pos == NAMED_BLOCK
     }
 
+    /// Samples the next block of draws.
+    fn refill(&mut self) {
+        for draw in &mut self.block {
+            let r = self.rng.next_below(self.total);
+            let class = self.classes[self.classes.partition_point(|c| c.base <= r) - 1];
+            *draw = class.first + ((r - class.base) / class.weight) as u32;
+        }
+        self.pos = 0;
+    }
+
+    /// The slots the pre-sampled block names, in draw order, as of now.
+    fn block_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.block.iter().map(|&p| self.slots[p as usize] as usize)
+    }
+
+    /// The next pre-sampled draw's slot. The block must not be
+    /// exhausted.
     #[inline]
-    fn pop(&mut self) -> Option<(Time, u32)> {
-        LazyBoard::pop(self)
+    fn next(&mut self) -> usize {
+        let slot = self.slots[self.block[self.pos] as usize];
+        self.pos += 1;
+        slot as usize
     }
 
-    #[inline]
-    fn front(&mut self, on_refill: impl FnMut(u32)) -> Time {
-        self.min_time_bound(on_refill).unwrap_or(f64::INFINITY)
+    /// `joiner` takes `leaver`'s position.
+    ///
+    /// # Panics
+    /// Panics if `leaver` is not a named slot.
+    fn replace(&mut self, leaver: usize, joiner: usize) {
+        let pos = self
+            .slots
+            .iter()
+            .position(|&s| s as usize == leaver)
+            .expect("a churn victim is an alive, named slot");
+        self.slots[pos] = slot_u32(joiner);
     }
+}
 
-    fn stats(&self) -> Option<&LazyStats> {
-        Some(LazyBoard::stats(self))
-    }
+/// A fleet slot as a named-slot entry.
+///
+/// # Panics
+/// Panics past `u32::MAX` slots.
+fn slot_u32(slot: usize) -> u32 {
+    u32::try_from(slot).expect("a fleet slot index fits 32 bits")
+}
+
+/// How a run weights the slots its potential departures name: by speed,
+/// which is what makes uniformization exact. The exact-key tests plant
+/// another weight to check that the key notices.
+fn speed_weight(speed: u64) -> u64 {
+    speed
 }
 
 /// The running simulator. Production runs are built by
@@ -204,8 +321,8 @@ pub struct ClusterSim {
     fleet: Fleet,
     router: PlacementEngine,
     arrivals: ArrivalSampler,
-    /// Block-sampled Exp(1) service variates; scaled by `1/speed` at
-    /// the departure-scheduling site.
+    /// Block-sampled Exp(1) variates: potential-departure gaps scaled
+    /// by `1/S`, then drain service times scaled by `1/speed`.
     service: ExponentialBlock,
     churn_rng: Xoshiro256PlusPlus,
     key_seed: u64,
@@ -227,12 +344,12 @@ pub struct ClusterSim {
     /// switched them on). A separate field so the drive loop can time
     /// one component while borrowing the router/fleet disjointly.
     tele: SimTelemetry,
-    /// Board internals folded out of the drive loop's local
-    /// departure board when it drains (see [`bnb_queueing::LazyBoard`]).
-    lazy_stats: LazyStats,
-    /// Departures popped after their server left: dropped, having only
-    /// advanced the clock.
-    stale_departures: u64,
+    /// Potential departures the uniformized phase drew, the ones among
+    /// them that named an idle server, and the completions the drain
+    /// served.
+    potential_departures: u64,
+    idle_departures: u64,
+    drain_departures: u64,
     /// Fleet records the lookahead loaded before the loop needed them,
     /// from both sources (zero on a fleet below the gate).
     lookahead_touches: u64,
@@ -285,8 +402,9 @@ impl ClusterSim {
             latency_store: store_counters(&SampleSummary::new()),
             result: None,
             tele: SimTelemetry::disabled(),
-            lazy_stats: LazyStats::new(),
-            stale_departures: 0,
+            potential_departures: 0,
+            idle_departures: 0,
+            drain_departures: 0,
             lookahead_touches: 0,
             placement: spec.placement,
             requests: spec.requests,
@@ -305,10 +423,10 @@ impl ClusterSim {
     }
 
     /// Harvests everything this run observed — span latency
-    /// distributions and trace events, the departure board's internals
-    /// counters (ring inserts, rebuilds, far-side refills),
-    /// departures dropped because their server churned out
-    /// (`sim.stale_departures`), fleet records the lookahead loaded
+    /// distributions and trace events, potential departures drawn
+    /// (`sim.potential_departures`), the ones that named an idle server
+    /// (`sim.idle_departures`) and the completions the drain served
+    /// (`sim.drain_departures`), fleet records the lookahead loaded
     /// early (`sim.lookahead_touches`), admissions that joined behind a
     /// busy server (`fleet.queued`) and the admission pool's high-water
     /// mark in 12-byte nodes, the most jobs ever in the system at once
@@ -317,13 +435,15 @@ impl ClusterSim {
     /// chunks closed early (`latency.buckets`, `latency.chunks`,
     /// `latency.bytes`, `latency.early_closes`), and arrival-thinning
     /// counts — into one exportable snapshot. Meaningful after
-    /// [`ClusterSim::run`]; the internals counters are live (always on)
-    /// even when the spans were never enabled.
+    /// [`ClusterSim::run`]; the counters are live (always on) even when
+    /// the spans were never enabled.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
         let counters: Vec<(&str, u64)> = [
             ("sim.arrived", self.arrived),
-            ("sim.stale_departures", self.stale_departures),
+            ("sim.potential_departures", self.potential_departures),
+            ("sim.idle_departures", self.idle_departures),
+            ("sim.drain_departures", self.drain_departures),
             ("sim.lookahead_touches", self.lookahead_touches),
             ("fleet.queued", self.fleet.queued()),
             ("fleet.pool_nodes", self.fleet.pool_nodes() as u64),
@@ -332,28 +452,36 @@ impl ClusterSim {
         .chain(self.latency_store)
         .collect();
         self.tele
-            .harvest(&self.lazy_stats, &counters, self.arrivals.thinning_counts())
+            .harvest(&counters, self.arrivals.thinning_counts())
     }
 
     /// Runs the full request budget and drains the queues; returns the
     /// final metrics. A second call is a no-op returning the same
     /// metrics: the budget is already spent.
     pub fn run(&mut self) -> ClusterMetrics {
-        self.run_on::<LazyBoard>()
+        self.run_weighted(speed_weight)
     }
 
-    /// [`ClusterSim::run`] on departure board `B`. The lookahead gate
-    /// is dispatched here, once per run.
-    fn run_on<B: DepartureBoard>(&mut self) -> ClusterMetrics {
+    /// [`ClusterSim::run`] with potential departures naming each slot in
+    /// proportion to `weight(speed)`. The lookahead gate is dispatched
+    /// here, once per run.
+    fn run_weighted(&mut self, weight: fn(u64) -> u64) -> ClusterMetrics {
         if let Some(result) = &self.result {
             return result.clone();
         }
         let horizon = if self.lookahead() {
-            self.drive::<B, true>()
+            self.drive::<true>(weight)
         } else {
-            self.drive::<B, false>()
+            self.drive::<false>(weight)
         };
-        self.check_accounting();
+        let served = self.potential_departures - self.idle_departures + self.drain_departures;
+        self.finish(horizon, served)
+    }
+
+    /// Checks the run's accounting and collects its metrics; `served`
+    /// is the number of completions the drive loop counted.
+    fn finish(&mut self, horizon: Time, served: u64) -> ClusterMetrics {
+        self.check_accounting(served);
         self.latency_store = store_counters(&self.latencies);
         let metrics = ClusterMetrics::collect(
             &self.fleet,
@@ -369,13 +497,14 @@ impl ClusterSim {
     }
 
     /// The per-run accounting invariant, checked after every drive:
-    /// each completion pushed one latency, and every arrival ended
+    /// each completion the loop counted (`served`) completed on one
+    /// server and pushed one latency, and every arrival ended
     /// completed, dropped at a full queue or orphaned by churn. The run
     /// has drained, so no job is left in the system.
     ///
     /// # Panics
-    /// Panics, printing both sides, if either identity fails.
-    fn check_accounting(&self) {
+    /// Panics, printing every side, if an identity fails.
+    fn check_accounting(&self, served: u64) {
         let completed: u64 = (0..self.fleet.n_slots())
             .map(|i| self.fleet.completed(i))
             .sum();
@@ -383,10 +512,10 @@ impl ClusterSim {
         let dropped = self.fleet.total_dropped();
         let ended = completed + dropped + self.orphaned;
         assert!(
-            completed == pushed && ended == self.arrived,
+            completed == pushed && completed == served && ended == self.arrived,
             "run accounting broken: per-server completed {completed} vs latencies pushed \
-             {pushed}; completed {completed} + dropped {dropped} + orphaned {} = {ended} vs \
-             arrived {}",
+             {pushed} vs departures served {served}; completed {completed} + dropped \
+             {dropped} + orphaned {} = {ended} vs arrived {}",
             self.orphaned,
             self.arrived
         );
@@ -400,25 +529,26 @@ impl ClusterSim {
             && std::mem::size_of_val(self.fleet.servers()) > LOOKAHEAD_FOOTPRINT
     }
 
-    /// The drive loop (see the module docs); returns the horizon, the
-    /// time of the last event. `AHEAD` adds the lookahead loads.
+    /// The drive loop (see the module docs): uniformized departures
+    /// until the last arrival, then the per-server drain. Returns the
+    /// horizon. Potential departures name slots in proportion to
+    /// `weight(speed)`; `AHEAD` adds the lookahead loads.
     ///
-    /// One branch-predictable loop keeps arrival merging, placement,
-    /// service sampling and completion scheduling together, and the
-    /// clock, the next arrival, the board's front time and the next
-    /// churn tick all live in registers instead of round-tripping
-    /// through `self` between events.
+    /// One branch-predictable loop keeps arrival merging, placement and
+    /// departures together, and the clock, the next arrival, the next
+    /// potential departure and the next churn tick all live in
+    /// registers instead of round-tripping through `self` between
+    /// events.
     ///
     /// The next arrival is drawn before the current one is placed. The
     /// streams are independently seeded, so each stream's draw sequence
     /// is still its event-order sequence.
-    fn drive<B: DepartureBoard, const AHEAD: bool>(&mut self) -> Time {
+    fn drive<const AHEAD: bool>(&mut self, weight: fn(u64) -> u64) -> Time {
         /// Arrival times pre-sampled per refill. Arrivals chain off
         /// their own stream only, so a block is bitwise the scalar
         /// sequence; the size just keeps the thinning loop hot (the
         /// non-stationary processes re-enter a sinusoid/envelope loop
-        /// per request otherwise) without outrunning the latency the
-        /// drain loop can observe.
+        /// per request otherwise).
         const ARRIVAL_BLOCK: usize = 64;
         let requests = self.requests;
         if requests == 0 {
@@ -429,59 +559,70 @@ impl ClusterSim {
         let (mut next_churn, churn_interval) = self
             .churn
             .map_or((f64::INFINITY, f64::INFINITY), |c| (c.start, c.interval));
-        let mut departures = B::with_slots(self.fleet.n_slots());
+        let mut named = NamedSlots::new(
+            &self.fleet,
+            weight,
+            Xoshiro256PlusPlus::from_u64_seed(derive_seed(self.key_seed, NAMING_STREAM, 0)),
+        );
+        // S, the potential departures' rate: the alive speeds' sum,
+        // which churn keeps constant.
+        let rate: u64 = self
+            .fleet
+            .servers()
+            .iter()
+            .filter(|s| s.is_alive())
+            .map(|s| s.speed())
+            .sum();
+        let inv_rate = 1.0 / rate as f64;
         let mut now = 0.0;
         let mut next_arrival = self.arrivals.next_after(now);
+        let mut next_departure = self.service.next() * inv_rate;
         let mut block: Vec<Time> = Vec::new();
         let mut block_pos = 0usize;
-        // The board's front time, mirrored into a register: `schedule`
-        // can only lower it (`min` below), a pop re-reads it, and
-        // `front` is exact, so the mirror always equals the next
-        // departure time (`INFINITY` for an empty board). The event
-        // merge then costs one f64 compare instead of a board call.
-        let mut dep_bound = f64::INFINITY;
+        let (mut potential, mut idle) = (0u64, 0u64);
         // The lookahead's loaded values all fold into `sink`, which is
         // consumed once after the loop, so the loads cannot be dropped.
         let mut sink = 0u64;
         let mut touches = 0u64;
         loop {
-            if dep_bound < next_arrival && dep_bound <= next_churn {
-                let (time, server) = departures.pop().expect("front at dep_bound");
-                now = time;
-                self.depart(&mut departures, server as usize, now);
-                dep_bound = if AHEAD {
-                    // A lap refill names the next ~100 departures: load
-                    // their records and oldest waiting admissions now.
-                    let fleet = &self.fleet;
-                    departures.front(|slot| {
-                        sink ^= fleet.touch_record(slot as usize);
-                        touches += 1;
-                    })
+            if next_departure < next_arrival && next_departure <= next_churn {
+                if named.exhausted() {
+                    let ts = self.tele.schedule.enter();
+                    named.refill();
+                    if AHEAD {
+                        // The block names the next 64 departures: load
+                        // their records and jobs in service now.
+                        for slot in named.block_slots() {
+                            sink ^= self.fleet.touch_record(slot);
+                        }
+                        touches += NAMED_BLOCK as u64;
+                    }
+                    self.tele.schedule.exit(ts);
+                }
+                let server = named.next();
+                potential += 1;
+                if self.fleet.server(server).queue_len() == 0 {
+                    idle += 1;
                 } else {
-                    departures.front(ignore_refill)
-                };
+                    now = next_departure;
+                    self.depart(server, now);
+                }
+                next_departure += self.service.next() * inv_rate;
                 continue;
             }
             if next_churn < next_arrival {
                 now = next_churn;
-                next_churn = if self.arrived < requests {
-                    self.churn_tick();
-                    now + churn_interval
-                } else {
-                    // The budget is offered: the run is draining, and
-                    // this last tick retires nobody.
-                    f64::INFINITY
-                };
+                if let Some((leaver, joiner)) = self.churn_tick() {
+                    named.replace(leaver, joiner);
+                }
+                next_churn = now + churn_interval;
                 continue;
-            }
-            if next_arrival == f64::INFINITY {
-                break;
             }
             now = next_arrival;
             self.arrived += 1;
             // The refill chains off `now` — the arrival just consumed —
             // exactly where the scalar stream was.
-            next_arrival = if self.arrived < requests {
+            if self.arrived < requests {
                 if block_pos == block.len() {
                     let n = ((requests - self.arrived) as usize).min(ARRIVAL_BLOCK);
                     let ta = self.tele.arrival.enter();
@@ -489,11 +630,9 @@ impl ClusterSim {
                     self.tele.arrival.exit(ta);
                     block_pos = 0;
                 }
+                next_arrival = block[block_pos];
                 block_pos += 1;
-                block[block_pos - 1]
-            } else {
-                f64::INFINITY
-            };
+            }
             let tp = self.tele.place.enter();
             if AHEAD {
                 // Load the counters line of the candidates a few
@@ -511,64 +650,64 @@ impl ClusterSim {
                 0
             };
             let target = self.router.place(&self.fleet, key);
-            let admission = self.fleet.try_join(target, now);
+            self.fleet.try_join(target, now);
             self.tele.place.exit(tp);
-            if admission == Admission::StartedService {
-                // Idle target: service starts now. Exp(1) work at rate
-                // `speed` ⇒ Exp(speed) service time, through the
-                // precomputed reciprocal.
-                let ts = self.tele.schedule.enter();
-                let t_dep = now + self.service.next() * self.fleet.inv_speed_of(target);
-                departures.schedule(target as u32, t_dep);
-                dep_bound = dep_bound.min(t_dep);
-                self.tele.schedule.exit(ts);
+            if self.arrived == requests {
+                break;
             }
-        }
-        // The local board dies with this loop; fold its internals
-        // counters into the run's stats first.
-        if let Some(stats) = departures.stats() {
-            self.lazy_stats.merge_from(stats);
         }
         std::hint::black_box(sink);
         self.lookahead_touches += touches;
-        now
+        self.potential_departures += potential;
+        self.idle_departures += idle;
+        // The drain: the budget is offered, so every busy server serves
+        // out its own queue from `now`. A retired slot holds no job.
+        // The churn tick still pending retires nobody; it only extends
+        // the horizon.
+        let mut horizon = if next_churn.is_finite() {
+            now.max(next_churn)
+        } else {
+            now
+        };
+        for server in 0..self.fleet.n_slots() {
+            let mut t = now;
+            while self.fleet.server(server).queue_len() > 0 {
+                t += self.service.next() * self.fleet.inv_speed_of(server);
+                self.depart(server, t);
+                self.drain_departures += 1;
+            }
+            horizon = horizon.max(t);
+        }
+        horizon
     }
 
-    /// A popped departure. Stale if the server has left since it was
-    /// scheduled: it is dropped, having only advanced the clock.
+    /// The job in service on `server` completes at `now`.
     #[inline]
-    fn depart<B: DepartureBoard>(&mut self, departures: &mut B, server: usize, now: Time) {
-        if !self.fleet.server(server).is_alive() {
-            self.stale_departures += 1;
-            return;
-        }
+    fn depart(&mut self, server: usize, now: Time) {
         let td = self.tele.depart.enter();
-        let (latency, more) = self.fleet.depart(server, now);
+        let (latency, _) = self.fleet.depart(server, now);
         self.latencies.push(latency);
         self.tele.depart.exit(td);
-        if more {
-            let ts = self.tele.schedule.enter();
-            let service = self.service.next() * self.fleet.inv_speed_of(server);
-            departures.schedule(server as u32, now + service);
-            self.tele.schedule.exit(ts);
-        }
     }
 
     /// One churn tick: a random alive server leaves (its queue is
-    /// orphaned) and a fresh server of the same speed joins.
-    fn churn_tick(&mut self) {
+    /// orphaned) and a fresh server of the same speed joins. Returns the
+    /// `(leaver, joiner)` slots, or `None` when only one server is alive.
+    fn churn_tick(&mut self) -> Option<(usize, usize)> {
         let alive = self.fleet.alive_indices();
-        if alive.len() > 1 {
-            let victim = alive[self.churn_rng.next_below(alive.len() as u64) as usize];
-            let speed = self.fleet.server(victim).speed();
-            self.orphaned += self.fleet.deactivate(victim);
-            self.leaves += 1;
-            // A fresh server of the same speed joins: stationary capacity
-            // mix, fresh arcs on the ring.
-            self.fleet.activate_new(speed);
-            self.joins += 1;
-            self.router.rebuild(&self.fleet.membership());
+        if alive.len() < 2 {
+            return None;
         }
+        let victim = alive[self.churn_rng.next_below(alive.len() as u64) as usize];
+        let speed = self.fleet.server(victim).speed();
+        self.orphaned += self.fleet.deactivate(victim);
+        self.leaves += 1;
+        // A fresh server of the same speed joins: stationary capacity
+        // mix, fresh arcs on the ring.
+        let joiner = self.fleet.activate_new(speed);
+        self.joins += 1;
+        self.router.rebuild(&self.fleet.membership());
+        Some((victim, joiner))
     }
 
     /// Read access to the fleet (used by tests and the CLI's per-server
@@ -592,50 +731,35 @@ fn store_counters(store: &SampleSummary) -> [(&'static str, u64); 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::SimBuilder;
+    use crate::builder::{Sim, SimBuilder};
     use crate::scenario::{registry, SMOKE_DIVISOR};
-    use bnb_queueing::events::EventQueue;
-
-    /// The binary heap as a departure board: the oracle. It never
-    /// dedups a slot, so it replays the lazy board exactly only because
-    /// the loop never schedules a slot that already has a departure
-    /// pending — which the lazy board enforces: its `schedule` panics
-    /// on a pending slot, in every build.
-    impl DepartureBoard for EventQueue<u32> {
-        fn with_slots(_slots: usize) -> Self {
-            EventQueue::new()
-        }
-
-        fn schedule(&mut self, slot: u32, time: Time) {
-            EventQueue::schedule(self, time, slot);
-        }
-
-        fn pop(&mut self) -> Option<(Time, u32)> {
-            EventQueue::pop(self)
-        }
-
-        fn front(&mut self, _on_refill: impl FnMut(u32)) -> Time {
-            self.peek().unwrap_or(f64::INFINITY)
-        }
-
-        fn stats(&self) -> Option<&LazyStats> {
-            None
-        }
-    }
 
     /// A production run: the builder's serial engine.
     fn run(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
         SimBuilder::new(spec).seed(seed).build().run()
     }
 
-    /// The differential oracle: the drive loop on the binary heap.
-    fn heap_oracle(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
-        ClusterSim::new(spec, seed).run_on::<EventQueue<u32>>()
+    /// `(potential, idle, drain)` departures of a finished run.
+    fn departure_counters(sim: &ClusterSim) -> (u64, u64, u64) {
+        let snap = sim.telemetry_snapshot();
+        let c = |name| snap.counter(name).expect(name);
+        (
+            c("sim.potential_departures"),
+            c("sim.idle_departures"),
+            c("sim.drain_departures"),
+        )
     }
 
-    /// The rendered output a run's artifacts are made of.
-    fn render(m: &ClusterMetrics) -> String {
-        m.render_table() + &m.to_series_set("diff", "diff").to_plot_text()
+    /// Asserts the departure identity potential − idle + drain =
+    /// completed on a finished run.
+    fn assert_departures_balance(sim: &ClusterSim, m: &ClusterMetrics, name: &str) {
+        let (potential, idle, drain) = departure_counters(sim);
+        assert!(idle <= potential, "{name}: {idle} idle of {potential}");
+        assert_eq!(
+            potential - idle + drain,
+            m.completed,
+            "{name}: departure accounting does not balance"
+        );
     }
 
     fn base_spec() -> ClusterSpec {
@@ -687,6 +811,77 @@ mod tests {
     }
 
     #[test]
+    fn named_slots_follow_speed_and_take_a_joiner_in_its_leavers_place() {
+        // Speeds 1, 2, 3, 2 and 8: three classes. Over 1.6M draws each
+        // slot's share must sit within 5 standard errors of speed / 16.
+        let speeds = [1, 2, 3, 2, 8];
+        let mut fleet = Fleet::new(&speeds, None);
+        let rng = Xoshiro256PlusPlus::from_u64_seed(5);
+        let mut named = NamedSlots::new(&fleet, speed_weight, rng);
+        assert_eq!(named.total, 16);
+        let draws = 1_600_000usize;
+        let mut hits = [0u64; 6];
+        for k in 0..draws {
+            if k == draws / 2 {
+                // Slot 1 (speed 2) leaves and slot 5 joins in its place:
+                // from here on it takes slot 1's share.
+                fleet.deactivate(1);
+                let joiner = fleet.activate_new(2);
+                named.replace(1, joiner);
+            }
+            if named.exhausted() {
+                named.refill();
+            }
+            hits[named.next()] += 1;
+        }
+        let n = draws as f64;
+        let share = |slot: usize, halves: f64| hits[slot] as f64 / (n * halves);
+        for (slot, want, halves) in [
+            (0, 1.0, 1.0),
+            (1, 2.0, 0.5),
+            (2, 3.0, 1.0),
+            (3, 2.0, 1.0),
+            (4, 8.0, 1.0),
+            (5, 2.0, 0.5),
+        ] {
+            let p = want / 16.0;
+            let se = (p * (1.0 - p) / (n * halves)).sqrt();
+            let got = share(slot, halves);
+            assert!(
+                (got - p).abs() < 5.0 * se,
+                "slot {slot}: share {got}, want {p} ± {se}"
+            );
+        }
+    }
+
+    #[test]
+    fn idle_share_of_potential_departures_tracks_one_minus_load() {
+        // A potential departure names an idle server with probability
+        // 1 − (served rate) / S, so on unbounded queues the idle share is
+        // about 1 − ρ: the engine's one cost that grows as load falls.
+        for rho in [0.3, 0.6, 0.9] {
+            let mut spec = base_spec();
+            spec.arrivals = ArrivalProcess::Poisson {
+                rate: rho * spec.speeds.total() as f64,
+            };
+            spec.queue_capacity = None;
+            spec.requests = 200_000;
+            let mut sim = SimBuilder::new(spec).seed(8).build();
+            let m = sim.run();
+            let Sim::Serial(serial) = &sim else {
+                panic!("the builder's default engine is serial")
+            };
+            assert_departures_balance(serial, &m, "idle share");
+            let (potential, idle, _) = departure_counters(serial);
+            let share = idle as f64 / potential as f64;
+            assert!(
+                (share - (1.0 - rho)).abs() < 0.01,
+                "ρ = {rho}: idle share {share}"
+            );
+        }
+    }
+
+    #[test]
     fn latency_store_counters_describe_the_store_collect_freed() {
         // Every completed latency sits in a chunk of its radix bucket: a
         // wide chunk holds up to 64 values, a narrow one up to 76. Only
@@ -727,42 +922,8 @@ mod tests {
     }
 
     #[test]
-    fn heap_oracle_replays_the_production_run_on_every_scenario() {
-        // The departure-board differential: the production run on the
-        // lazy board and the same loop on the binary heap must not
-        // differ by a single byte of any scenario's rendered output —
-        // quantiles, per-server curves, churn counters and all. The
-        // oracle runs with every span enabled, so this is also the
-        // heap-side half of the telemetry differential (the production
-        // half lives in `tests/differential.rs`). Two seeds, so a
-        // tie-breaking slip cannot hide behind one lucky trace.
-        for scenario in registry() {
-            let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
-            for seed in [0xCA1E, 0xF0_5ED] {
-                let production = run((scenario.build)(seed, requests), seed);
-                let mut heap = ClusterSim::new((scenario.build)(seed, requests), seed);
-                heap.set_telemetry(&Registry::with_sampling(0, 1 << 14));
-                let oracle = heap.run_on::<EventQueue<u32>>();
-                assert_eq!(
-                    render(&production),
-                    render(&oracle),
-                    "{}: lazy board vs heap oracle diverged (seed {seed:#x})",
-                    scenario.id
-                );
-                assert_eq!(production, oracle, "{} (seed {seed:#x})", scenario.id);
-                assert_eq!(
-                    heap.telemetry_snapshot().counter("sim.arrived"),
-                    Some(requests),
-                    "{}: heap telemetry snapshot missed arrivals",
-                    scenario.id
-                );
-            }
-        }
-    }
-
-    #[test]
     fn accounting_invariant_holds_on_every_scenario() {
-        // `run_on` checks the accounting identities after every drive
+        // `finish` checks the accounting identities after every drive
         // and panics if one fails; every registry scenario runs it here,
         // churn and drops included.
         for scenario in registry() {
@@ -806,12 +967,12 @@ mod tests {
     }
 
     #[test]
-    fn churn_retiring_a_busy_server_drops_its_departure_as_stale() {
+    fn churn_retiring_a_busy_server_orphans_its_queue() {
         // An overloaded fleet keeps every server busy, so each tick
-        // retires a server with a departure pending on the board. That
-        // departure must pop as stale (counted, nothing served), the
-        // retired queue must count as orphaned, and every request must
-        // land in exactly one of the three outcomes.
+        // retires a server with jobs in the system. Its queue must count
+        // as orphaned, its slot must never be named again (a departure
+        // from it would break the identity below), and every request
+        // must land in exactly one of the three outcomes.
         let speeds = CapacityVector::uniform(4, 1);
         let spec = ClusterSpec {
             arrivals: ArrivalProcess::Poisson {
@@ -826,27 +987,26 @@ mod tests {
             }),
             requests: 2_000,
         };
-        let mut sim = SimBuilder::new(spec.clone()).seed(4).build();
+        let mut sim = ClusterSim::new(spec, 4);
         let m = sim.run();
-        let stale = sim.telemetry_snapshot().counter("sim.stale_departures");
         assert!(m.leaves > 0, "churn must fire");
         assert!(m.orphaned > 0, "a busy server must have been retired");
-        assert!(
-            stale.is_some_and(|n| n > 0),
-            "a retired server's departure must pop as stale, got {stale:?}"
-        );
         assert_eq!(m.completed + m.dropped + m.orphaned, m.requests);
-        assert_eq!(m, heap_oracle(spec, 4));
+        assert_departures_balance(&sim, &m, "overloaded churn");
+        for slot in 0..sim.fleet().n_slots() {
+            if !sim.fleet().server(slot).is_alive() {
+                assert_eq!(sim.fleet().server(slot).queue_len(), 0, "slot {slot}");
+            }
+        }
     }
 
     #[test]
-    fn churn_faster_than_service_replays_on_the_heap_oracle() {
+    fn churn_faster_than_service_keeps_the_departure_accounting() {
         // Ticks every 0.3 time units against a mean service time of 1:
-        // a tick falls between most pairs of departures, and retired
-        // servers leave stale departures behind. Every departure goes
-        // through the board — each one scheduled pops as a completion
-        // or as stale — and every placement policy, d = 2 included,
-        // must replay the heap oracle bitwise.
+        // a tick falls between most pairs of departures and retires busy
+        // servers, whose joiners take over their named positions. Every
+        // completion must be a potential departure that found its server
+        // busy, or a drain completion, under every placement policy.
         for placement in [
             PlacementSpec::DChoice { d: 2 },
             PlacementSpec::DChoice { d: 3 },
@@ -867,20 +1027,13 @@ mod tests {
                 }),
                 requests: 6_000,
             };
-            let mut sim = SimBuilder::new(spec.clone()).seed(12).build();
+            let mut sim = ClusterSim::new(spec, 12);
             let m = sim.run();
-            let snap = sim.telemetry_snapshot();
-            let count = |name: &str| snap.counter(name).unwrap_or(0);
             let name = placement.name();
             assert!(m.leaves > 100, "{name}: churn must fire often");
-            let stale = count("sim.stale_departures");
-            assert!(stale > 0, "{name}: stale departures must pop");
-            assert_eq!(
-                count("lazy.ring_inserts"),
-                m.completed + stale,
-                "{name}: a departure bypassed the board"
-            );
-            assert_eq!(m, heap_oracle(spec, 12), "{name}: heap oracle diverged");
+            assert!(m.orphaned > 0, "{name}: a busy server must retire");
+            assert_eq!(m.completed + m.dropped + m.orphaned, m.requests, "{name}");
+            assert_departures_balance(&sim, &m, name);
         }
     }
 
@@ -911,17 +1064,16 @@ mod tests {
     }
 
     #[test]
-    fn churned_wide_fleet_replays_the_heap_oracle() {
+    fn churned_wide_fleet_keeps_the_departure_accounting() {
         // No registry scenario churns a fleet past the lookahead gate.
         // Here one does: churn retires busy servers mid-run, so the
-        // lookahead maps d = 2 tokens through the alive list, and
-        // retired slots are loaded ahead and later pop as stale. The
-        // lookahead must not move a byte against the heap oracle (which
-        // reports no refills). Hash-then-probe on the same fleet runs
-        // the loop without loads: the gate admits d = 2 choice only.
-        // The fleet holds 2 MiB of records, twice the gate, and the
-        // budget spans ~0.45 time units: ~20 churn ticks, most of them
-        // while Exp(1) jobs still hold the slow servers.
+        // lookahead maps d = 2 tokens through the alive list, and named
+        // blocks loaded before a tick resolve to the joiner after it.
+        // Hash-then-probe on the same fleet runs the loop without loads:
+        // the gate admits d = 2 choice only. The fleet holds 2 MiB of
+        // records, twice the gate, and the budget spans ~0.45 time
+        // units: ~20 churn ticks, most of them while Exp(1) jobs still
+        // hold the slow servers.
         let speeds = CapacityVector::two_class(32_768, 1, 32_768, 8);
         for placement in [
             PlacementSpec::DChoice { d: 2 },
@@ -940,14 +1092,13 @@ mod tests {
                 }),
                 requests: 120_000,
             };
-            let mut sim = ClusterSim::new(spec.clone(), 21);
+            let mut sim = ClusterSim::new(spec, 21);
             let m = sim.run();
             let snap = sim.telemetry_snapshot();
             let count = |name: &str| snap.counter(name).unwrap_or(0);
             let name = placement.name();
             assert!(m.leaves >= 5, "{name}: churn must fire mid-run");
             assert!(m.orphaned > 0, "{name}: a busy server must retire");
-            assert!(count("sim.stale_departures") > 0, "{name}: stale pops");
             let d2 = matches!(placement, PlacementSpec::DChoice { d: 2 });
             assert_eq!(sim.lookahead(), d2, "{name}: gate");
             assert_eq!(
@@ -956,7 +1107,7 @@ mod tests {
                 "{name}: lookahead loads"
             );
             assert_eq!(m.completed + m.dropped + m.orphaned, m.requests, "{name}");
-            assert_eq!(m, heap_oracle(spec, 21), "{name}: heap oracle diverged");
+            assert_departures_balance(&sim, &m, name);
         }
     }
 
@@ -1075,10 +1226,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// Whatever the speeds, utilisation and d-choice family, every
-        /// request completes on unbounded queues, and the production
-        /// run replays on the heap oracle byte for byte.
+        /// request completes on unbounded queues.
         #[test]
-        fn sampled_policies_conserve_and_replay_the_heap_oracle(
+        fn sampled_policies_conserve_on_unbounded_queues(
             speeds in proptest::collection::vec(1u64..8, 1..12),
             rho_pct in 10u32..95,
             d in 1usize..4,
@@ -1101,11 +1251,10 @@ mod tests {
                 churn: None,
                 requests: 500,
             };
-            let m = run(spec.clone(), seed);
+            let m = run(spec, seed);
             proptest::prop_assert_eq!(m.completed, 500);
             proptest::prop_assert!(m.horizon.is_finite() && m.horizon > 0.0);
             proptest::prop_assert!(m.max_queue_len >= 1);
-            proptest::prop_assert_eq!(&m, &heap_oracle(spec, seed));
         }
     }
 

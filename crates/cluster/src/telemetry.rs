@@ -4,17 +4,19 @@
 //!
 //! The spans mirror the per-layer cells of `perfbench` (see
 //! `perfbench/README.md`) — arrival sampling, the d-choice compare,
-//! departure scheduling, fleet bookkeeping on departure — so a
-//! chrome://tracing export of one run lines up with the benchmark's
-//! layer breakdown. Telemetry is **off by default**
-//! ([`SimTelemetry::disabled`]): every span entry is then a single
-//! predicted branch, and nothing records. On or off, telemetry draws
-//! zero RNG values and schedules zero events, so it cannot change a
-//! simulation artifact — the differential tests run the production
-//! loop and the heap oracle with telemetry enabled and require
-//! bitwise-identical metrics.
+//! the refill of the named-slot block that drives the uniformized
+//! departures, fleet bookkeeping on departure — so a chrome://tracing
+//! export of one run lines up with the benchmark's layer breakdown.
+//! The serial engine has no departure board: its potential departures
+//! (about 1/ρ per arrival), the ones that found their server idle and
+//! the drain's completions are plain counters in the harvest.
+//! Telemetry is **off by default** ([`SimTelemetry::disabled`]): every
+//! span entry is then a single predicted branch, and nothing records.
+//! On or off, telemetry draws zero RNG values and schedules zero
+//! events, so it cannot change a simulation artifact — the
+//! differential tests run every scenario with telemetry enabled and
+//! require bitwise-identical metrics.
 
-use bnb_queueing::LazyStats;
 use bnb_telemetry::{MetricsSnapshot, Registry, Span};
 
 /// Chrome://tracing track ids, one per instrumented component.
@@ -24,8 +26,8 @@ const TID_SCHEDULE: u32 = 3;
 const TID_DEPART: u32 = 4;
 
 /// The simulator's span set. Owned by `ClusterSim` as a plain field so
-/// the drive loop can time one component while borrowing the router,
-/// fleet and departure board disjointly.
+/// the drive loop can time one component while borrowing the router
+/// and fleet disjointly.
 #[derive(Debug)]
 pub struct SimTelemetry {
     registry: Registry,
@@ -35,8 +37,9 @@ pub struct SimTelemetry {
     /// Placement: `PlacementEngine::place` plus the request's
     /// `try_join`.
     pub(crate) place: Span,
-    /// Departure scheduling: ziggurat service draw + departure-board
-    /// insert.
+    /// Departure naming: one refill of the block of 64 pre-sampled
+    /// named slots (and, on the lookahead arm, the loads of their
+    /// records).
     pub(crate) schedule: Span,
     /// Departure bookkeeping: `Fleet::depart` + latency record.
     pub(crate) depart: Span,
@@ -68,12 +71,11 @@ impl SimTelemetry {
     }
 
     /// Harvests the spans plus the drive loop's own counters (the
-    /// arrival, stale-departure, lookahead and fleet admission-pool counts,
-    /// as `(name, value)` pairs), the departure board's internals and
-    /// the thinning counters into one snapshot.
+    /// arrival, departure, lookahead, fleet admission-pool and latency
+    /// store counts, as `(name, value)` pairs) and the thinning
+    /// counters into one snapshot.
     pub(crate) fn harvest(
         &self,
-        lazy: &LazyStats,
         counters: &[(&str, u64)],
         thinning: (u64, u64, u64),
     ) -> MetricsSnapshot {
@@ -84,7 +86,6 @@ impl SimTelemetry {
         for span in [&self.arrival, &self.place, &self.schedule, &self.depart] {
             snap.add_span(span);
         }
-        lazy.record_into(&mut snap);
         let (accepted, rejected, squeeze) = thinning;
         snap.add_counter("arrivals.thinning_accepted", accepted);
         snap.add_counter("arrivals.thinning_rejected", rejected);

@@ -9,13 +9,16 @@
 //!    identical rendered metrics.
 //! 3. Telemetry is schedule-invisible: a fully enabled registry moves
 //!    no byte of any scenario's metrics, and every scenario — churn and
-//!    ring placements included — runs every departure through the one
-//!    drive loop's departure board.
+//!    ring placements included — serves every completion through the
+//!    one drive loop's uniformized departures (a potential departure
+//!    that found its server busy) or its per-server drain, so
+//!    potential − idle + drain = completed exactly.
 //!
-//! The departure-board differential (the drive loop on the lazy board
-//! vs the binary-heap oracle, every scenario, two seeds) needs the
-//! crate-private board seam, so it lives in `sim.rs`'s unit tests;
-//! `tests/golden.rs` pins every scenario's rendered output.
+//! The engine's law is checked where the crate-private seams are, in
+//! `sim.rs`'s unit tests: against the exact answer key for small
+//! fleets, and scenario by scenario over 30 seeds against the earlier
+//! board engine. `tests/golden.rs` pins every scenario's rendered
+//! output.
 
 use bnb_cluster::{
     registry, ClusterMetrics, ClusterSpec, Fleet, PlacementEngine, PlacementSpec, Sim, SimBuilder,
@@ -144,9 +147,7 @@ fn telemetry_is_schedule_invisible_on_every_scenario() {
     // scheduler-internals counters must not move a single byte of any
     // scenario's metrics. Telemetry draws zero RNG values and schedules
     // zero events, so a production run with a fully enabled registry
-    // must replay the plain run exactly. (The heap oracle's half of
-    // this check needs the crate-private board seam, so it lives in
-    // `sim.rs`'s unit tests.)
+    // must replay the plain run exactly.
     let mut pooled_somewhere = false;
     for scenario in registry() {
         let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
@@ -185,19 +186,23 @@ fn telemetry_is_schedule_invisible_on_every_scenario() {
             scenario.id
         );
         // Every scenario — churn and ring placements included — serves
-        // every departure through the board. Each board insert ends as
-        // a completion or, if its server churned out first, as a stale
-        // pop, so the counters balance exactly.
+        // each completion either at a potential departure that named a
+        // busy server or in the per-server drain, so the counters
+        // balance exactly.
         let c = |name: &str| snap.counter(name).unwrap_or(0);
-        let inserts = c("lazy.ring_inserts");
+        let (potential, idle, drain) = (
+            c("sim.potential_departures"),
+            c("sim.idle_departures"),
+            c("sim.drain_departures"),
+        );
         assert!(
-            inserts > 0,
-            "{}: the lazy departure path did not fire",
+            potential > idle,
+            "{}: no potential departure found a busy server",
             scenario.id
         );
         assert_eq!(
-            inserts,
-            traced_on.completed + c("sim.stale_departures"),
+            potential - idle + drain,
+            traced_on.completed,
             "{}: departure accounting does not balance",
             scenario.id
         );

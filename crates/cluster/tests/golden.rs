@@ -80,46 +80,46 @@ fn run(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
 
 /// `(scenario id, seed, digest)`.
 const REGISTRY_GOLDEN: &[(&str, u64, u64)] = &[
-    ("uniform", 0xCA1E, 0x53d1ee7925774093),
-    ("uniform", 0xF0_5ED, 0x8e44d31e1bff87b0),
-    ("two-class", 0xCA1E, 0x889e268a53a7fc3b),
-    ("two-class", 0xF0_5ED, 0x3781fe85b2aea78e),
-    ("zipf", 0xCA1E, 0xf80deffa2a3f4443),
-    ("zipf", 0xF0_5ED, 0x6f8fd678748d8e33),
-    ("flash-crowd", 0xCA1E, 0x1eb2131020e730c2),
-    ("flash-crowd", 0xF0_5ED, 0xa5d6589a8cc63a25),
-    ("diurnal", 0xCA1E, 0x500ec8311dcdf077),
-    ("diurnal", 0xF0_5ED, 0x3139ad9eaed85fff),
-    ("churny-p2p", 0xCA1E, 0x80c8b91a071fb8cc),
-    ("churny-p2p", 0xF0_5ED, 0x9ce5e35f43e3582a),
-    ("giant", 0xCA1E, 0x47ea950115a09047),
-    ("giant", 0xF0_5ED, 0x9e2e2f0cb8a63060),
-    ("successor", 0xCA1E, 0xea6cc25d9f844c51),
-    ("successor", 0xF0_5ED, 0x289e1054449c6842),
-    ("rendezvous", 0xCA1E, 0xa3ddd4f12d538a81),
-    ("rendezvous", 0xF0_5ED, 0x01ad8511e9053494),
+    ("uniform", 0xCA1E, 0x41fe9a716ba9ba5f),
+    ("uniform", 0xF0_5ED, 0x937f289effaf4c81),
+    ("two-class", 0xCA1E, 0x5c4981546e0a493f),
+    ("two-class", 0xF0_5ED, 0x782af891854d8d08),
+    ("zipf", 0xCA1E, 0x760aadac52e22877),
+    ("zipf", 0xF0_5ED, 0x46fbf83a38ceed03),
+    ("flash-crowd", 0xCA1E, 0x329dd821dd3d203d),
+    ("flash-crowd", 0xF0_5ED, 0x517bd8061e99c708),
+    ("diurnal", 0xCA1E, 0xf581449159c3a6fc),
+    ("diurnal", 0xF0_5ED, 0x63752f0f3a29ca80),
+    ("churny-p2p", 0xCA1E, 0xe8b9e6bb59463ec0),
+    ("churny-p2p", 0xF0_5ED, 0x1bc1db9c9e58efc6),
+    ("giant", 0xCA1E, 0xf0b9a64397a14afd),
+    ("giant", 0xF0_5ED, 0x327ab3f985d3c0f5),
+    ("successor", 0xCA1E, 0x3767e1e852c66fd4),
+    ("successor", 0xF0_5ED, 0xa179108cfad35194),
+    ("rendezvous", 0xCA1E, 0x3a59aa24001cb3f3),
+    ("rendezvous", 0xF0_5ED, 0x7838320fbc5fca2a),
 ];
 
 /// `(scenario id, seed, bits digest)`, same runs as [`REGISTRY_GOLDEN`].
 const REGISTRY_BITS: &[(&str, u64, u64)] = &[
-    ("uniform", 0xCA1E, 0x1c6677dc0509e7fd),
-    ("uniform", 0xF0_5ED, 0x3a47bee9a12f6a34),
-    ("two-class", 0xCA1E, 0x5925e2cfc7a0fbc9),
-    ("two-class", 0xF0_5ED, 0xe9be1876d6f461b6),
-    ("zipf", 0xCA1E, 0xa0c7abdd1e90d3b0),
-    ("zipf", 0xF0_5ED, 0x9abe483f25b6509f),
-    ("flash-crowd", 0xCA1E, 0xb4a68af494e7e57d),
-    ("flash-crowd", 0xF0_5ED, 0x3b7235cee71ce385),
-    ("diurnal", 0xCA1E, 0x24634b717e10e3b3),
-    ("diurnal", 0xF0_5ED, 0x922309ea9f5fa1f2),
-    ("churny-p2p", 0xCA1E, 0xfe8302efe6547492),
-    ("churny-p2p", 0xF0_5ED, 0x02647f54544fcbc0),
-    ("giant", 0xCA1E, 0x8e1bf19204ac8ad8),
-    ("giant", 0xF0_5ED, 0x8d50ff762b6a9831),
-    ("successor", 0xCA1E, 0x56a29a98a87b70a2),
-    ("successor", 0xF0_5ED, 0xa7516d9f79eef171),
-    ("rendezvous", 0xCA1E, 0xc7e8e34f9f532064),
-    ("rendezvous", 0xF0_5ED, 0x73bb5b05b4de19c5),
+    ("uniform", 0xCA1E, 0xbd52d9b87cf05885),
+    ("uniform", 0xF0_5ED, 0xf6d9da2d18f061b3),
+    ("two-class", 0xCA1E, 0x1efa0bfdb1acd612),
+    ("two-class", 0xF0_5ED, 0xaef47a2e550598ce),
+    ("zipf", 0xCA1E, 0xb147d3374e9cb843),
+    ("zipf", 0xF0_5ED, 0xd1c4dfae3f26e689),
+    ("flash-crowd", 0xCA1E, 0xc4a2b1e44d5cf385),
+    ("flash-crowd", 0xF0_5ED, 0x9b8eb99fbc73bd4a),
+    ("diurnal", 0xCA1E, 0x3036f716641458a2),
+    ("diurnal", 0xF0_5ED, 0x6a5830a5bafa1152),
+    ("churny-p2p", 0xCA1E, 0xf235ef0168dad057),
+    ("churny-p2p", 0xF0_5ED, 0x8754e2ab46423672),
+    ("giant", 0xCA1E, 0x2387ca274b2356dd),
+    ("giant", 0xF0_5ED, 0xec4d1313d6c92afd),
+    ("successor", 0xCA1E, 0x04645f3cadd81d61),
+    ("successor", 0xF0_5ED, 0xf40829356f7dfeb5),
+    ("rendezvous", 0xCA1E, 0xcdb6a1850ae4cb56),
+    ("rendezvous", 0xF0_5ED, 0x2d8d51cd83e00a5a),
 ];
 
 /// Runs every registry scenario at the golden budget and both seeds;
@@ -187,8 +187,8 @@ fn d2_with_churn_matches_its_golden_digest() {
         requests: 30_000,
     };
     let m = run(spec, 9);
-    assert_eq!(rendered_digest(&m), 0x74fcfd04159f0de9);
-    assert_eq!(bits_digest(&m), 0x1d5df3db393dd156);
+    assert_eq!(rendered_digest(&m), 0x78ba0a43ffca0d98);
+    assert_eq!(bits_digest(&m), 0x71782b02a1581f14);
 }
 
 /// A 16-server two-class fleet at ρ = 0.8 under `placement`: short
@@ -217,31 +217,31 @@ const PLACEMENT_BITS: &[(PlacementSpec, bool, bool, u64)] = &[
         PlacementSpec::DChoice { d: 3 },
         false,
         false,
-        0x7c68795b51fb5f12,
+        0x950933391bc54678,
     ),
     (
         PlacementSpec::DChoice { d: 4 },
         true,
         false,
-        0x4cfbfb76ea5c3d0c,
+        0x58771e4b61f1b4b9,
     ),
     (
         PlacementSpec::UniformDChoice { d: 3 },
         false,
         false,
-        0x8d9e3e0a6dd01fa4,
+        0x455899f79d1ff63c,
     ),
     (
         PlacementSpec::ShortestQueue { d: 3 },
         true,
         false,
-        0xa689f0c69481d5de,
+        0x5b4f7186dcdeaad9,
     ),
     (
         PlacementSpec::HashThenProbe { d: 3, vnodes: 4 },
         true,
         false,
-        0x8194186d4d21bc0d,
+        0x5c709bb3bed2c6f4,
     ),
     (
         PlacementSpec::DChoice { d: 2 },

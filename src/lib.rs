@@ -12,8 +12,10 @@
 //!   cumulative) plus binomial/geometric/Zipf variates.
 //! * [`hashring`] — the consistent-hashing substrate: rings, arcs, the
 //!   Byers et al. d-point game, Chord finger tables.
-//! * [`queueing`] — the event schedulers the cluster simulator runs on:
-//!   the lazy departure board, the calendar queue, the heap oracle.
+//! * [`queueing`] — event schedulers: the lazy departure board the
+//!   sharded cluster engine runs on, the calendar queue, the heap
+//!   oracle. The serial engine uses none of them: its departures are
+//!   uniformized.
 //! * [`router`] — the placement engine: Algorithm 1 and the other
 //!   placement policies behind one
 //!   [`PlacementEngine`](bnb_router::PlacementEngine), generic over any
